@@ -12,7 +12,6 @@ as big-endian hex, which keeps txids bit-stable across save/load.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -26,7 +25,7 @@ MAX_AMOUNT = 2 ** 64 - 1
 PayTarget = Union[Address, Point]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutput:
     payto: PayTarget
     amount: int
@@ -38,7 +37,7 @@ class TxOutput:
             raise ValueError("cannot pay to the identity point")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxInput:
     """Spend of an existing output.
 
@@ -59,7 +58,7 @@ class TxInput:
             raise ValueError("bad outpoint")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     inputs: Tuple[TxInput, ...]
     outputs: Tuple[TxOutput, ...]
@@ -174,17 +173,17 @@ def transaction_pubkeys(tx: Transaction) -> List[Point]:
 class Ledger:
     """Append-only transaction record with an unspent-output set.
 
-    Single-writer: mutations are serialized through one lock; reads operate
-    on values that are never mutated in place.
+    Single-writer and single-threaded; reads operate on values that are
+    never mutated in place.  Beside the record it keeps one index per
+    query: txid -> transaction and pay target -> paying transactions.
     """
 
     def __init__(self):
         self.transactions: List[Transaction] = []
         self.utxo: Dict[Tuple[bytes, int], TxOutput] = {}
-        self.pubkey_index: Dict[Point, List[bytes]] = {}
         self.total_issued = 0
-        self._spent: set = set()
-        self._lock = threading.Lock()
+        self._by_txid: Dict[bytes, Transaction] = {}
+        self._payers: Dict[PayTarget, Union[Transaction, List[Transaction]]] = {}
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -193,20 +192,18 @@ class Ledger:
 
     def faucet(self, outputs: Sequence[TxOutput]) -> Transaction:
         """Mint a coinbase transaction (test/demo setup only)."""
-        with self._lock:
-            tx = Transaction.assemble((), outputs, coinbase_tag=len(self.transactions))
-            self._commit(tx)
-            self.total_issued += sum(o.amount for o in outputs)
-            return tx
+        tx = Transaction.assemble((), outputs, coinbase_tag=len(self.transactions))
+        self._commit(tx)
+        self.total_issued += sum(o.amount for o in outputs)
+        return tx
 
     def broadcast(self, tx: Transaction) -> Transaction:
         """Validate and accept; raises ProtocolError on any rule violation."""
         if not tx.inputs:
             raise ProtocolError("coinbase only via faucet")
-        with self._lock:
-            self._validate(tx)
-            self._commit(tx)
-            return tx
+        self._validate(tx)
+        self._commit(tx)
+        return tx
 
     def _validate(self, tx: Transaction):
         preimage = tx_preimage(tx.inputs, tx.outputs, tx.coinbase_tag)
@@ -216,7 +213,7 @@ class Ledger:
         input_total = 0
         for inp in tx.inputs:
             outpoint = (inp.prev_txid, inp.index)
-            if outpoint in seen or outpoint in self._spent:
+            if outpoint in seen or self.is_spent(inp.prev_txid, inp.index):
                 raise ProtocolError("spent outpoint", f"{inp.prev_txid.hex()}:{inp.index}")
             if outpoint not in self.utxo:
                 raise ProtocolError("missing utxo", f"{inp.prev_txid.hex()}:{inp.index}")
@@ -261,25 +258,36 @@ class Ledger:
 
     def _commit(self, tx: Transaction):
         self.transactions.append(tx)
+        self._by_txid[tx.txid] = tx
         for inp in tx.inputs:
-            outpoint = (inp.prev_txid, inp.index)
-            del self.utxo[outpoint]
-            self._spent.add(outpoint)
+            del self.utxo[(inp.prev_txid, inp.index)]
         for i, out in enumerate(tx.outputs):
             self.utxo[(tx.txid, i)] = out
-        for point in transaction_pubkeys(tx):
-            self.pubkey_index.setdefault(point, []).append(tx.txid)
+            # Most targets are paid once (a fresh contract-derived address),
+            # so a single payer is stored bare: a one-element list would add
+            # 64 bytes per paid target to a ledger held wholly in memory.
+            payers = self._payers.get(out.payto)
+            if payers is None:
+                self._payers[out.payto] = tx
+            elif isinstance(payers, Transaction):
+                if payers is not tx:
+                    self._payers[out.payto] = [payers, tx]
+            elif payers[-1] is not tx:
+                payers.append(tx)
 
     # -- queries -----------------------------------------------------------
 
     def scan_address(self, addr: Address) -> List[Tuple[bytes, int, int]]:
         """All outputs ever paid to ``addr`` (spent or not), in ledger order."""
-        hits = []
-        for tx in self.transactions:
-            for i, out in enumerate(tx.outputs):
-                if out.payto == addr:
-                    hits.append((tx.txid, i, out.amount))
-        return hits
+        payers = self._payers.get(addr, ())
+        if isinstance(payers, Transaction):
+            payers = (payers,)
+        return [
+            (tx.txid, i, out.amount)
+            for tx in payers
+            for i, out in enumerate(tx.outputs)
+            if out.payto == addr
+        ]
 
     def list_pubkeys(self) -> Iterator[Tuple[Point, bytes]]:
         """Every explicit pubkey on the record, paired with its transaction."""
@@ -288,13 +296,12 @@ class Ledger:
                 yield point, tx.txid
 
     def get_transaction(self, txid: bytes) -> Optional[Transaction]:
-        for tx in self.transactions:
-            if tx.txid == txid:
-                return tx
-        return None
+        return self._by_txid.get(txid)
 
     def is_spent(self, txid: bytes, index: int) -> bool:
-        return (txid, index) in self._spent
+        """Whether output ``index`` of a recorded transaction has been spent."""
+        tx = self._by_txid.get(txid)
+        return tx is not None and 0 <= index < len(tx.outputs) and (txid, index) not in self.utxo
 
     # -- persistence ---------------------------------------------------------
 
@@ -402,15 +409,13 @@ class FileStore:
 
     def __init__(self):
         self.files: Dict[bytes, bytes] = {}
-        self._lock = threading.Lock()
 
     def put(self, name: bytes, data: bytes):
         if len(name) != 32:
             raise ValueError("filename must be a 32-byte digest")
-        with self._lock:
-            if name in self.files:
-                raise ProtocolError("filename exists", name.hex())
-            self.files[name] = bytes(data)
+        if name in self.files:
+            raise ProtocolError("filename exists", name.hex())
+        self.files[name] = bytes(data)
 
     def get(self, name: bytes) -> Optional[bytes]:
         return self.files.get(name)

@@ -16,7 +16,7 @@ import hmac
 import secrets
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import ProtocolError
 from .ripemd160 import ripemd160
@@ -35,9 +35,25 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _select_ripemd160() -> Callable[[bytes], bytes]:
+    """OpenSSL's RIPEMD-160 when this build provides it, else the pure-Python one.
+
+    OpenSSL 3 keeps RIPEMD-160 in its legacy provider, which many hosts do
+    not load; ``hashlib.new`` then raises ``ValueError``.
+    """
+    try:
+        hashlib.new("ripemd160")
+    except ValueError:
+        return ripemd160
+    return lambda data: hashlib.new("ripemd160", data).digest()
+
+
+_ripemd160 = _select_ripemd160()
+
+
 def hash160(data: bytes) -> bytes:
     """RIPEMD-160 of SHA-256, the 20-byte address hash."""
-    return ripemd160(sha256(data))
+    return _ripemd160(sha256(data))
 
 
 def rand_bytes(n: int, rng: Optional[Random] = None) -> bytes:
@@ -452,7 +468,7 @@ class KeyPair:
         return cls.from_private(random_scalar(rng))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """ECDSA signature; serializes as 64 bytes r || s."""
 

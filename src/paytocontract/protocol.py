@@ -176,7 +176,8 @@ def merchant_detect_payment(identity: MerchantIdentity, contract: Contract, ledg
     # the derived private key must land on the same address, or we could
     # never redeem what we are about to confirm
     spend_key = payment_private_key(contract, identity.reputation.private)
-    assert hash160((G ** spend_key).encode()) == addr.digest
+    if hash160((G ** spend_key).encode()) != addr.digest:
+        raise ProtocolError("key derivation mismatch", "derived key does not own the payment address")
     price = order_price(contract)
     for txid, _, amount in ledger.scan_address(addr):
         if amount >= price:

@@ -2,8 +2,8 @@
 
 OpenSSL 3 ships RIPEMD-160 only in its legacy provider, so
 ``hashlib.new("ripemd160")`` fails on many hosts.  This is the reference
-algorithm (Dobbertin, Bosselaers, Preneel) in plain Python; fine for the
-20-byte address hashes used here, where throughput is irrelevant.
+algorithm (Dobbertin, Bosselaers, Preneel) in plain Python, which
+``curve.hash160`` falls back to on such hosts.
 """
 
 import struct

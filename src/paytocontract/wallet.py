@@ -63,7 +63,7 @@ def derive_public(pubbase: Point, label: Label, scheme: DerivationScheme = Deriv
     return derived
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
     """20-byte address digest, tagged pay-to-pubkey-hash or pay-to-script-hash."""
 
@@ -136,7 +136,7 @@ _OPCODE_BYTES = {Opcode.CHECKMULTISIG: 0xAE, Opcode.HASH160: 0xA9, Opcode.EQUAL:
 ScriptElement = Union[int, Opcode, Point, bytes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Script:
     ops: Tuple[ScriptElement, ...]
 

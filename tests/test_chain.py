@@ -14,7 +14,7 @@ from paytocontract.chain import (
     transaction_pubkeys,
     tx_preimage,
 )
-from paytocontract.curve import KeyPair, ecdsa_sign, hash160, sha256
+from paytocontract.curve import KeyPair, Point, ecdsa_sign, hash160, sha256
 from paytocontract.errors import ProtocolError
 from paytocontract.wallet import Address, Script, derive_script, multisig_script, p2sh_address
 
@@ -229,7 +229,6 @@ class TestQueries:
                                [TxOutput(_addr(pair), 100000)])
         ledger.broadcast(t2)
         assert [txid for pt, txid in ledger.list_pubkeys() if pt == pair.public] == [t1.txid, t2.txid]
-        assert ledger.pubkey_index[pair.public] == [t1.txid, t2.txid]
 
     def test_p2pkh_outputs_are_not_pubkeys(self):
         rng = Random(77)
@@ -266,7 +265,112 @@ class TestQueries:
                     walked.add(out["payto"]["pubkey"])
         indexed = {pt.encode().hex() for pt, _ in ledger.list_pubkeys()}
         assert walked == indexed
-        assert indexed == {p.encode().hex() for p in ledger.pubkey_index}
+
+
+def _assert_queries_match_walk(ledger: Ledger, probes):
+    """Every index-backed query agrees with a brute-force walk of the record."""
+    spent = {(inp.prev_txid, inp.index) for tx in ledger.transactions for inp in tx.inputs}
+    targets = {out.payto for tx in ledger.transactions for out in tx.outputs} | set(probes)
+    for target in targets:
+        assert ledger.scan_address(target) == [
+            (tx.txid, i, out.amount)
+            for tx in ledger.transactions
+            for i, out in enumerate(tx.outputs)
+            if out.payto == target
+        ]
+    for tx in ledger.transactions:
+        assert ledger.get_transaction(tx.txid) is tx
+        for i in range(len(tx.outputs) + 1):
+            assert ledger.is_spent(tx.txid, i) == ((tx.txid, i) in spent)
+
+
+class TestIndexes:
+    def test_queries_match_walk_through_random_operations(self):
+        rng = Random(81)
+        ledger = Ledger()
+        keys = [KeyPair.generate(rng) for _ in range(3)]
+        script = multisig_script(2, (keys[0].public, keys[1].public))
+        key_for = {_addr(k): k.private for k in keys}
+        key_for.update({k.public: k.private for k in keys})
+        # few targets, so that most are paid many times, some twice in one tx
+        targets = [*key_for, p2sh_address(script)]
+        probes = [Address("p2pkh", b"\x09" * 20), Address("p2sh", b"\x09" * 20)]
+        kinds = set()
+        for _ in range(30):
+            spendable = [op for op, out in ledger.utxo.items() if out.amount >= 3]
+            if not spendable or rng.random() < 0.2:
+                outputs = [TxOutput(rng.choice(targets), rng.randint(3, 10 ** 6))
+                           for _ in range(rng.randint(1, 3))]
+                tx = ledger.faucet(outputs)
+                kinds.add("faucet")
+            else:
+                txid, index = rng.choice(spendable)
+                prev = ledger.utxo[(txid, index)]
+                n = rng.randint(1, 3)
+                outputs = [TxOutput(rng.choice(targets), prev.amount // n) for _ in range(n)]
+                if prev.payto in key_for:
+                    tx = build_transaction(ledger, [(txid, index, key_for[prev.payto])], outputs)
+                    kinds.add("p2pk" if isinstance(prev.payto, Point) else "p2pkh")
+                else:
+                    tx = build_script_spend(
+                        ledger, [(txid, index, [keys[0].private, keys[1].private], script)], outputs)
+                    kinds.add("p2sh")
+                ledger.broadcast(tx)
+            _assert_queries_match_walk(ledger, probes)
+        assert kinds == {"faucet", "p2pkh", "p2pk", "p2sh"}
+        again = Ledger.from_jsonl(ledger.to_jsonl())
+        _assert_queries_match_walk(again, probes)
+        for target in targets + probes:
+            assert again.scan_address(target) == ledger.scan_address(target)
+
+    def test_scan_repeat_payments_in_output_order(self):
+        ledger = Ledger()
+        target, other = Address("p2pkh", b"\x04" * 20), Address("p2pkh", b"\x05" * 20)
+        a = ledger.faucet([TxOutput(target, 1), TxOutput(other, 5), TxOutput(target, 2)])
+        assert ledger.scan_address(target) == [(a.txid, 0, 1), (a.txid, 2, 2)]
+        b = ledger.faucet([TxOutput(target, 3)])
+        c = ledger.faucet([TxOutput(target, 4), TxOutput(target, 5)])
+        assert ledger.scan_address(target) == [
+            (a.txid, 0, 1), (a.txid, 2, 2), (b.txid, 0, 3), (c.txid, 0, 4), (c.txid, 1, 5)]
+        assert ledger.scan_address(other) == [(a.txid, 1, 5)]
+
+    def test_lookup_by_txid_and_spent_state(self):
+        rng = Random(82)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        unknown = b"\x06" * 32
+        assert ledger.get_transaction(funding.txid) is funding
+        assert ledger.get_transaction(unknown) is None
+        assert not ledger.is_spent(unknown, 0)
+        assert not ledger.is_spent(funding.txid, 0)
+        # an output index past the end was never created, so never spent
+        assert not ledger.is_spent(funding.txid, 1)
+        past_end = Transaction.assemble(
+            (TxInput(funding.txid, 1, pubkey=pair.public),), (TxOutput(_addr(pair), 1),))
+        with pytest.raises(ProtocolError, match="missing utxo"):
+            ledger.broadcast(past_end)
+        tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                               [TxOutput(_addr(pair), 100000)])
+        ledger.broadcast(tx)
+        assert ledger.is_spent(funding.txid, 0)
+        assert not ledger.is_spent(funding.txid, 1)
+        assert not ledger.is_spent(funding.txid, -1)
+        assert not ledger.is_spent(tx.txid, 0)
+        assert ledger.get_transaction(tx.txid) is tx
+
+
+class TestRecords:
+    def test_ledger_records_have_no_instance_dict(self):
+        # slotted records keep a ledger held in memory small
+        rng = Random(83)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        script = multisig_script(1, (pair.public,))
+        tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                               [TxOutput(p2sh_address(script), 100000)])
+        records = [tx, tx.inputs[0], tx.outputs[0], tx.outputs[0].payto, tx.inputs[0].signature, script]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 class TestConservation:

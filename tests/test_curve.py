@@ -86,6 +86,25 @@ class TestHashing:
         assert hash160(data) == expected == hash160(data)
         assert len(expected) == 20
 
+    def test_hash160_matches_pure_python_reference(self):
+        # whichever RIPEMD-160 the import-time probe chose must agree with
+        # the pure-Python reference
+        rng = Random(12)
+        for _ in range(200):
+            data = rng.randbytes(rng.randrange(0, 200))
+            assert hash160(data) == ripemd160(hashlib.sha256(data).digest())
+
+    def test_ripemd160_falls_back_when_openssl_lacks_it(self, monkeypatch):
+        def unsupported(name, *args, **kwargs):
+            raise ValueError(f"unsupported hash type {name}")
+
+        monkeypatch.setattr(hashlib, "new", unsupported)
+        fallback = curve._select_ripemd160()
+        assert fallback is ripemd160
+        monkeypatch.setattr(curve, "_ripemd160", fallback)
+        assert hash160(b"").hex() == HASH160_EMPTY
+        assert hash160(bytes.fromhex(G_COMPRESSED)).hex() == HASH160_G
+
 
 class TestPoint:
     def test_zero_exponent_gives_identity(self):

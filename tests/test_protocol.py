@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 import oracle
+from paytocontract import protocol
 from paytocontract.chain import FileStore, Ledger, TxOutput, build_transaction
 from paytocontract.contract import (
     build_contract,
@@ -114,6 +115,14 @@ class TestBasicFlow:
         other = MerchantIdentity(KeyPair.generate(rng))
         with pytest.raises(ProtocolError, match="foreign contract"):
             merchant_detect_payment(other, contract, ledger)
+
+    def test_derived_key_off_address_raises(self, monkeypatch):
+        # an explicit check, so that python -O cannot strip it
+        rng = Random(99)
+        identity, contract, _, ledger, _, _ = _setup(rng)
+        monkeypatch.setattr(protocol, "payment_private_key", lambda contract, private: Scalar(1))
+        with pytest.raises(ProtocolError, match="key derivation mismatch"):
+            merchant_detect_payment(identity, contract, ledger)
 
     def test_underpayment_not_detected_as_paid(self):
         rng = Random(97)
