@@ -39,6 +39,7 @@ from .wallet import (
     derive_public,
     derive_script,
     multisig_script,
+    p2pkh_address,
     p2sh_address,
 )
 from .contract import (

@@ -12,12 +12,12 @@ as big-endian hex, which keeps txids bit-stable across save/load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .curve import G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, hash160, sha256
 from .errors import ProtocolError
-from .wallet import Address, Script
+from .wallet import Address, Script, p2pkh_address
 
 MAX_AMOUNT = 2 ** 64 - 1
 
@@ -142,6 +142,15 @@ def tx_from_json(obj: dict) -> Transaction:
     return Transaction.assemble(inputs, outputs, int(tag, 16) if tag is not None else None)
 
 
+def _dump_line(obj: dict) -> str:
+    """The one canonical JSON form of a record: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _read_lines(text: str) -> Iterator[dict]:
+    return (json.loads(line) for line in text.splitlines() if line.strip())
+
+
 def tx_preimage(
     inputs: Sequence[TxInput],
     outputs: Sequence[TxOutput],
@@ -149,7 +158,7 @@ def tx_preimage(
 ) -> bytes:
     """Canonical serialization excluding signatures; hashing it yields the txid."""
     stub = Transaction(tuple(inputs), tuple(outputs), b"\x00" * 32, coinbase_tag)
-    return json.dumps(tx_to_json(stub, include_sigs=False), sort_keys=True, separators=(",", ":")).encode()
+    return _dump_line(tx_to_json(stub, include_sigs=False)).encode()
 
 
 def transaction_pubkeys(tx: Transaction) -> List[Point]:
@@ -215,10 +224,8 @@ class Ledger:
             outpoint = (inp.prev_txid, inp.index)
             if outpoint in seen or self.is_spent(inp.prev_txid, inp.index):
                 raise ProtocolError("spent outpoint", f"{inp.prev_txid.hex()}:{inp.index}")
-            if outpoint not in self.utxo:
-                raise ProtocolError("missing utxo", f"{inp.prev_txid.hex()}:{inp.index}")
+            prev = _resolve_spend(self, inp.prev_txid, inp.index)
             seen.add(outpoint)
-            prev = self.utxo[outpoint]
             self._check_authorization(inp, prev.payto, preimage)
             input_total += prev.amount
         if input_total < sum(o.amount for o in tx.outputs):
@@ -226,15 +233,8 @@ class Ledger:
 
     @staticmethod
     def _check_authorization(inp: TxInput, payto: PayTarget, preimage: bytes):
-        if isinstance(payto, Point):
-            if inp.pubkey != payto:
-                raise ProtocolError("key does not match output")
-            if inp.signature is None or not ecdsa_verify(inp.pubkey, preimage, inp.signature):
-                raise ProtocolError("invalid signature")
-            return
-        if payto.kind == "p2pkh":
-            if inp.pubkey is None or hash160(inp.pubkey.encode()) != payto.digest:
-                raise ProtocolError("key does not match output")
+        if isinstance(payto, Point) or payto.kind == "p2pkh":
+            _check_key_lock(inp.pubkey, payto)
             if inp.signature is None or not ecdsa_verify(inp.pubkey, preimage, inp.signature):
                 raise ProtocolError("invalid signature")
             return
@@ -306,24 +306,31 @@ class Ledger:
     # -- persistence ---------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(tx_to_json(tx), sort_keys=True, separators=(",", ":")) + "\n"
-            for tx in self.transactions
-        )
+        return "".join(_dump_line(tx_to_json(tx)) + "\n" for tx in self.transactions)
 
     @classmethod
     def from_jsonl(cls, text: str) -> Ledger:
         """Rebuild by replaying every record through full validation."""
         ledger = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            tx = tx_from_json(json.loads(line))
+        for obj in _read_lines(text):
+            tx = tx_from_json(obj)
             if tx.coinbase_tag is not None:
                 ledger.faucet(tx.outputs)
             else:
                 ledger.broadcast(tx)
         return ledger
+
+
+def _check_key_lock(pub: Optional[Point], payto: PayTarget):
+    """Builders' and validator's one lock rule for p2pk and p2pkh outputs."""
+    if isinstance(payto, Point):
+        unlocked = pub == payto
+    elif payto.kind == "p2pkh":
+        unlocked = pub is not None and p2pkh_address(pub) == payto
+    else:
+        raise ProtocolError("key does not match output", "p2sh outputs need a script spend")
+    if not unlocked:
+        raise ProtocolError("key does not match output")
 
 
 def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
@@ -333,42 +340,34 @@ def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
     return out
 
 
+def _sign_and_assemble(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
+                       outputs: Sequence[TxOutput]) -> Transaction:
+    """The builders' shared tail: check funds, then sign each input with its keys."""
+    total = sum(ledger.utxo[(inp.prev_txid, inp.index)].amount for inp, _ in drafts)
+    if total < sum(o.amount for o in outputs):
+        raise ProtocolError("insufficient funds")
+    preimage = tx_preimage([inp for inp, _ in drafts], outputs)
+    signed = [
+        replace(inp, signature=ecdsa_sign(keys[0], preimage)) if inp.redeem_script is None
+        else replace(inp, signatures=tuple(ecdsa_sign(k, preimage) for k in keys))
+        for inp, keys in drafts
+    ]
+    return Transaction.assemble(signed, outputs)
+
+
 def build_transaction(
     ledger: Ledger,
     spends: Sequence[Tuple[bytes, int, Scalar]],
     outputs: Sequence[TxOutput],
 ) -> Transaction:
     """Spend address/pubkey outputs with their matching keys and sign every input."""
-    inputs = []
-    total = 0
-    keys = []
+    drafts = []
     for txid, index, key in spends:
         prev = _resolve_spend(ledger, txid, index)
-        pub = _spend_pubkey(prev.payto, key)
-        inputs.append(TxInput(txid, index, pubkey=pub))
-        keys.append(key)
-        total += prev.amount
-    if total < sum(o.amount for o in outputs):
-        raise ProtocolError("insufficient funds")
-    preimage = tx_preimage(inputs, outputs)
-    signed = [
-        TxInput(i.prev_txid, i.index, pubkey=i.pubkey, signature=ecdsa_sign(k, preimage))
-        for i, k in zip(inputs, keys)
-    ]
-    return Transaction.assemble(signed, outputs)
-
-
-def _spend_pubkey(payto: PayTarget, key: Scalar) -> Point:
-    pub = G ** key
-    if isinstance(payto, Point):
-        if pub != payto:
-            raise ProtocolError("key does not match output")
-    elif payto.kind == "p2pkh":
-        if hash160(pub.encode()) != payto.digest:
-            raise ProtocolError("key does not match output")
-    else:
-        raise ProtocolError("key does not match output", "p2sh outputs need a script spend")
-    return pub
+        pub = G ** key
+        _check_key_lock(pub, prev.payto)
+        drafts.append((TxInput(txid, index, pubkey=pub), (key,)))
+    return _sign_and_assemble(ledger, drafts, outputs)
 
 
 def build_script_spend(
@@ -377,31 +376,15 @@ def build_script_spend(
     outputs: Sequence[TxOutput],
 ) -> Transaction:
     """Spend p2sh outputs by revealing each script and signing with enough keys."""
-    inputs = []
-    total = 0
-    keysets = []
+    drafts = []
     for txid, index, keys, script in spends:
         prev = _resolve_spend(ledger, txid, index)
         if not isinstance(prev.payto, Address) or prev.payto.kind != "p2sh":
             raise ProtocolError("script does not match output", "not a p2sh output")
         if hash160(script.serialize()) != prev.payto.digest:
             raise ProtocolError("script does not match output")
-        inputs.append(TxInput(txid, index, redeem_script=script))
-        keysets.append(tuple(keys))
-        total += prev.amount
-    if total < sum(o.amount for o in outputs):
-        raise ProtocolError("insufficient funds")
-    preimage = tx_preimage(inputs, outputs)
-    signed = [
-        TxInput(
-            i.prev_txid,
-            i.index,
-            redeem_script=i.redeem_script,
-            signatures=tuple(ecdsa_sign(k, preimage) for k in keys),
-        )
-        for i, keys in zip(inputs, keysets)
-    ]
-    return Transaction.assemble(signed, outputs)
+        drafts.append((TxInput(txid, index, redeem_script=script), tuple(keys)))
+    return _sign_and_assemble(ledger, drafts, outputs)
 
 
 class FileStore:
@@ -421,17 +404,12 @@ class FileStore:
         return self.files.get(name)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps({"data": data.hex(), "name": name.hex()}, sort_keys=True, separators=(",", ":")) + "\n"
-            for name, data in self.files.items()
-        )
+        records = ({"data": data.hex(), "name": name.hex()} for name, data in self.files.items())
+        return "".join(_dump_line(record) + "\n" for record in records)
 
     @classmethod
     def from_jsonl(cls, text: str) -> FileStore:
         store = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
+        for obj in _read_lines(text):
             store.put(bytes.fromhex(obj["name"]), bytes.fromhex(obj["data"]))
         return store

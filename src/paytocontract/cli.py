@@ -19,7 +19,7 @@ from typing import Optional
 import click
 
 from . import contract as contract_mod
-from .chain import FileStore, Ledger, TxOutput, build_transaction, tx_to_json
+from .chain import MAX_AMOUNT, FileStore, Ledger, TxOutput, build_transaction, tx_to_json
 from .curve import KeyPair, Point, Scalar, random_scalar
 from .errors import ProtocolError
 from .protocol import (
@@ -55,23 +55,23 @@ class CliConfig:
     def rng(self) -> Optional[Random]:
         return Random(self.seed) if self.seed is not None else None
 
-    def _path(self, name: str) -> Path:
+    def _write(self, name: str, text: str):
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        return self.state_dir / name
+        (self.state_dir / name).write_text(text)
 
     def load_ledger(self) -> Ledger:
-        path = self._path("ledger.jsonl")
+        path = self.state_dir / "ledger.jsonl"
         return Ledger.from_jsonl(path.read_text()) if path.exists() else Ledger()
 
     def save_ledger(self, ledger: Ledger):
-        self._path("ledger.jsonl").write_text(ledger.to_jsonl())
+        self._write("ledger.jsonl", ledger.to_jsonl())
 
     def load_filestore(self) -> FileStore:
-        path = self._path("filestore.jsonl")
+        path = self.state_dir / "filestore.jsonl"
         return FileStore.from_jsonl(path.read_text()) if path.exists() else FileStore()
 
     def save_filestore(self, fs: FileStore):
-        self._path("filestore.jsonl").write_text(fs.to_jsonl())
+        self._write("filestore.jsonl", fs.to_jsonl())
 
     def emit(self, obj: dict):
         if self.fmt == "json":
@@ -85,6 +85,8 @@ class CliConfig:
 
 
 pass_config = click.make_pass_decorator(CliConfig)
+
+AMOUNT = click.IntRange(0, MAX_AMOUNT)
 
 
 @click.group()
@@ -103,7 +105,11 @@ def cli(ctx, state_dir: Path, fmt: str, seed: Optional[int]):
 # -- helpers ----------------------------------------------------------------
 
 def _point(text: str) -> Point:
-    return Point.decode(bytes.fromhex(text))
+    try:
+        data = bytes.fromhex(text)
+    except ValueError as exc:
+        raise click.UsageError(f"bad point {text!r}: {exc}")
+    return Point.decode(data)
 
 
 def _address(text: str) -> Address:
@@ -339,7 +345,7 @@ def chain():
 
 @chain.command("faucet")
 @click.option("--to", required=True, help="Address kind:hexdigest.")
-@click.option("--amount", required=True, type=int)
+@click.option("--amount", required=True, type=AMOUNT)
 @pass_config
 def chain_faucet(cfg: CliConfig, to: str, amount: int):
     """Mint a coinbase output (test setup)."""
@@ -353,7 +359,7 @@ def chain_faucet(cfg: CliConfig, to: str, amount: int):
 @click.option("--key", "key_path", required=True, type=click.Path(exists=True))
 @click.option("--outpoint", "outpoints", multiple=True, required=True, help="txid:index.")
 @click.option("--to", required=True)
-@click.option("--amount", required=True, type=int)
+@click.option("--amount", required=True, type=AMOUNT)
 @click.option("--change", default=None, help="Change address kind:hexdigest.")
 @pass_config
 def chain_send(cfg: CliConfig, key_path: str, outpoints, to: str, amount: int, change):
@@ -412,10 +418,10 @@ def signal():
               help="Signal key; must also own the spent outputs.")
 @click.option("--merchant", required=True, help="Merchant pubkey hex.")
 @click.option("--outpoint", "outpoints", multiple=True, required=True)
-@click.option("--amount", type=int, default=0, show_default=True, help="Signal output amount.")
+@click.option("--amount", type=AMOUNT, default=0, show_default=True, help="Signal output amount.")
 @click.option("--contract", "contract_path", type=click.Path(exists=True), default=None,
               help="Also pay this contract in the same transaction.")
-@click.option("--payment-amount", type=int, default=None)
+@click.option("--payment-amount", type=AMOUNT, default=None)
 @click.option("--variant", type=click.Choice(["merchant_controlled", "customer_controlled"]),
               default="merchant_controlled", show_default=True)
 @pass_config

@@ -120,6 +120,8 @@ def node_to_json(node: ContractNode) -> dict:
 
 
 def node_from_json(obj: dict) -> ContractNode:
+    if not isinstance(obj, dict):
+        raise ProtocolError("invalid contract", "node must be an object")
     kind = obj.get("kind")
     if kind == "leaf":
         return Leaf(bytes.fromhex(obj["salt"]), bytes.fromhex(obj["value"]), bool(obj["encrypted"]))
@@ -434,5 +436,5 @@ def encode_contract(c: Contract) -> bytes:
 def decode_contract(data: bytes) -> Contract:
     try:
         return contract_from_json(json.loads(data))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ProtocolError("invalid contract", str(exc)) from None

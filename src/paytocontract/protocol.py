@@ -31,10 +31,10 @@ from .contract import (
     payment_private_key,
     verify_contract,
 )
-from .curve import G, KeyPair, Point, Scalar, hash160, hash_to_scalar, random_scalar, sha256
+from .curve import G, KeyPair, Point, Scalar, hash_to_scalar, random_scalar, sha256
 from .errors import ProtocolError
 from .sealing import open_sealed, seal
-from .wallet import Address, Script, derive_address
+from .wallet import Address, derive_address, p2pkh_address
 
 Spend = Tuple[bytes, int, Scalar]
 ConfirmCallback = Callable[[Contract, str], bool]
@@ -45,8 +45,6 @@ class MerchantIdentity:
     """Long-lived reputation keypair; its pubkey is the merchant's pseudonym."""
 
     reputation: KeyPair
-    base_script: Optional[Script] = None
-    tracking_key: Optional[KeyPair] = None
 
 
 class CustomerTrustStore:
@@ -127,6 +125,12 @@ class SignalKeyRegistry:
         self._used.add(key)
 
 
+def _signal_address(variant: SignalVariant, merchant_pub: Point, signal_pub: Point, value: Scalar) -> Address:
+    """Where a signal output pays: derived from the merchant's or the signal's pubkey."""
+    base = merchant_pub if variant is SignalVariant.MERCHANT_CONTROLLED else signal_pub
+    return derive_address(base, value.to_bytes())
+
+
 def signal_value(signal_priv: Scalar, merchant_pub: Point) -> Scalar:
     """x-coordinate of the Diffie-Hellman point, as a scalar label."""
     shared = merchant_pub ** signal_priv
@@ -176,7 +180,7 @@ def merchant_detect_payment(identity: MerchantIdentity, contract: Contract, ledg
     # the derived private key must land on the same address, or we could
     # never redeem what we are about to confirm
     spend_key = payment_private_key(contract, identity.reputation.private)
-    if hash160((G ** spend_key).encode()) != addr.digest:
+    if p2pkh_address(G ** spend_key) != addr:
         raise ProtocolError("key derivation mismatch", "derived key does not own the payment address")
     price = order_price(contract)
     for txid, _, amount in ledger.scan_address(addr):
@@ -219,8 +223,7 @@ def attach_signal(
     if registry is not None:
         registry.claim(signal_key.public, merchant_pub)
     value = signal_value(signal_key.private, merchant_pub)
-    base = merchant_pub if variant is SignalVariant.MERCHANT_CONTROLLED else signal_key.public
-    addr = derive_address(base, value.to_bytes())
+    addr = _signal_address(variant, merchant_pub, signal_key.public, value)
     return list(outputs) + [TxOutput(addr, amount)], value
 
 
@@ -237,6 +240,7 @@ def merchant_scan_signals(
     """
     priv = identity.reputation.private
     pub = identity.reputation.public
+    variants = list(SignalVariant) if include_customer_controlled else [SignalVariant.MERCHANT_CONTROLLED]
     records: List[SignalRecord] = []
     seen_values: Set[int] = set()
     for tx in ledger.transactions[watermark:]:
@@ -246,9 +250,7 @@ def merchant_scan_signals(
             if shared.is_identity():
                 continue
             value = Scalar.reduce(shared.x)
-            candidates = [derive_address(pub, value.to_bytes())]
-            if include_customer_controlled:
-                candidates.append(derive_address(point, value.to_bytes()))
+            candidates = [_signal_address(v, pub, point, value) for v in variants]
             if any(c in out_addresses for c in candidates) and value.value not in seen_values:
                 seen_values.add(value.value)
                 records.append(SignalRecord(point, shared, value, tx.txid))
@@ -262,8 +264,7 @@ def signal_output_spent(
     variant: SignalVariant = SignalVariant.MERCHANT_CONTROLLED,
 ) -> bool:
     """Whether the signal output was redeemed -- proof the signal was received."""
-    base = merchant_pub if variant is SignalVariant.MERCHANT_CONTROLLED else record.signal_pubkey
-    addr = derive_address(base, record.value.to_bytes())
+    addr = _signal_address(variant, merchant_pub, record.signal_pubkey, record.value)
     tx = ledger.get_transaction(record.txid)
     if tx is None:
         return False

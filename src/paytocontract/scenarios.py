@@ -25,7 +25,7 @@ from .contract import (
     verify_contract,
     with_leaf_value,
 )
-from .curve import KeyPair, hash160
+from .curve import KeyPair
 from .errors import ProtocolError
 from .protocol import (
     CustomerTrustStore,
@@ -41,7 +41,7 @@ from .protocol import (
     verify_dh,
     verify_payment,
 )
-from .wallet import Address, derive_address
+from .wallet import Address, derive_address, p2pkh_address
 
 ApproveCallback = Optional[Callable[[Contract, str], bool]]
 
@@ -71,7 +71,7 @@ class _Transcript:
 
 
 def _fund(ledger: Ledger, keypair: KeyPair, amount: int) -> tuple:
-    addr = Address("p2pkh", hash160(keypair.public.encode()))
+    addr = p2pkh_address(keypair.public)
     tx = ledger.faucet([TxOutput(addr, amount)])
     return tx, addr
 

@@ -89,7 +89,7 @@ def derive_address(
     pubbase: Point, label: Label, scheme: DerivationScheme = DerivationScheme.ADDITIVE
 ) -> Address:
     """Pay-to-pubkey-hash address of the derived pubkey."""
-    return Address("p2pkh", hash160(derive_public(pubbase, label, scheme).encode()))
+    return p2pkh_address(derive_public(pubbase, label, scheme))
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,11 @@ def derive_script(base: Script, label: Label) -> Script:
         derive_public(op, label) if isinstance(op, Point) else op for op in base.ops
     )
     return Script(derived)
+
+
+def p2pkh_address(pub: Point) -> Address:
+    """Pay-to-pubkey-hash address committing to the encoded pubkey."""
+    return Address("p2pkh", hash160(pub.encode()))
 
 
 def p2sh_address(script: Script) -> Address:

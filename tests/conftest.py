@@ -1,0 +1,8 @@
+"""Child interpreters that tests start (``python -m paytocontract.cli``) import
+the package from ``src/`` too, as pytest's own ``pythonpath`` setting does."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

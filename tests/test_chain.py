@@ -13,10 +13,11 @@ from paytocontract.chain import (
     build_transaction,
     transaction_pubkeys,
     tx_preimage,
+    tx_to_json,
 )
 from paytocontract.curve import KeyPair, Point, ecdsa_sign, hash160, sha256
 from paytocontract.errors import ProtocolError
-from paytocontract.wallet import Address, Script, derive_script, multisig_script, p2sh_address
+from paytocontract.wallet import Address, Opcode, Script, derive_script, multisig_script, p2sh_address
 
 
 def _addr(pair: KeyPair) -> Address:
@@ -195,6 +196,97 @@ class TestScriptSpends:
         with pytest.raises(ProtocolError, match="script does not match output"):
             build_script_spend(ledger, [(pay.txid, 0, [pair.private], other)],
                                [TxOutput(_addr(k1), 100000)])
+
+
+def _hand_signed(prev_txid: bytes, outputs, pub=None, key=None, script=None) -> Transaction:
+    """One-input transaction assembled without the builders' checks."""
+    unsigned = TxInput(prev_txid, 0, pubkey=pub, redeem_script=script)
+    sig = ecdsa_sign(key, tx_preimage((unsigned,), outputs)) if key is not None else None
+    return Transaction.assemble(
+        (TxInput(prev_txid, 0, pubkey=pub, signature=sig, redeem_script=script),), outputs)
+
+
+def _rejected(ledger: Ledger, tx: Transaction) -> ProtocolError:
+    with pytest.raises(ProtocolError) as exc:
+        ledger.broadcast(tx)
+    return exc.value
+
+
+class TestValidator:
+    """Hand-assembled spends that only ``Ledger.broadcast`` stands between."""
+
+    def test_p2pk_output_other_key_with_own_signature(self):
+        rng = Random(91)
+        ledger = Ledger()
+        owner, stranger = KeyPair.generate(rng), KeyPair.generate(rng)
+        funding = ledger.faucet([TxOutput(owner.public, 1000)])
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(stranger), 1000),),
+                          pub=stranger.public, key=stranger.private)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("key-does-not-match-output", "key does not match output")
+
+    def test_p2pk_output_right_key_without_signature(self):
+        rng = Random(92)
+        ledger = Ledger()
+        owner = KeyPair.generate(rng)
+        funding = ledger.faucet([TxOutput(owner.public, 1000)])
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(owner), 1000),), pub=owner.public)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("invalid-signature", "invalid signature")
+
+    def test_p2pkh_output_other_key(self):
+        rng = Random(93)
+        ledger = Ledger()
+        owner, funding = _funded(ledger, rng, 1000)
+        stranger = KeyPair.generate(rng)
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(stranger), 1000),),
+                          pub=stranger.public, key=stranger.private)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("key-does-not-match-output", "key does not match output")
+
+    def test_outputs_above_inputs(self):
+        rng = Random(94)
+        ledger = Ledger()
+        owner, funding = _funded(ledger, rng, 1000)
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(owner), 1001),),
+                          pub=owner.public, key=owner.private)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("insufficient-funds", "insufficient funds")
+
+    def test_p2sh_output_spent_with_pubkey(self):
+        rng = Random(95)
+        ledger = Ledger()
+        owner = KeyPair.generate(rng)
+        script = multisig_script(1, (owner.public,))
+        funding = ledger.faucet([TxOutput(p2sh_address(script), 1000)])
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(owner), 1000),),
+                          pub=owner.public, key=owner.private)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("script-does-not-match-output", "script does not match output")
+
+    def test_p2sh_output_spent_with_empty_script(self):
+        rng = Random(96)
+        ledger = Ledger()
+        owner = KeyPair.generate(rng)
+        funding = ledger.faucet([TxOutput(p2sh_address(multisig_script(1, (owner.public,))), 1000)])
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(owner), 1000),), script=Script(()))
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("script-does-not-match-output", "script does not match output")
+        # the same spend as a persisted ledger line carries "script": ""
+        line = json.dumps(tx_to_json(tx))
+        assert '"script": ""' in line
+        with pytest.raises(ProtocolError, match="^script does not match output$"):
+            Ledger.from_jsonl(ledger.to_jsonl() + line + "\n")
+
+    def test_p2sh_output_of_non_multisig_script(self):
+        rng = Random(97)
+        ledger = Ledger()
+        owner = KeyPair.generate(rng)
+        script = Script((Opcode.HASH160, b"\x07" * 20, Opcode.EQUAL))
+        funding = ledger.faucet([TxOutput(p2sh_address(script), 1000)])
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(owner), 1000),), script=script)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("unsupported-script", "unsupported script")
 
 
 class TestQueries:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from paytocontract.cli import cli
+from paytocontract.cli import cli, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,6 +163,64 @@ class TestChainCommands:
     def test_usage_error_exit_code(self, runner, tmp_path):
         result = runner.invoke(cli, ["chain", "send"])  # missing required options
         assert result.exit_code == 2
+
+
+def _run_main(capsys, argv):
+    """Run the ``p2c`` entry point in-process; an uncaught exception fails the test."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    return exc.value.code, out.out, out.err
+
+
+class TestInputFaults:
+    OWN = "p2pkh:" + "11" * 20
+    OUTPOINT = "00" * 32 + ":0"
+    MERCHANT = "02" + "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798"
+
+    @pytest.mark.parametrize("args", [
+        ["chain", "faucet", "--to", OWN, "--amount", "-1"],
+        ["chain", "faucet", "--to", OWN, "--amount", str(2 ** 64)],
+        ["chain", "send", "--key", "{key}", "--outpoint", OUTPOINT, "--to", OWN, "--amount", "-1"],
+        ["signal", "attach", "--key", "{key}", "--merchant", MERCHANT, "--outpoint", OUTPOINT,
+         "--amount", "-1"],
+        ["signal", "attach", "--key", "{key}", "--merchant", MERCHANT, "--outpoint", OUTPOINT,
+         "--payment-amount", "-1"],
+    ])
+    def test_amount_out_of_range_is_usage_error(self, capsys, tmp_path, args):
+        key = tmp_path / "key.json"
+        key.write_text("{}")
+        state = tmp_path / "fresh"
+        argv = ["--state-dir", str(state)] + [str(key) if a == "{key}" else a for a in args]
+        code, _, err = _run_main(capsys, argv)
+        assert code == 2
+        assert "is not in the range 0<=x<=18446744073709551615" in err
+        assert not state.exists()
+
+    def test_bad_point_hex_is_usage_error(self, capsys, tmp_path):
+        state = tmp_path / "fresh"
+        code, _, err = _run_main(capsys, [
+            "--state-dir", str(state), "address", "derive", "--pubbase", "zz", "--label", "x"])
+        assert code == 2
+        assert "bad point 'zz'" in err
+        assert not state.exists()
+
+    def test_off_curve_point_is_domain_error(self, capsys, tmp_path):
+        state = tmp_path / "fresh"
+        code, out, _ = _run_main(capsys, [
+            "--state-dir", str(state), "address", "derive", "--pubbase", "02" + "ff" * 32,
+            "--label", "x"])
+        assert code == 1
+        assert json.loads(out.strip().splitlines()[-1])["error"] == "invalid-point"
+        assert not state.exists()
+
+    def test_read_only_command_leaves_no_state_dir(self, capsys, tmp_path):
+        state = tmp_path / "fresh"
+        code, out, _ = _run_main(capsys, ["--state-dir", str(state), "chain", "show"])
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["transactions"] == 0
+        assert not state.exists()
 
 
 class TestSignalDhRedeemCommands:

@@ -1,9 +1,11 @@
 import hashlib
+import json
 from random import Random
 
 import pytest
 
 from paytocontract.contract import (
+    SALT_BYTES,
     Branch,
     Contract,
     Leaf,
@@ -355,6 +357,16 @@ class TestContractCodec:
     def test_garbage_rejected(self):
         with pytest.raises(ProtocolError, match="invalid contract"):
             decode_contract(b"{not json")
+
+    @pytest.mark.parametrize("root", [
+        [],
+        {"kind": "branch", "salt": "00" * SALT_BYTES, "children": {"item": []}},
+        {"kind": "branch", "salt": "00" * SALT_BYTES, "children": []},
+    ])
+    def test_non_object_node_rejected(self, root):
+        with pytest.raises(ProtocolError) as exc:
+            decode_contract(json.dumps({"root": root}).encode())
+        assert exc.value.code == "invalid-contract"
 
 
 class TestProperties:

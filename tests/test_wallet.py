@@ -17,6 +17,7 @@ from paytocontract.wallet import (
     derive_public,
     derive_script,
     multisig_script,
+    p2pkh_address,
     p2sh_address,
     p2sh_locking_script,
     script_from_json,
@@ -131,6 +132,15 @@ class TestDeriveAddress:
     def test_render_parse_round_trip(self):
         addr = derive_address(G, b"z")
         assert Address.parse(addr.render()) == addr
+
+    def test_p2pkh_address_of_generator_vector(self):
+        # hash160 of the compressed generator: the well-known address of private key 1
+        assert p2pkh_address(G) == Address("p2pkh", bytes.fromhex("751e76e8199196d454941c45d1b3a323f1433bd6"))
+
+    def test_derive_address_is_p2pkh_of_derived_pubkey(self):
+        base = G ** Scalar(77)
+        for scheme in (ADD, MUL):
+            assert derive_address(base, b"L", scheme) == p2pkh_address(derive_public(base, b"L", scheme))
 
 
 class TestWalletBase:
