@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .curve import G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, hash160, sha256
 from .errors import ProtocolError
@@ -147,8 +147,16 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_lines(text: str) -> Iterator[dict]:
-    return (json.loads(line) for line in text.splitlines() if line.strip())
+def _read_lines(text: str, apply: Callable[[dict], object]):
+    """Hand each non-blank line's record to ``apply``.  A line that is not
+    JSON, or a record with a missing field, a wrong type or bad hex, is a
+    ``corrupt record``; ``ProtocolError``s of the record's own checks pass."""
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                apply(json.loads(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ProtocolError("corrupt record", f"line {number}: {exc!r}") from None
 
 
 def tx_preimage(
@@ -312,12 +320,15 @@ class Ledger:
     def from_jsonl(cls, text: str) -> Ledger:
         """Rebuild by replaying every record through full validation."""
         ledger = cls()
-        for obj in _read_lines(text):
+
+        def replay(obj: dict):
             tx = tx_from_json(obj)
             if tx.coinbase_tag is not None:
                 ledger.faucet(tx.outputs)
             else:
                 ledger.broadcast(tx)
+
+        _read_lines(text, replay)
         return ledger
 
 
@@ -410,6 +421,6 @@ class FileStore:
     @classmethod
     def from_jsonl(cls, text: str) -> FileStore:
         store = cls()
-        for obj in _read_lines(text):
-            store.put(bytes.fromhex(obj["name"]), bytes.fromhex(obj["data"]))
+        _read_lines(text, lambda obj: store.put(bytes.fromhex(obj["name"]),
+                                                bytes.fromhex(obj["data"])))
         return store

@@ -104,12 +104,15 @@ def cli(ctx, state_dir: Path, fmt: str, seed: Optional[int]):
 
 # -- helpers ----------------------------------------------------------------
 
-def _point(text: str) -> Point:
+def _hex(text: str, what: str) -> bytes:
     try:
-        data = bytes.fromhex(text)
+        return bytes.fromhex(text)
     except ValueError as exc:
-        raise click.UsageError(f"bad point {text!r}: {exc}")
-    return Point.decode(data)
+        raise click.UsageError(f"bad {what} {text!r}: {exc}")
+
+
+def _point(text: str) -> Point:
+    return Point.decode(_hex(text, "point"))
 
 
 def _address(text: str) -> Address:
@@ -119,14 +122,34 @@ def _address(text: str) -> Address:
         raise click.UsageError(f"bad address {text!r}: {exc}")
 
 
-def _outpoint(text: str):
-    txid, _, index = text.rpartition(":")
-    return bytes.fromhex(txid), int(index)
+def _outpoints(ctx, param, values):
+    """Click callback: each ``txid:index`` as (txid bytes, index)."""
+    parsed = []
+    for text in values:
+        txid, sep, index = text.rpartition(":")
+        if not sep or not (index.isascii() and index.isdigit()):
+            raise click.UsageError(f"bad outpoint {text!r}: not txid:index")
+        parsed.append((_hex(txid, "outpoint"), int(index)))
+    return parsed
+
+
+def _label(label: Optional[str], label_hex: Optional[str]) -> bytes:
+    if (label is None) == (label_hex is None):
+        raise click.UsageError("give exactly one of --label / --label-hex")
+    return label.encode() if label is not None else _hex(label_hex, "label")
+
+
+# A malformed file is a domain error: the file, not the command line, is at
+# fault.  Each reader maps the parse and field errors to one code.
+_MALFORMED = (ValueError, KeyError, TypeError)
 
 
 def _read_keyfile(path: str) -> KeyPair:
-    obj = json.loads(Path(path).read_text())
-    return KeyPair.from_private(Scalar(int(obj["private"], 16)))
+    try:
+        obj = json.loads(Path(path).read_text())
+        return KeyPair.from_private(Scalar(int(obj["private"], 16)))
+    except _MALFORMED as exc:
+        raise ProtocolError("invalid keyfile", f"{path}: {exc!r}") from None
 
 
 def _read_contract(path: str):
@@ -184,9 +207,7 @@ def address():
 def address_derive(cfg: CliConfig, pubbase: str, label: Optional[str],
                    label_hex: Optional[str], scheme: str):
     """Derived pubkey and pay-to-pubkey-hash address for a label."""
-    if (label is None) == (label_hex is None):
-        raise click.UsageError("give exactly one of --label / --label-hex")
-    raw = label.encode() if label is not None else bytes.fromhex(label_hex)
+    raw = _label(label, label_hex)
     base = _point(pubbase)
     pub = derive_public(base, raw, DerivationScheme(scheme))
     addr = derive_address(base, raw, DerivationScheme(scheme))
@@ -201,9 +222,7 @@ def address_derive(cfg: CliConfig, pubbase: str, label: Optional[str],
 def address_derive_script(cfg: CliConfig, script_path: str, label: Optional[str],
                           label_hex: Optional[str]):
     """Derive every pubkey in a base script; prints script JSON and p2sh address."""
-    if (label is None) == (label_hex is None):
-        raise click.UsageError("give exactly one of --label / --label-hex")
-    raw = label.encode() if label is not None else bytes.fromhex(label_hex)
+    raw = _label(label, label_hex)
     derived = derive_script(_read_script(script_path), raw)
     cfg.emit({"script": script_to_json(derived),
               "address": p2sh_address(derived).render()})
@@ -357,7 +376,8 @@ def chain_faucet(cfg: CliConfig, to: str, amount: int):
 
 @chain.command("send")
 @click.option("--key", "key_path", required=True, type=click.Path(exists=True))
-@click.option("--outpoint", "outpoints", multiple=True, required=True, help="txid:index.")
+@click.option("--outpoint", "outpoints", multiple=True, required=True, callback=_outpoints,
+              help="txid:index.")
 @click.option("--to", required=True)
 @click.option("--amount", required=True, type=AMOUNT)
 @click.option("--change", default=None, help="Change address kind:hexdigest.")
@@ -366,7 +386,7 @@ def chain_send(cfg: CliConfig, key_path: str, outpoints, to: str, amount: int, c
     """Spend outputs owned by --key."""
     ledger = cfg.load_ledger()
     key = _read_keyfile(key_path).private
-    spends = [(txid, idx, key) for txid, idx in map(_outpoint, outpoints)]
+    spends = [(txid, idx, key) for txid, idx in outpoints]
     outputs = [TxOutput(_address(to), amount)]
     if change is not None:
         total = sum(ledger.utxo[(t, i)].amount for t, i, _ in spends if (t, i) in ledger.utxo)
@@ -396,7 +416,7 @@ def chain_show(cfg: CliConfig, txid: Optional[str]):
     """Dump the ledger, or one transaction."""
     ledger = cfg.load_ledger()
     if txid is not None:
-        tx = ledger.get_transaction(bytes.fromhex(txid))
+        tx = ledger.get_transaction(_hex(txid, "txid"))
         if tx is None:
             raise ProtocolError("no such transaction", txid)
         cfg.emit({"txid": txid, "transaction": tx_to_json(tx)})
@@ -417,7 +437,7 @@ def signal():
 @click.option("--key", "key_path", required=True, type=click.Path(exists=True),
               help="Signal key; must also own the spent outputs.")
 @click.option("--merchant", required=True, help="Merchant pubkey hex.")
-@click.option("--outpoint", "outpoints", multiple=True, required=True)
+@click.option("--outpoint", "outpoints", multiple=True, required=True, callback=_outpoints)
 @click.option("--amount", type=AMOUNT, default=0, show_default=True, help="Signal output amount.")
 @click.option("--contract", "contract_path", type=click.Path(exists=True), default=None,
               help="Also pay this contract in the same transaction.")
@@ -433,7 +453,7 @@ def signal_attach(cfg: CliConfig, key_path: str, merchant: str, outpoints, amoun
     ledger = cfg.load_ledger()
     pair = _read_keyfile(key_path)
     merchant_pub = _point(merchant)
-    spends = [(txid, idx, pair.private) for txid, idx in map(_outpoint, outpoints)]
+    spends = [(txid, idx, pair.private) for txid, idx in outpoints]
     outputs = []
     if contract_path is not None:
         c = _read_contract(contract_path)
@@ -500,13 +520,18 @@ def dh_prove(cfg: CliConfig, key_path: str, merchant: str, out: Optional[Path]):
 @pass_config
 def dh_verify(cfg: CliConfig, proof_path: str, signal_pub: Optional[str], merchant: str):
     """Check a proof; exit 0 when valid, 1 when not."""
-    obj = json.loads(Path(proof_path).read_text())
-    proof = DlegProof(
-        _point(obj["shared"]), _point(obj["commit_g"]), _point(obj["commit_p"]),
-        Scalar(int(obj["response"], 16)),
-    )
-    signal_point = _point(signal_pub or obj["signal_pubkey"])
-    ok = verify_dh(proof, signal_point, _point(merchant))
+    signal_point = _point(signal_pub) if signal_pub else None
+    merchant_pub = _point(merchant)
+    try:
+        obj = json.loads(Path(proof_path).read_text())
+        shared, commit_g, commit_p = (Point.decode(bytes.fromhex(obj[k]))
+                                      for k in ("shared", "commit_g", "commit_p"))
+        proof = DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16)))
+        if signal_point is None:
+            signal_point = Point.decode(bytes.fromhex(obj["signal_pubkey"]))
+    except _MALFORMED as exc:
+        raise ProtocolError("invalid proof", f"{proof_path}: {exc!r}") from None
+    ok = verify_dh(proof, signal_point, merchant_pub)
     cfg.emit({"valid": ok})
     if not ok:
         sys.exit(1)

@@ -5,6 +5,8 @@ The group is written multiplicatively to keep exponent notation readable:
 keypair satisfies ``public == G ** private`` and key homomorphism reads
 ``G ** (a + b) == G ** a * G ** b``.  Internally everything is computed
 additively in Jacobian coordinates; only the abstract group is exposed.
+The one exception is ``shared_xs``, which hands a batch of x-only
+Diffie-Hellman values to OpenSSL.
 
 All values are immutable and all operations are pure functions.
 """
@@ -16,7 +18,9 @@ import hmac
 import secrets
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Union
+
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from .errors import ProtocolError
 from .ripemd160 import ripemd160
@@ -448,6 +452,30 @@ G = Point(_GX, _GY)
 def point_from_scalar(k: Scalar) -> Point:
     """``G ** k``; the zero exponent gives the identity."""
     return G ** k
+
+
+_OPENSSL_CURVE = ec.SECP256K1()
+
+
+def shared_xs(priv: Scalar, points: Iterable[Point]) -> List[Optional[int]]:
+    """``(p ** priv).x`` for each point: None for the identity, else an int.
+
+    OpenSSL's x-only ECDH, for scans that need only the x-coordinates of
+    many Diffie-Hellman points under one nonzero key.  An exchange costs
+    about half a ``P ** k``, but building the OpenSSL key costs about one
+    exchange, so a single multiply, and any caller that needs the whole
+    point, stays with ``P ** k``.
+    """
+    key = ec.derive_private_key(priv.value, _OPENSSL_CURVE)
+    ecdh = ec.ECDH()
+    xs: List[Optional[int]] = []
+    for p in points:
+        if p.is_identity():
+            xs.append(None)
+        else:
+            peer = ec.EllipticCurvePublicNumbers(p.x, p.y, _OPENSSL_CURVE).public_key()
+            xs.append(int.from_bytes(key.exchange(ecdh, peer), "big"))
+    return xs
 
 
 @dataclass(frozen=True)

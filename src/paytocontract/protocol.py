@@ -31,7 +31,7 @@ from .contract import (
     payment_private_key,
     verify_contract,
 )
-from .curve import G, KeyPair, Point, Scalar, hash_to_scalar, random_scalar, sha256
+from .curve import G, KeyPair, Point, Scalar, hash_to_scalar, random_scalar, sha256, shared_xs
 from .errors import ProtocolError
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, p2pkh_address
@@ -237,23 +237,33 @@ def merchant_scan_signals(
     and keep those whose derived address shows up among the same transaction's
     outputs.  Conforming signals are always found; a false positive needs a
     160-bit hash collision.
+
+    Each distinct pubkey is computed once, however many transactions expose
+    it, and only a hit pays for its full shared point.
     """
     priv = identity.reputation.private
     pub = identity.reputation.public
     variants = list(SignalVariant) if include_customer_controlled else [SignalVariant.MERCHANT_CONTROLLED]
+    txs = ledger.transactions[watermark:]
+    tx_points = [dict.fromkeys(transaction_pubkeys(tx)) for tx in txs]
+    # one DH value and one set of candidate addresses per distinct pubkey
+    distinct = list(dict.fromkeys(point for points in tx_points for point in points))
+    candidates: Dict[Point, Tuple[Scalar, List[Address]]] = {}
+    for point, x in zip(distinct, shared_xs(priv, distinct)):
+        if x is not None:
+            value = Scalar.reduce(x)
+            candidates[point] = (value, [_signal_address(v, pub, point, value) for v in variants])
     records: List[SignalRecord] = []
     seen_values: Set[int] = set()
-    for tx in ledger.transactions[watermark:]:
+    for tx, points in zip(txs, tx_points):
         out_addresses = {o.payto for o in tx.outputs if isinstance(o.payto, Address)}
-        for point in dict.fromkeys(transaction_pubkeys(tx)):
-            shared = point ** priv
-            if shared.is_identity():
+        for point in points:
+            if point not in candidates:
                 continue
-            value = Scalar.reduce(shared.x)
-            candidates = [_signal_address(v, pub, point, value) for v in variants]
-            if any(c in out_addresses for c in candidates) and value.value not in seen_values:
+            value, addresses = candidates[point]
+            if any(a in out_addresses for a in addresses) and value.value not in seen_values:
                 seen_values.add(value.value)
-                records.append(SignalRecord(point, shared, value, tx.txid))
+                records.append(SignalRecord(point, point ** priv, value, tx.txid))
     return records
 
 

@@ -510,6 +510,30 @@ class TestPersistence:
         assert again.utxo.keys() == ledger.utxo.keys()
         assert again.total_issued == ledger.total_issued
 
+    def test_corrupt_lines_are_protocol_errors(self):
+        rng = Random(83)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                           [TxOutput(pair.public, 100000)]))
+        good, spend = ledger.to_jsonl().splitlines()
+        record = json.loads(spend)
+        no_inputs = {k: v for k, v in record.items() if k != "inputs"}
+        bad_hex = dict(record, inputs=[dict(record["inputs"][0], prev_txid="zz")])
+        bad_type = dict(record, outputs="zz")
+        for line in ['{"bad json', "[]", "7", json.dumps(no_inputs), json.dumps(bad_hex),
+                     json.dumps(bad_type)]:
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(good + "\n\n" + line + "\n")
+            assert exc.value.code == "corrupt-record", line
+            assert "line 3" in str(exc.value)
+        # a well-formed record keeps the code of the check it fails
+        off_curve = dict(record, outputs=[
+            {"amount": "1", "payto": {"kind": "p2pk", "pubkey": "02" + "ff" * 32}}])
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(good + "\n" + json.dumps(off_curve) + "\n")
+        assert exc.value.code == "invalid-point"
+
     def test_distinct_coinbases_have_distinct_txids(self):
         ledger = Ledger()
         target = Address("p2pkh", b"\x03" * 20)
@@ -539,6 +563,18 @@ class TestFileStore:
     def test_bad_name_length(self):
         with pytest.raises(ValueError):
             FileStore().put(b"short", b"x")
+
+    def test_corrupt_lines_are_protocol_errors(self):
+        good = json.dumps({"data": "00", "name": sha256(b"a").hex()})
+        for line in ['{"bad json', "[]", json.dumps({"name": sha256(b"b").hex()}),
+                     json.dumps({"data": "zz", "name": sha256(b"b").hex()}),
+                     json.dumps({"data": "00", "name": "abcd"})]:
+            with pytest.raises(ProtocolError) as exc:
+                FileStore.from_jsonl(good + "\n" + line + "\n")
+            assert exc.value.code == "corrupt-record", line
+            assert "line 2" in str(exc.value)
+        with pytest.raises(ProtocolError, match="filename exists"):
+            FileStore.from_jsonl(good + "\n" + good + "\n")
 
     def test_persistence_round_trip(self):
         fs = FileStore()

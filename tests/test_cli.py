@@ -222,6 +222,100 @@ class TestInputFaults:
         assert json.loads(out.strip().splitlines()[-1])["transactions"] == 0
         assert not state.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["chain", "show", "zz"], "bad txid 'zz'"),
+        (["chain", "send", "--key", "{key}", "--outpoint", "zz:0", "--to", OWN, "--amount", "1"],
+         "bad outpoint 'zz'"),
+        (["chain", "send", "--key", "{key}", "--outpoint", "00" * 32, "--to", OWN, "--amount", "1"],
+         "not txid:index"),
+        (["chain", "send", "--key", "{key}", "--outpoint", "00" * 32 + ":x", "--to", OWN,
+          "--amount", "1"], "not txid:index"),
+        (["signal", "attach", "--key", "{key}", "--merchant", MERCHANT, "--outpoint", "00" * 32 + ":-1"],
+         "not txid:index"),
+        (["address", "derive", "--pubbase", MERCHANT, "--label-hex", "zz"], "bad label 'zz'"),
+        (["address", "derive-script", "--script", "{script}", "--label-hex", "zz"], "bad label 'zz'"),
+    ])
+    def test_bad_hex_argument_is_usage_error(self, capsys, tmp_path, args, message):
+        key, script = tmp_path / "key.json", tmp_path / "script.json"
+        key.write_text(json.dumps({"private": "01".rjust(64, "0")}))
+        script.write_text(json.dumps([{"push": 1}, {"pubkey": self.MERCHANT}, {"push": 1},
+                                      {"op": "OP_CHECKMULTISIG"}]))
+        state = tmp_path / "fresh"
+        files = {"{key}": str(key), "{script}": str(script)}
+        code, _, err = _run_main(capsys, ["--state-dir", str(state)] + [files.get(a, a) for a in args])
+        assert code == 2
+        assert message in err
+        assert not state.exists()
+
+
+def _domain_error(capsys, argv) -> str:
+    """Run ``p2c``; it must exit 1 with a JSON error on stdout.  Returns the code."""
+    code, out, _ = _run_main(capsys, argv)
+    assert code == 1
+    return json.loads(out.strip().splitlines()[-1])["error"]
+
+
+class TestCorruptFiles:
+    """Malformed state and input files are domain errors: exit 1, a JSON code."""
+
+    MERCHANT = TestInputFaults.MERCHANT
+    GOOD_KEY = {"private": "01".rjust(64, "0")}
+
+    @pytest.mark.parametrize("text", [
+        '{"bad json\n',
+        '{"inputs":[]}\n',
+        '{"coinbase":"0","inputs":[],"outputs":[{"amount":"zz","payto":{"digest":"' + "11" * 20
+        + '","kind":"p2pkh"}}]}\n',
+    ])
+    def test_corrupt_ledger(self, capsys, tmp_path, text):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "ledger.jsonl").write_text(text)
+        assert _domain_error(capsys, ["--state-dir", str(state), "chain", "show"]) == "corrupt-record"
+
+    def test_corrupt_filestore(self, capsys, tmp_path):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "filestore.jsonl").write_text('{"bad json\n')
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps(self.GOOD_KEY))
+        assert _domain_error(capsys, [
+            "--state-dir", str(state), "redeem", "retrieve", "--key", str(key),
+            "--signal-pub", self.MERCHANT]) == "corrupt-record"
+
+    @pytest.mark.parametrize("text", [
+        "", "{}", "[]", '{"private": "zz"}', '{"private": 1}', json.dumps({"private": "00" * 32}),
+    ])
+    def test_malformed_keyfile(self, capsys, tmp_path, text):
+        key = tmp_path / "key.json"
+        key.write_text(text)
+        assert _domain_error(capsys, [
+            "--state-dir", str(tmp_path / "state"), "dh", "prove", "--key", str(key),
+            "--merchant", self.MERCHANT]) == "invalid-keyfile"
+
+    def test_malformed_proof_file(self, capsys, tmp_path):
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps(self.GOOD_KEY))
+        proof = tmp_path / "proof.json"
+        code, _, _ = _run_main(capsys, [
+            "--state-dir", str(tmp_path / "state"), "--seed", "3", "dh", "prove", "--key", str(key),
+            "--merchant", self.MERCHANT, "--out", str(proof)])
+        assert code == 0
+        good = json.loads(proof.read_text())
+        broken = ["", "[]", json.dumps({k: v for k, v in good.items() if k != "commit_g"}),
+                  json.dumps(dict(good, shared="zz")), json.dumps(dict(good, response="zz")),
+                  json.dumps(dict(good, response=7)), json.dumps(dict(good, signal_pubkey="zz"))]
+        for text in broken:
+            proof.write_text(text)
+            assert _domain_error(capsys, [
+                "--state-dir", str(tmp_path / "state"), "dh", "verify", "--proof", str(proof),
+                "--merchant", self.MERCHANT]) == "invalid-proof", text
+        # a well-formed proof file with an off-curve point keeps its own code
+        proof.write_text(json.dumps(dict(good, shared="02" + "ff" * 32)))
+        assert _domain_error(capsys, [
+            "--state-dir", str(tmp_path / "state"), "dh", "verify", "--proof", str(proof),
+            "--merchant", self.MERCHANT]) == "invalid-point"
+
 
 class TestSignalDhRedeemCommands:
     def test_signal_attach_scan_retrieve_flow(self, runner, tmp_path):

@@ -21,6 +21,7 @@ from paytocontract.curve import (
     hash_to_scalar,
     point_from_scalar,
     random_scalar,
+    shared_xs,
 )
 from paytocontract.errors import ProtocolError
 from paytocontract.ripemd160 import ripemd160
@@ -272,6 +273,37 @@ class TestMultiplyEngine:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+
+class TestSharedXs:
+    """OpenSSL's x-only ECDH against the pure engine and the affine oracle."""
+
+    def test_seeded_random_pairs_match_engine_and_oracle(self):
+        rng = Random(23)
+        for _ in range(12):
+            k = random_scalar(rng)
+            points = [G ** random_scalar(rng) for _ in range(3)]
+            expected = [oracle.point_mul(k.value, oracle.as_tuple(p))[0] for p in points]
+            assert shared_xs(k, points) == [(p ** k).x for p in points] == expected
+
+    def test_special_scalars_match_engine_and_oracle(self):
+        points = [G, TestMultiplyEngine.OTHER_BASE, TestMultiplyEngine.OTHER_BASE.inverse()]
+        for k in (1, 2, ORDER - 1, curve._LAMBDA):
+            expected = [oracle.point_mul(k, oracle.as_tuple(p))[0] for p in points]
+            assert shared_xs(Scalar(k), points) == [(p ** k).x for p in points] == expected, hex(k)
+
+    def test_one_value_per_point_in_order_with_repeats(self):
+        k = Scalar(0x5EED5)
+        p, q = G ** Scalar(7), G ** Scalar(8)
+        xs = shared_xs(k, [p, q, p, Point.identity(), p.inverse()])
+        # -P shares the x-coordinate of P; the identity has none
+        assert xs == [(p ** k).x, (q ** k).x, (p ** k).x, None, (p ** k).x]
+        assert shared_xs(k, []) == []
+
+    def test_zero_key_rejected(self):
+        with pytest.raises(ValueError):
+            shared_xs(Scalar(0), [G])
 
 
 class TestScalar:

@@ -4,7 +4,14 @@ import pytest
 
 import oracle
 from paytocontract import protocol
-from paytocontract.chain import FileStore, Ledger, TxOutput, build_transaction
+from paytocontract.chain import (
+    FileStore,
+    Ledger,
+    TxOutput,
+    build_script_spend,
+    build_transaction,
+    transaction_pubkeys,
+)
 from paytocontract.contract import (
     build_contract,
     build_template,
@@ -15,7 +22,7 @@ from paytocontract.contract import (
     sign_fields,
     with_leaf_value,
 )
-from paytocontract.curve import G, KeyPair, Scalar, hash160, random_scalar, sha256
+from paytocontract.curve import G, KeyPair, Point, Scalar, hash160, random_scalar, sha256
 from paytocontract.errors import ProtocolError
 from paytocontract.protocol import (
     CustomerTrustStore,
@@ -23,6 +30,7 @@ from paytocontract.protocol import (
     MerchantIdentity,
     OrderState,
     SignalKeyRegistry,
+    SignalRecord,
     SignalVariant,
     attach_signal,
     combined_pay_and_signal,
@@ -38,7 +46,7 @@ from paytocontract.protocol import (
     verify_payment,
 )
 from paytocontract.sealing import open_sealed
-from paytocontract.wallet import Address, derive_address
+from paytocontract.wallet import Address, derive_address, multisig_script, p2sh_address
 
 YES = lambda contract, alias: True
 
@@ -282,6 +290,101 @@ class TestSignaling:
         ledger.broadcast(build_transaction(ledger, [(record.txid, 0, key)],
                                            [TxOutput(_addr(merchant), 100)]))
         assert signal_output_spent(ledger, record, merchant.public)
+
+
+def _per_transaction_scan(identity, ledger, watermark=0, include_customer_controlled=False):
+    """The signal scan as one ``P ** k`` per pubkey per transaction: the
+    reference the batched ``merchant_scan_signals`` must reproduce."""
+    priv = identity.reputation.private
+    pub = identity.reputation.public
+    variants = list(SignalVariant) if include_customer_controlled else [SignalVariant.MERCHANT_CONTROLLED]
+    records = []
+    seen_values = set()
+    for tx in ledger.transactions[watermark:]:
+        out_addresses = {o.payto for o in tx.outputs if isinstance(o.payto, Address)}
+        for point in dict.fromkeys(transaction_pubkeys(tx)):
+            shared = point ** priv
+            if shared.is_identity():
+                continue
+            value = Scalar.reduce(shared.x)
+            candidates = [protocol._signal_address(v, pub, point, value) for v in variants]
+            if any(c in out_addresses for c in candidates) and value.value not in seen_values:
+                seen_values.add(value.value)
+                records.append(SignalRecord(point, shared, value, tx.txid))
+    return records
+
+
+def _scan_ledger(rng: Random):
+    """A record with every way a pubkey reaches the scan, signals among them.
+
+    Returns the merchant, the ledger and a watermark that falls between a
+    key's first signal and its repeat.
+    """
+    merchant, other = KeyPair.generate(rng), KeyPair.generate(rng)
+    ledger = Ledger()
+
+    def fund(key, n=1):
+        return ledger.faucet([TxOutput(_addr(key), 1000) for _ in range(n)])
+
+    def spend(key, outpoints, outputs):
+        ledger.broadcast(build_transaction(ledger, [(t, i, key.private) for t, i in outpoints], outputs))
+
+    def sink(amount=1000):
+        return TxOutput(Address("p2pkh", rng.randbytes(20)), amount)
+
+    for _ in range(4):  # decoys
+        key = KeyPair.generate(rng)
+        spend(key, [(fund(key).txid, 0)], [sink()])
+    twice = KeyPair.generate(rng)  # signals, then repeats the same value later
+    twice_funds = fund(twice, 2).txid
+    spend(twice, [(twice_funds, 0)], attach_signal([], twice, merchant.public, 1000)[0])
+    reused = KeyPair.generate(rng)  # a plain spend now, a signal later
+    reused_funds = fund(reused, 2).txid
+    spend(reused, [(reused_funds, 0)], [sink()])
+    multi = KeyPair.generate(rng)  # one pubkey on two inputs of one transaction
+    multi_funds = fund(multi, 2).txid
+    outputs, _ = attach_signal([sink()], multi, merchant.public, 1000, SignalVariant.CUSTOMER_CONTROLLED)
+    spend(multi, [(multi_funds, 0), (multi_funds, 1)], outputs)
+    p2pk = KeyPair.generate(rng)  # a pay-to-pubkey output beside its own signal
+    p2pk_funds = ledger.faucet([TxOutput(p2pk.public, 1000)]).txid
+    payer = KeyPair.generate(rng)
+    outputs, _ = attach_signal([TxOutput(p2pk.public, 500)], p2pk, merchant.public, 500)
+    spend(payer, [(fund(payer).txid, 0)], outputs)
+    spend(p2pk, [(p2pk_funds, 0)], [sink()])
+    mark = len(ledger)
+    spend(twice, [(twice_funds, 1)], attach_signal([], twice, merchant.public, 1000)[0])
+    spend(reused, [(reused_funds, 1)], attach_signal([], reused, merchant.public, 1000)[0])
+    a, b = KeyPair.generate(rng), KeyPair.generate(rng)  # a redeem-script pubkey signals
+    script = multisig_script(2, (a.public, b.public))
+    script_funds = ledger.faucet([TxOutput(p2sh_address(script), 1000)]).txid
+    outputs, _ = attach_signal([], a, merchant.public, 1000)
+    ledger.broadcast(build_script_spend(ledger, [(script_funds, 0, [a.private, b.private], script)], outputs))
+    foreign = KeyPair.generate(rng)  # a signal to another merchant
+    spend(foreign, [(fund(foreign).txid, 0)], attach_signal([], foreign, other.public, 1000)[0])
+    return MerchantIdentity(merchant), ledger, mark
+
+
+class TestBatchedScan:
+    def test_record_covers_every_pubkey_source(self):
+        _, ledger, mark = _scan_ledger(Random(131))
+        pubkeys = [transaction_pubkeys(tx) for tx in ledger.transactions]
+        assert any(len(set(points)) < len(points) for points in pubkeys)  # repeat within a tx
+        seen = [p for points in pubkeys for p in dict.fromkeys(points)]
+        assert len(set(seen)) < len(seen)  # reuse across transactions
+        assert any(isinstance(o.payto, Point) for tx in ledger.transactions for o in tx.outputs)
+        assert any(i.redeem_script is not None for tx in ledger.transactions for i in tx.inputs)
+        assert 0 < mark < len(ledger)
+
+    @pytest.mark.parametrize("customer_controlled", [False, True])
+    def test_matches_per_transaction_scan(self, customer_controlled):
+        identity, ledger, mark = _scan_ledger(Random(131))
+        found = []
+        for watermark in (0, mark, len(ledger)):
+            expected = _per_transaction_scan(identity, ledger, watermark, customer_controlled)
+            assert merchant_scan_signals(identity, ledger, watermark, customer_controlled) == expected
+            found.append(len(expected))
+        # twice, reused, p2pk, script key (+ multi); from the mark: twice again, reused, script key
+        assert found == ([5, 3, 0] if customer_controlled else [4, 3, 0])
 
 
 class TestDlegProof:
