@@ -25,7 +25,6 @@ from .curve import (
     ecdsa_verify,
     hash160,
     hash_to_scalar,
-    point_from_scalar,
     random_scalar,
 )
 from .errors import ProtocolError

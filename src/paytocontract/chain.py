@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .curve import G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, hash160, sha256
-from .errors import ProtocolError
+from .errors import MALFORMED, ProtocolError
 from .wallet import Address, Script, p2pkh_address
 
 MAX_AMOUNT = 2 ** 64 - 1
@@ -147,15 +147,15 @@ def _dump_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_lines(text: str, apply: Callable[[dict], object]):
+def _read_lines(data: Union[str, bytes], apply: Callable[[dict], object]):
     """Hand each non-blank line's record to ``apply``.  A line that is not
-    JSON, or a record with a missing field, a wrong type or bad hex, is a
-    ``corrupt record``; ``ProtocolError``s of the record's own checks pass."""
-    for number, line in enumerate(text.splitlines(), 1):
+    UTF-8 or JSON, or a record with a missing field, a wrong type or bad hex,
+    is a ``corrupt record``; ``ProtocolError``s of the record's own checks pass."""
+    for number, line in enumerate(data.splitlines(), 1):
         if line.strip():
             try:
-                apply(json.loads(line))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                apply(json.loads(line.decode() if isinstance(line, bytes) else line))
+            except MALFORMED as exc:
                 raise ProtocolError("corrupt record", f"line {number}: {exc!r}") from None
 
 
@@ -209,9 +209,11 @@ class Ledger:
 
     def faucet(self, outputs: Sequence[TxOutput]) -> Transaction:
         """Mint a coinbase transaction (test/demo setup only)."""
-        tx = Transaction.assemble((), outputs, coinbase_tag=len(self.transactions))
+        return self._mint(Transaction.assemble((), outputs, coinbase_tag=len(self.transactions)))
+
+    def _mint(self, tx: Transaction) -> Transaction:
         self._commit(tx)
-        self.total_issued += sum(o.amount for o in outputs)
+        self.total_issued += sum(o.amount for o in tx.outputs)
         return tx
 
     def broadcast(self, tx: Transaction) -> Transaction:
@@ -317,18 +319,21 @@ class Ledger:
         return "".join(_dump_line(tx_to_json(tx)) + "\n" for tx in self.transactions)
 
     @classmethod
-    def from_jsonl(cls, text: str) -> Ledger:
-        """Rebuild by replaying every record through full validation."""
+    def from_jsonl(cls, data: Union[str, bytes]) -> Ledger:
+        """Rebuild by replaying every record through full validation; a coinbase
+        record mints as written, so it needs no inputs and its position as tag."""
         ledger = cls()
 
         def replay(obj: dict):
             tx = tx_from_json(obj)
-            if tx.coinbase_tag is not None:
-                ledger.faucet(tx.outputs)
-            else:
+            if tx.coinbase_tag is None:
                 ledger.broadcast(tx)
+            elif tx.inputs or tx.coinbase_tag != len(ledger):
+                raise ValueError(f"coinbase record {tx.coinbase_tag} has inputs or is misplaced")
+            else:
+                ledger._mint(tx)
 
-        _read_lines(text, replay)
+        _read_lines(data, replay)
         return ledger
 
 
@@ -419,8 +424,8 @@ class FileStore:
         return "".join(_dump_line(record) + "\n" for record in records)
 
     @classmethod
-    def from_jsonl(cls, text: str) -> FileStore:
+    def from_jsonl(cls, data: Union[str, bytes]) -> FileStore:
         store = cls()
-        _read_lines(text, lambda obj: store.put(bytes.fromhex(obj["name"]),
+        _read_lines(data, lambda obj: store.put(bytes.fromhex(obj["name"]),
                                                 bytes.fromhex(obj["data"])))
         return store

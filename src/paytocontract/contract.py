@@ -21,7 +21,7 @@ from random import Random
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
-from .errors import ProtocolError
+from .errors import MALFORMED, ProtocolError
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_private
 
@@ -434,7 +434,8 @@ def encode_contract(c: Contract) -> bytes:
 
 
 def decode_contract(data: bytes) -> Contract:
+    """Contract from file bytes: strict UTF-8 JSON of ``contract_to_json``'s shape."""
     try:
-        return contract_from_json(json.loads(data))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        return contract_from_json(json.loads(data.decode()))
+    except MALFORMED as exc:
         raise ProtocolError("invalid contract", str(exc)) from None

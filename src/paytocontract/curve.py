@@ -449,11 +449,6 @@ class Point:
 G = Point(_GX, _GY)
 
 
-def point_from_scalar(k: Scalar) -> Point:
-    """``G ** k``; the zero exponent gives the identity."""
-    return G ** k
-
-
 _OPENSSL_CURVE = ec.SECP256K1()
 
 

@@ -1,5 +1,10 @@
 """Shared error type for protocol-level failures."""
 
+# What decoding an untrusted file or record raises: bad UTF-8, JSON, hex or
+# numbers, a missing field, a field of the wrong type, or nesting too deep.
+# Each reader maps these to its own ``ProtocolError`` code.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
 
 class ProtocolError(Exception):
     """Domain failure with a stable machine-readable ``code``.

@@ -85,10 +85,9 @@ class OrderStatus:
 
 @dataclass(frozen=True)
 class SignalRecord:
-    """One detected signal: the pubkey, the shared point, its x-coordinate, the tx."""
+    """One detected signal: the pubkey, the shared point's x-coordinate, the tx."""
 
     signal_pubkey: Point
-    shared_point: Point
     value: Scalar
     txid: bytes
 
@@ -167,9 +166,7 @@ def customer_approve_and_pay(
     total = sum(ledger.utxo[(t, i)].amount for t, i, _ in funds if (t, i) in ledger.utxo)
     if change_address is not None and total > amount:
         outputs.append(TxOutput(change_address, total - amount))
-    tx = build_transaction(ledger, funds, outputs)
-    ledger.broadcast(tx)
-    return tx.txid
+    return ledger.broadcast(build_transaction(ledger, funds, outputs)).txid
 
 
 def merchant_detect_payment(identity: MerchantIdentity, contract: Contract, ledger: Ledger) -> OrderStatus:
@@ -239,7 +236,7 @@ def merchant_scan_signals(
     160-bit hash collision.
 
     Each distinct pubkey is computed once, however many transactions expose
-    it, and only a hit pays for its full shared point.
+    it.
     """
     priv = identity.reputation.private
     pub = identity.reputation.public
@@ -263,7 +260,7 @@ def merchant_scan_signals(
             value, addresses = candidates[point]
             if any(a in out_addresses for a in addresses) and value.value not in seen_values:
                 seen_values.add(value.value)
-                records.append(SignalRecord(point, point ** priv, value, tx.txid))
+                records.append(SignalRecord(point, value, tx.txid))
     return records
 
 
@@ -386,6 +383,4 @@ def combined_pay_and_signal(
     amount = order_price(contract) if payment_amount is None else payment_amount
     outputs = [TxOutput(payment_address(contract), amount)]
     outputs, value = attach_signal(outputs, signal_key, merchant_pub, signal_amount, variant, registry)
-    tx = build_transaction(ledger, funds, outputs)
-    ledger.broadcast(tx)
-    return tx.txid, value
+    return ledger.broadcast(build_transaction(ledger, funds, outputs)).txid, value

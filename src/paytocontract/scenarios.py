@@ -76,6 +76,15 @@ def _fund(ledger: Ledger, keypair: KeyPair, amount: int) -> tuple:
     return tx, addr
 
 
+def _sweep(ledger: Ledger, identity: MerchantIdentity, contract: Contract, paying_txid: bytes,
+           amount: int) -> tuple:
+    """The merchant moves a contract's payment to its treasury address."""
+    key = payment_private_key(contract, identity.reputation.private)
+    treasury = derive_address(identity.reputation.public, b"treasury")
+    return ledger.broadcast(build_transaction(ledger, [(paying_txid, 0, key)],
+                                              [TxOutput(treasury, amount)])), treasury
+
+
 def _merchant_setup(t: _Transcript, rng: Random, static_paths=("merchant/pubkey", "merchant/terms", "merchant/pricelist")):
     identity = MerchantIdentity(KeyPair.generate(rng))
     t.emit("merchant-setup", "merchant", pubkey=identity.reputation.public.encode().hex())
@@ -134,13 +143,7 @@ def run_basic(seed: Optional[int] = None, approve: ApproveCallback = None) -> Li
     t.emit("payment-detected", "merchant", state=status.state.value,
            txid=status.paying_txid.hex())
 
-    sweep_key = payment_private_key(contract, identity.reputation.private)
-    treasury = derive_address(identity.reputation.public, b"treasury")
-    sweep = build_transaction(
-        ledger, [(status.paying_txid, 0, sweep_key)],
-        [TxOutput(treasury, order_price(contract))],
-    )
-    ledger.broadcast(sweep)
+    sweep, treasury = _sweep(ledger, identity, contract, status.paying_txid, order_price(contract))
     t.emit("funds-spent", "merchant", txid=sweep.txid.hex(), amount=order_price(contract),
            to=treasury.render())
 
@@ -171,9 +174,8 @@ def run_offline(seed: Optional[int] = None) -> List[dict]:
     t.emit("contract-verified", "customer", ok=report.ok)
 
     addr = payment_address(contract)
-    tx = build_transaction(ledger, [(funding.txid, 0, customer.private)],
-                           [TxOutput(addr, 70000)])
-    ledger.broadcast(tx)
+    tx = ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, customer.private)],
+                                            [TxOutput(addr, 70000)]))
     t.emit("payment-sent", "customer", txid=tx.txid.hex(), address=addr.render(), amount=70000)
 
     t.emit("contract-submitted", "customer", channel="one-way email")
@@ -182,11 +184,7 @@ def run_offline(seed: Optional[int] = None) -> List[dict]:
     t.emit("payment-detected", "merchant", state=status.state.value,
            txid=status.paying_txid.hex())
 
-    sweep_key = payment_private_key(contract, identity.reputation.private)
-    treasury = derive_address(identity.reputation.public, b"treasury")
-    sweep = build_transaction(ledger, [(status.paying_txid, 0, sweep_key)],
-                              [TxOutput(treasury, 70000)])
-    ledger.broadcast(sweep)
+    sweep, treasury = _sweep(ledger, identity, contract, status.paying_txid, 70000)
     t.emit("funds-spent", "merchant", txid=sweep.txid.hex(), to=treasury.render())
     return t.events
 
@@ -196,9 +194,8 @@ def _decoy_traffic(ledger: Ledger, rng: Random, count: int):
         kp = KeyPair.generate(rng)
         funding, _ = _fund(ledger, kp, 50000)
         dest = Address("p2pkh", rng.randbytes(20))
-        tx = build_transaction(ledger, [(funding.txid, 0, kp.private)],
-                               [TxOutput(dest, 50000)])
-        ledger.broadcast(tx)
+        ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, kp.private)],
+                                           [TxOutput(dest, 50000)]))
 
 
 def run_anonymous(seed: Optional[int] = None) -> List[dict]:
@@ -300,11 +297,8 @@ def run_tamper(seed: Optional[int] = None) -> List[dict]:
     t.emit("payment-detected", "merchant", watching="true contract",
            state=status.state.value, txid=status.paying_txid.hex())
 
-    recover_key = payment_private_key(contract, identity.reputation.private)
-    treasury = derive_address(identity.reputation.public, b"treasury")
-    recovery = build_transaction(ledger, [(status.paying_txid, 0, recover_key)],
-                                 [TxOutput(treasury, order_price(contract))])
-    ledger.broadcast(recovery)
+    recovery, treasury = _sweep(ledger, identity, contract, status.paying_txid,
+                                order_price(contract))
     t.emit("funds-recovered", "merchant", txid=recovery.txid.hex(),
            amount=order_price(contract), to=treasury.render())
     return t.events

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,23 @@ class TestContractCommands:
         addr2 = _last_json(_invoke(runner, tmp_path, ["contract", "payment-address", str(redacted)]))
         assert addr1 == addr2
 
+    def test_sign_adds_a_valid_static_signature(self, runner, tmp_path):
+        keyfile, template = self._merchant(runner, tmp_path)
+        contract = tmp_path / "contract.json"
+        _invoke(runner, tmp_path, [
+            "contract", "build", "--template", str(template),
+            "--field", "price=90000", "--out", str(contract)], seed=9)
+        signed = tmp_path / "signed.json"
+        out = _last_json(_invoke(runner, tmp_path, [
+            "contract", "sign", str(contract), "--key", str(keyfile),
+            "--path", "order/price", "--out", str(signed)]))
+        assert out == {"written": str(signed), "signed_paths": ["order/price"]}
+        report = _last_json(_invoke(runner, tmp_path, ["contract", "verify", str(signed)]))
+        assert report["ok"] and report["static"]["order/price"] == "valid"
+        before = _last_json(_invoke(runner, tmp_path, ["contract", "hash", str(contract)]))
+        after = _last_json(_invoke(runner, tmp_path, ["contract", "hash", str(signed)]))
+        assert before == after
+
     def test_encrypt_leaf_changes_hash(self, runner, tmp_path):
         keyfile, template = self._merchant(runner, tmp_path)
         contract = tmp_path / "contract.json"
@@ -159,6 +177,13 @@ class TestChainCommands:
         assert result.returncode == 1
         payload = json.loads(result.stdout.strip().splitlines()[-1])
         assert payload["error"] == "missing-utxo"
+
+    def test_text_format_prints_one_sorted_line_per_key(self, runner, tmp_path):
+        result = runner.invoke(cli, [
+            "--state-dir", str(tmp_path / "state"), "--format", "text",
+            "chain", "scan", "--address", "p2pkh:" + "11" * 20], catch_exceptions=False)
+        assert result.exit_code == 0
+        assert result.output == "address: p2pkh:" + "11" * 20 + "\noutputs: []\n"
 
     def test_usage_error_exit_code(self, runner, tmp_path):
         result = runner.invoke(cli, ["chain", "send"])  # missing required options
@@ -222,6 +247,31 @@ class TestInputFaults:
         assert json.loads(out.strip().splitlines()[-1])["transactions"] == 0
         assert not state.exists()
 
+    def test_negative_watermark_is_usage_error(self, capsys, tmp_path):
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps({"private": "01".rjust(64, "0")}))
+        state = tmp_path / "fresh"
+        code, _, err = _run_main(capsys, [
+            "--state-dir", str(state), "signal", "scan", "--key", str(key), "--watermark", "-1"])
+        assert code == 2
+        assert "x>=0" in err
+        assert not state.exists()
+
+    def test_chain_show_one_transaction(self, capsys, tmp_path):
+        state = ["--state-dir", str(tmp_path / "state")]
+        code, out, _ = _run_main(capsys, state + [
+            "chain", "faucet", "--to", self.OWN, "--amount", "7"])
+        assert code == 0
+        txid = json.loads(out)["txid"]
+        code, out, _ = _run_main(capsys, state + ["chain", "show", txid])
+        assert code == 0
+        shown = json.loads(out)
+        assert shown["txid"] == txid
+        assert shown["transaction"]["coinbase"] == "0"
+        assert shown["transaction"]["outputs"] == [
+            {"amount": "7", "payto": {"digest": "11" * 20, "kind": "p2pkh"}}]
+        assert _domain_error(capsys, state + ["chain", "show", "00" * 32]) == "no-such-transaction"
+
     @pytest.mark.parametrize("args, message", [
         (["chain", "show", "zz"], "bad txid 'zz'"),
         (["chain", "send", "--key", "{key}", "--outpoint", "zz:0", "--to", OWN, "--amount", "1"],
@@ -261,17 +311,31 @@ class TestCorruptFiles:
     MERCHANT = TestInputFaults.MERCHANT
     GOOD_KEY = {"private": "01".rjust(64, "0")}
 
+    # a coinbase record paying 1 to p2pkh:1111..., tagged with position 0
+    COINBASE = ('{"coinbase":"0","inputs":[],"outputs":[{"amount":"1","payto":{"digest":"'
+                + "11" * 20 + '","kind":"p2pkh"}}]}\n')
+
     @pytest.mark.parametrize("text", [
         '{"bad json\n',
         '{"inputs":[]}\n',
         '{"coinbase":"0","inputs":[],"outputs":[{"amount":"zz","payto":{"digest":"' + "11" * 20
         + '","kind":"p2pkh"}}]}\n',
+        pytest.param(COINBASE + COINBASE.replace('"coinbase":"0"', '"coinbase":"5"'),
+                     id="coinbase-tag-not-its-position"),
+        pytest.param(COINBASE + COINBASE.replace(
+            '"coinbase":"0","inputs":[]',
+            '"coinbase":"1","inputs":[{"index":"0","prev_txid":"' + "22" * 32
+            + '","pubkey":"' + TestInputFaults.MERCHANT + '"}]'), id="coinbase-with-inputs"),
     ])
     def test_corrupt_ledger(self, capsys, tmp_path, text):
         state = tmp_path / "state"
         state.mkdir()
         (state / "ledger.jsonl").write_text(text)
-        assert _domain_error(capsys, ["--state-dir", str(state), "chain", "show"]) == "corrupt-record"
+        code, out, _ = _run_main(capsys, ["--state-dir", str(state), "chain", "show"])
+        assert code == 1
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert payload["error"] == "corrupt-record"
+        assert f"line {len(text.splitlines())}: " in payload["message"]
 
     def test_corrupt_filestore(self, capsys, tmp_path):
         state = tmp_path / "state"
@@ -292,6 +356,69 @@ class TestCorruptFiles:
         assert _domain_error(capsys, [
             "--state-dir", str(tmp_path / "state"), "dh", "prove", "--key", str(key),
             "--merchant", self.MERCHANT]) == "invalid-keyfile"
+
+    # each file the CLI reads: where it goes, the command that reads it, its error code
+    FILES = {
+        "keyfile": ("key.json", ["dh", "prove", "--key", "{file}", "--merchant", MERCHANT],
+                    "invalid-keyfile"),
+        "contract": ("contract.json", ["contract", "hash", "{file}"], "invalid-contract"),
+        "template": ("template.json", ["contract", "build", "--template", "{file}",
+                                       "--field", "price=1", "--out", "{out}"], "invalid-contract"),
+        "script": ("script.json", ["address", "p2sh", "--script", "{file}"], "invalid-script"),
+        "proof": ("proof.json", ["dh", "verify", "--proof", "{file}", "--merchant", MERCHANT],
+                  "invalid-proof"),
+        "ledger": ("state/ledger.jsonl", ["chain", "show"], "corrupt-record"),
+        "filestore": ("state/filestore.jsonl", ["redeem", "retrieve", "--key", "{key}",
+                                                "--signal-pub", MERCHANT], "corrupt-record"),
+    }
+
+    def _file_and_argv(self, tmp_path, kind):
+        name, args, code = self.FILES[kind]
+        key = tmp_path / "good-key.json"
+        key.write_text(json.dumps(self.GOOD_KEY))
+        (tmp_path / "state").mkdir()
+        files = {"{file}": str(tmp_path / name), "{key}": str(key), "{out}": str(tmp_path / "out.json")}
+        argv = ["--state-dir", str(tmp_path / "state")] + [files.get(a, a) for a in args]
+        return tmp_path / name, argv, code
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"not json", b"[7]", b"[" * 100000],
+                             ids=["not-utf8", "not-json", "wrong-shape", "too-deep"])
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_malformed_file(self, capsys, tmp_path, kind, data):
+        path, argv, code = self._file_and_argv(tmp_path, kind)
+        path.write_bytes(data)
+        assert _domain_error(capsys, argv) == code
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_directory_is_usage_error(self, capsys, tmp_path, kind):
+        path, argv, _ = self._file_and_argv(tmp_path, kind)
+        path.mkdir()
+        code, _, err = _run_main(capsys, argv)
+        assert code == 2
+        assert "is a directory" in err
+
+    def test_directory_as_output_is_usage_error(self, capsys, tmp_path):
+        code, _, err = _run_main(capsys, ["--state-dir", str(tmp_path / "state"),
+                                          "keygen", "--out", str(tmp_path)])
+        assert code == 2
+        assert "is a directory" in err
+
+    def test_failed_save_keeps_previous_ledger(self, capsys, tmp_path, monkeypatch):
+        state = tmp_path / "state"
+        faucet = ["--state-dir", str(state), "chain", "faucet", "--to", TestInputFaults.OWN,
+                  "--amount", "5"]
+        assert _run_main(capsys, faucet)[0] == 0
+        before = (state / "ledger.jsonl").read_bytes()
+        assert os.listdir(state) == ["ledger.jsonl"]  # a save leaves no temp file
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            main(faucet)
+        assert (state / "ledger.jsonl").read_bytes() == before
+        assert os.listdir(state) == ["ledger.jsonl"]
 
     def test_malformed_proof_file(self, capsys, tmp_path):
         key = tmp_path / "key.json"

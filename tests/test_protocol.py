@@ -310,7 +310,7 @@ def _per_transaction_scan(identity, ledger, watermark=0, include_customer_contro
             candidates = [protocol._signal_address(v, pub, point, value) for v in variants]
             if any(c in out_addresses for c in candidates) and value.value not in seen_values:
                 seen_values.add(value.value)
-                records.append(SignalRecord(point, shared, value, tx.txid))
+                records.append(SignalRecord(point, value, tx.txid))
     return records
 
 
@@ -510,8 +510,7 @@ class TestRedemption:
         redeem_post(contract, value, fs, rng)
         record = merchant_scan_signals(identity, ledger)[0]
         from paytocontract.protocol import SignalRecord
-        bogus = SignalRecord(record.signal_pubkey, record.shared_point,
-                             value + Scalar(1), record.txid)
+        bogus = SignalRecord(record.signal_pubkey, value + Scalar(1), record.txid)
         retrieved, status = merchant_retrieve(identity, bogus, fs, ledger)
         assert retrieved is None
         assert status.state is OrderState.UNMATCHED
