@@ -209,20 +209,14 @@ class Ledger:
 
     def faucet(self, outputs: Sequence[TxOutput]) -> Transaction:
         """Mint a coinbase transaction (test/demo setup only)."""
-        return self._mint(Transaction.assemble((), outputs, coinbase_tag=len(self.transactions)))
-
-    def _mint(self, tx: Transaction) -> Transaction:
-        self._commit(tx)
-        self.total_issued += sum(o.amount for o in tx.outputs)
-        return tx
+        return self._commit(Transaction.assemble((), outputs, coinbase_tag=len(self.transactions)))
 
     def broadcast(self, tx: Transaction) -> Transaction:
         """Validate and accept; raises ProtocolError on any rule violation."""
-        if not tx.inputs:
+        if not tx.inputs or tx.coinbase_tag is not None:
             raise ProtocolError("coinbase only via faucet")
         self._validate(tx)
-        self._commit(tx)
-        return tx
+        return self._commit(tx)
 
     def _validate(self, tx: Transaction):
         preimage = tx_preimage(tx.inputs, tx.outputs, tx.coinbase_tag)
@@ -266,9 +260,11 @@ class Ledger:
             else:
                 raise ProtocolError("invalid signature")
 
-    def _commit(self, tx: Transaction):
+    def _commit(self, tx: Transaction) -> Transaction:
         self.transactions.append(tx)
         self._by_txid[tx.txid] = tx
+        if not tx.inputs:  # a coinbase mints its outputs
+            self.total_issued += sum(o.amount for o in tx.outputs)
         for inp in tx.inputs:
             del self.utxo[(inp.prev_txid, inp.index)]
         for i, out in enumerate(tx.outputs):
@@ -284,6 +280,7 @@ class Ledger:
                     self._payers[out.payto] = [payers, tx]
             elif payers[-1] is not tx:
                 payers.append(tx)
+        return tx
 
     # -- queries -----------------------------------------------------------
 
@@ -331,7 +328,7 @@ class Ledger:
             elif tx.inputs or tx.coinbase_tag != len(ledger):
                 raise ValueError(f"coinbase record {tx.coinbase_tag} has inputs or is misplaced")
             else:
-                ledger._mint(tx)
+                ledger._commit(tx)
 
         _read_lines(data, replay)
         return ledger

@@ -1,8 +1,7 @@
-"""Shared error type for protocol-level failures."""
+"""Shared error type for protocol-level failures, and what malformed input raises."""
 
-# What decoding an untrusted file or record raises: bad UTF-8, JSON, hex or
-# numbers, a missing field, a field of the wrong type, or nesting too deep.
-# Each reader maps these to its own ``ProtocolError`` code.
+# What decoding untrusted bytes raises: bad UTF-8, JSON, hex or numbers, a missing
+# or mistyped field, or nesting too deep.  Each reader maps it to its own code.
 MALFORMED = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 

@@ -270,6 +270,8 @@ def script_to_json(script: Script) -> list:
 
 
 def script_from_json(items: list) -> Script:
+    if not items:
+        raise ValueError("empty script")
     ops = []
     for item in items:
         if "op" in item:

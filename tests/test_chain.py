@@ -123,6 +123,17 @@ class TestBroadcast:
         with pytest.raises(ProtocolError, match="coinbase only via faucet"):
             ledger.broadcast(tx)
 
+    def test_tagged_spend_not_broadcastable(self):
+        # a spend with a coinbase tag would be saved as a record the replay rejects
+        ledger = Ledger()
+        pair, funding = _funded(ledger, Random(69))
+        tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                               [TxOutput(_addr(pair), 100000)])
+        tagged = Transaction.assemble(tx.inputs, tx.outputs, coinbase_tag=1)
+        with pytest.raises(ProtocolError, match="coinbase only via faucet"):
+            ledger.broadcast(tagged)
+        assert len(ledger) == 1
+
     def test_pay_to_pubkey_output_spendable(self):
         rng = Random(70)
         ledger = Ledger()

@@ -389,6 +389,12 @@ class TestCorruptFiles:
         path.write_bytes(data)
         assert _domain_error(capsys, argv) == code
 
+    @pytest.mark.parametrize("text", ['[{"push": 1}, "zz"]', '[{"pubkey": "zz"}]', "[]", "{}"])
+    def test_malformed_script_element(self, capsys, tmp_path, text):
+        path, argv, _ = self._file_and_argv(tmp_path, "script")
+        path.write_text(text)
+        assert _domain_error(capsys, argv) == "invalid-script"
+
     @pytest.mark.parametrize("kind", list(FILES))
     def test_directory_is_usage_error(self, capsys, tmp_path, kind):
         path, argv, _ = self._file_and_argv(tmp_path, kind)
