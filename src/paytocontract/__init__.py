@@ -34,6 +34,7 @@ from .wallet import (
     Script,
     WalletBase,
     derive_address,
+    derive_addresses,
     derive_private,
     derive_public,
     derive_script,

@@ -9,6 +9,7 @@ points are lowercase hex on this surface; addresses render as
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -54,31 +55,41 @@ from .wallet import (
 def _read(path, fmt: tuple):
     """The one reader.  ``fmt`` is a file format: an error code and a decoder
     from bytes.  A file it cannot decode is a ``ProtocolError`` with that code,
-    as the file, not the command line, is at fault; a directory is a usage error."""
+    as the file, not the command line, is at fault; a directory is a usage error,
+    and any other failure to read is an ``io error``."""
     code, decode = fmt
     try:
         data = Path(path).read_bytes()
     except IsADirectoryError:
         raise click.UsageError(f"{path} is a directory") from None
+    except OSError as exc:
+        raise ProtocolError("io error", f"{path}: {exc}") from None
     try:
         return decode(data)
     except MALFORMED as exc:
         raise ProtocolError(code, f"{path}: {exc!r}") from None
 
 
-def _write(path: Path, data: bytes):
+def _write(path: Path, data: bytes, private: bool = False):
     """The one writer: the bytes go to a temporary file beside ``path``, which
-    then replaces it in one rename, so the old file survives a failed save."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    then replaces it in one rename, so the old file survives a failed save.
+    A ``private`` file is created owner-only (mode 600) before any byte is
+    written.  Any failure to write is an ``io error``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb", opener=functools.partial(os.open, mode=0o600 if private else 0o666)) as f:
+                if private:
+                    os.fchmod(f.fileno(), 0o600)  # also when the umask or a stale temp file allows more
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ProtocolError("io error", f"{path}: {exc}") from None
 
 
 def _json(data: bytes):
@@ -192,12 +203,12 @@ def _save_contract(cfg: CliConfig, c, out: Path, **summary):
     cfg.emit({"written": str(out), **summary})
 
 
-def _save_record(cfg: CliConfig, record: dict, out: Optional[Path], summary: str):
+def _save_record(cfg: CliConfig, record: dict, out: Optional[Path], summary: str, private: bool = False):
     """Print ``record``, or write it to ``out`` and print its ``summary`` field."""
     if out is None:
         cfg.emit(record)
     else:
-        _write(out, (json.dumps(record, sort_keys=True, indent=2) + "\n").encode())
+        _write(out, (json.dumps(record, sort_keys=True, indent=2) + "\n").encode(), private)
         cfg.emit({summary: record[summary], "written": str(out)})
 
 
@@ -221,7 +232,7 @@ def keygen(cfg: CliConfig, out: Optional[Path]):
     pair = KeyPair.from_private(random_scalar(cfg.rng()))
     record = {"private": format(pair.private.value, "064x"),
               "public": pair.public.encode().hex()}
-    _save_record(cfg, record, out, "public")
+    _save_record(cfg, record, out, "public", private=True)
 
 
 @cli.group()

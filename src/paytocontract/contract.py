@@ -16,10 +16,12 @@ ciphertext, so holders may reveal cleartext, ciphertext, or digest alone.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
+from .chain import MAX_AMOUNT
 from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
 from .errors import MALFORMED, ProtocolError
 from .sealing import open_sealed, seal
@@ -394,12 +396,22 @@ def with_leaf_value(c: Contract, path: FieldPath, value: Union[bytes, str, int])
     return replace(c, root=_replace_node(c.root, segments, Leaf(node.salt, _to_value_bytes(value))))
 
 
+_PRICE = re.compile(rb"0|[1-9][0-9]*")
+
+
 def order_price(c: Contract) -> int:
-    """The payable amount in satoshis, read from the ``order/price`` leaf."""
+    """The payable amount in satoshis, read from the ``order/price`` leaf.
+
+    A hidden price (missing, redacted or encrypted) is ``no such field``; a
+    price that is not a canonical decimal of at most ``MAX_AMOUNT`` is
+    ``invalid price``.
+    """
     node = resolve(c.root, "order/price")
     if not isinstance(node, Leaf) or node.encrypted:
         raise ProtocolError("no such field", "order/price not readable")
-    return int(node.value.decode())
+    if not _PRICE.fullmatch(node.value) or int(node.value) > MAX_AMOUNT:
+        raise ProtocolError("invalid price", repr(node.value))
+    return int(node.value)
 
 
 def contract_to_json(c: Contract) -> dict:

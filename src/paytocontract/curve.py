@@ -5,8 +5,9 @@ The group is written multiplicatively to keep exponent notation readable:
 keypair satisfies ``public == G ** private`` and key homomorphism reads
 ``G ** (a + b) == G ** a * G ** b``.  Internally everything is computed
 additively in Jacobian coordinates; only the abstract group is exposed.
-The one exception is ``shared_xs``, which hands a batch of x-only
-Diffie-Hellman values to OpenSSL.
+Two batch entry points differ: ``tweak_points`` builds many ``base * G ** k``
+in affine coordinates with shared inversions, and ``shared_xs`` hands a
+batch of x-only Diffie-Hellman values to OpenSSL.
 
 All values are immutable and all operations are pure functions.
 """
@@ -18,7 +19,7 @@ import hmac
 import secrets
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -224,8 +225,8 @@ _base_table_rows = None
 
 def _base_table():
     # Row i is built in affine coordinates, B, 2B, ..., (2^(W-1))B for
-    # B = 2^(W*i) * G, one column at a time: each column's slope
-    # denominators, one per row, share a single batched inversion.
+    # B = 2^(W*i) * G, one column at a time: each column shares a single
+    # batched inversion across the rows.
     global _base_table_rows
     if _base_table_rows is None:
         p = (_GX, _GY, 1)
@@ -235,28 +236,20 @@ def _base_table():
                 p = _dbl(p)
             jacobian.append(p)
         bases = _batch_to_affine(jacobian)
-        rows = [[b] for b in bases]
-        for j in range(2, (1 << (_BASE_WINDOW - 1)) + 1):
-            # the tangent at B for 2B, the chord through (j-1)B and B after;
-            # (j-1)B != +-B for these j, since the group order is prime
-            if j == 2:
-                inverses = _batch_inverse([2 * y for _, y in bases])
-            else:
-                inverses = _batch_inverse([row[-1][0] - x for row, (x, _) in zip(rows, bases)])
-            for row, (x, y), inv in zip(rows, bases, inverses):
-                x1, y1 = row[-1]
-                slope = (3 * x * x if j == 2 else y1 - y) * inv % FIELD_PRIME
-                x3 = (slope * slope - x1 - x) % FIELD_PRIME
-                row.append((x3, (slope * (x1 - x3) - y1) % FIELD_PRIME))
-        _base_table_rows = rows
+        columns = [bases, _batch_to_affine([_dbl(b) for b in jacobian])]
+        for _ in range(3, (1 << (_BASE_WINDOW - 1)) + 1):
+            # jB + B is a chord for 2 <= j < 2^(W-1): jB != +-B, as the group order is prime
+            columns.append(_batch_add(list(zip(columns[-1], bases))))
+        _base_table_rows = [list(row) for row in zip(*columns)]
     return _base_table_rows
 
 
-def _base_mul(k):
+def _base_terms(k):
+    """Yield the affine table entries whose sum is ``G ** k``, one per row,
+    None for a zero digit."""
     size = 1 << _BASE_WINDOW
     mask = size - 1
     half = size >> 1
-    acc = _JID
     for row in _base_table():
         d = k & mask
         k >>= _BASE_WINDOW
@@ -264,11 +257,58 @@ def _base_mul(k):
             d -= size
             k += 1
         if d > 0:
-            acc = _madd(acc, row[d - 1])
+            yield row[d - 1]
         elif d < 0:
             x, y = row[-d - 1]
-            acc = _madd(acc, (x, FIELD_PRIME - y))
+            yield x, FIELD_PRIME - y
+        else:
+            yield None
+
+
+def _base_mul(k):
+    acc = _JID
+    for term in _base_terms(k):
+        if term is not None:
+            acc = _madd(acc, term)
     return acc
+
+
+def _batch_add(pairs):
+    """``p + q`` for each pair of affine points, None standing for the identity.
+
+    Every chord's slope denominator shares one ``_batch_inverse``; a pair with
+    equal x-coordinates (a doubling or a cancelling pair) goes through
+    ``_madd`` instead.
+    """
+    out = [None] * len(pairs)
+    chords = []
+    for i, (p, q) in enumerate(pairs):
+        if p is None:
+            out[i] = q
+        elif q is None:
+            out[i] = p
+        elif p[0] == q[0]:
+            out[i] = _to_affine(_madd((p[0], p[1], 1), q))
+        else:
+            chords.append(i)
+    if chords:
+        inverses = _batch_inverse([pairs[i][1][0] - pairs[i][0][0] for i in chords])
+        for i, inv in zip(chords, inverses):
+            (x1, y1), (x2, y2) = pairs[i]
+            slope = (y2 - y1) * inv % FIELD_PRIME
+            x3 = (slope * slope - x1 - x2) % FIELD_PRIME
+            out[i] = (x3, (slope * (x1 - x3) - y1) % FIELD_PRIME)
+    return out
+
+
+def _base_mul_batch(ks):
+    """Affine ``G ** k`` for each k, the whole batch walking the table rows in
+    lockstep: one ``_batch_add``, so one inversion, per row.  Each k's terms
+    are generated row by row, so the batch never holds them all."""
+    sums = [None] * len(ks)
+    for column in zip(*map(_base_terms, ks)):
+        sums = _batch_add(list(zip(sums, column)))
+    return sums
 
 
 # Variable base: the GLV endomorphism (x, y) -> (BETA * x, y) multiplies by
@@ -447,6 +487,22 @@ class Point:
 
 
 G = Point(_GX, _GY)
+
+
+def tweak_points(pairs: Iterable[Tuple[Point, Union[Scalar, int]]]) -> List[Point]:
+    """``base * G ** k`` for each ``(base, k)`` pair, computed as one batch.
+
+    Each distinct k's ``G ** k`` is built once, in affine coordinates, with
+    the whole batch sharing one field inversion per fixed-base table row;
+    the bases are then added in one more batched addition.  A batch pays
+    one inversion per row however small it is, so a single pair stays with
+    ``base * G ** k``.
+    """
+    pairs = [(base, k.value if isinstance(k, Scalar) else k % ORDER) for base, k in pairs]
+    ks = list(dict.fromkeys(k for _, k in pairs))
+    powers = dict(zip(ks, _base_mul_batch(ks)))
+    sums = _batch_add([(None if base.is_identity() else (base.x, base.y), powers[k]) for base, k in pairs])
+    return [Point.identity() if s is None else Point(s[0], s[1]) for s in sums]
 
 
 _OPENSSL_CURVE = ec.SECP256K1()

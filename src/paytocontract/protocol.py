@@ -34,7 +34,7 @@ from .contract import (
 from .curve import G, KeyPair, Point, Scalar, hash_to_scalar, random_scalar, sha256, shared_xs
 from .errors import ProtocolError
 from .sealing import open_sealed, seal
-from .wallet import Address, derive_address, p2pkh_address
+from .wallet import Address, derive_address, derive_addresses, p2pkh_address
 
 Spend = Tuple[bytes, int, Scalar]
 ConfirmCallback = Callable[[Contract, str], bool]
@@ -124,10 +124,14 @@ class SignalKeyRegistry:
         self._used.add(key)
 
 
+def _signal_base(variant: SignalVariant, merchant_pub: Point, signal_pub: Point) -> Point:
+    """The pubkey a signal output's address derives from: the merchant's or the signal's."""
+    return merchant_pub if variant is SignalVariant.MERCHANT_CONTROLLED else signal_pub
+
+
 def _signal_address(variant: SignalVariant, merchant_pub: Point, signal_pub: Point, value: Scalar) -> Address:
-    """Where a signal output pays: derived from the merchant's or the signal's pubkey."""
-    base = merchant_pub if variant is SignalVariant.MERCHANT_CONTROLLED else signal_pub
-    return derive_address(base, value.to_bytes())
+    """Where a signal output pays: the signalled value as a label on the signal base."""
+    return derive_address(_signal_base(variant, merchant_pub, signal_pub), value.to_bytes())
 
 
 def signal_value(signal_priv: Scalar, merchant_pub: Point) -> Scalar:
@@ -191,7 +195,9 @@ def verify_payment(contract: Contract, ledger: Ledger) -> Tuple[bool, Optional[b
     addr = payment_address(contract)
     try:
         price = order_price(contract)
-    except ProtocolError:
+    except ProtocolError as exc:
+        if exc.code != "no-such-field":
+            raise
         price = 0  # price hidden; any payment to the address counts
     for txid, _, amount in ledger.scan_address(addr):
         if amount >= price:
@@ -233,23 +239,27 @@ def merchant_scan_signals(
     """Recompute the DH value for every pubkey on the record past ``watermark``
     and keep those whose derived address shows up among the same transaction's
     outputs.  Conforming signals are always found; a false positive needs a
-    160-bit hash collision.
+    160-bit hash collision.  A negative watermark is a ``ValueError``.
 
     Each distinct pubkey is computed once, however many transactions expose
-    it.
+    it: one OpenSSL exchange for its DH value, then one ``derive_addresses``
+    batch builds every candidate address of every scanned variant, with one
+    ``G ** h`` per value.
     """
+    if watermark < 0:
+        raise ValueError(f"negative watermark {watermark}")
     priv = identity.reputation.private
     pub = identity.reputation.public
     variants = list(SignalVariant) if include_customer_controlled else [SignalVariant.MERCHANT_CONTROLLED]
     txs = ledger.transactions[watermark:]
     tx_points = [dict.fromkeys(transaction_pubkeys(tx)) for tx in txs]
-    # one DH value and one set of candidate addresses per distinct pubkey
     distinct = list(dict.fromkeys(point for points in tx_points for point in points))
-    candidates: Dict[Point, Tuple[Scalar, List[Address]]] = {}
-    for point, x in zip(distinct, shared_xs(priv, distinct)):
-        if x is not None:
-            value = Scalar.reduce(x)
-            candidates[point] = (value, [_signal_address(v, pub, point, value) for v in variants])
+    values = {point: Scalar.reduce(x) for point, x in zip(distinct, shared_xs(priv, distinct)) if x is not None}
+    addresses = derive_addresses([(_signal_base(v, pub, point), value.to_bytes())
+                                  for point, value in values.items() for v in variants])
+    n = len(variants)
+    candidates: Dict[Point, Tuple[Scalar, List[Address]]] = {
+        point: (value, addresses[i * n:(i + 1) * n]) for i, (point, value) in enumerate(values.items())}
     records: List[SignalRecord] = []
     seen_values: Set[int] = set()
     for tx, points in zip(txs, tx_points):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .curve import (
     G,
@@ -26,6 +26,7 @@ from .curve import (
     ecdsa_verify,
     hash160,
     hash_to_scalar,
+    tweak_points,
 )
 from .errors import ProtocolError
 
@@ -52,15 +53,22 @@ def derive_private(base: Scalar, label: Label, scheme: DerivationScheme = Deriva
     return derived
 
 
-def derive_public(pubbase: Point, label: Label, scheme: DerivationScheme = DerivationScheme.ADDITIVE) -> Point:
-    """Derived pubkey for ``label``, computed without any private key."""
+def _check_pubbase(pubbase: Point):
     if pubbase.is_identity():
         raise ValueError("public base must not be the identity")
-    h = hash_to_scalar(_label_bytes(label))
-    derived = pubbase * G ** h if scheme is DerivationScheme.ADDITIVE else pubbase ** h
+
+
+def _check_derived(derived: Point) -> Point:
     if derived.is_identity():
         raise ProtocolError("degenerate derived key", "re-salt the label")
     return derived
+
+
+def derive_public(pubbase: Point, label: Label, scheme: DerivationScheme = DerivationScheme.ADDITIVE) -> Point:
+    """Derived pubkey for ``label``, computed without any private key."""
+    _check_pubbase(pubbase)
+    h = hash_to_scalar(_label_bytes(label))
+    return _check_derived(pubbase * G ** h if scheme is DerivationScheme.ADDITIVE else pubbase ** h)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +98,15 @@ def derive_address(
 ) -> Address:
     """Pay-to-pubkey-hash address of the derived pubkey."""
     return p2pkh_address(derive_public(pubbase, label, scheme))
+
+
+def derive_addresses(pairs: Sequence[Tuple[Point, Label]]) -> List[Address]:
+    """``derive_address`` in the additive scheme for each ``(pubbase, label)``
+    pair, every derived pubkey computed in one ``tweak_points`` batch."""
+    for pubbase, _ in pairs:
+        _check_pubbase(pubbase)
+    derived = tweak_points([(pubbase, hash_to_scalar(_label_bytes(label))) for pubbase, label in pairs])
+    return [p2pkh_address(_check_derived(pub)) for pub in derived]
 
 
 @dataclass(frozen=True)

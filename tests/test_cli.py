@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from paytocontract.cli import cli, main
+from paytocontract.curve import hash160
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,6 +30,24 @@ def _last_json(output: str) -> dict:
 
 
 class TestKeyAndAddressCommands:
+    def test_keyfile_is_owner_only_other_outputs_keep_default_mode(self, capsys, tmp_path):
+        old = os.umask(0o022)
+        try:
+            key, record = tmp_path / "key.json", tmp_path / "proof.json"
+            key.write_bytes(b"stale, world-readable")
+            os.chmod(key, 0o644)
+            assert _run_main(capsys, ["--seed", "5", "keygen", "--out", str(key)])[0] == 0
+            assert _run_main(capsys, ["--seed", "5", "keygen", "--out", str(tmp_path / "new.json")])[0] == 0
+            assert _run_main(capsys, ["--state-dir", str(tmp_path / "state"), "--seed", "3", "dh", "prove",
+                                      "--key", str(key), "--merchant", TestInputFaults.MERCHANT,
+                                      "--out", str(record)])[0] == 0
+        finally:
+            os.umask(old)
+        assert os.stat(key).st_mode & 0o777 == 0o600
+        assert os.stat(tmp_path / "new.json").st_mode & 0o777 == 0o600
+        assert os.stat(record).st_mode & 0o777 == 0o644
+        assert json.loads(key.read_text())["private"]
+
     def test_keygen_deterministic_under_seed(self, runner, tmp_path):
         a = _last_json(_invoke(runner, tmp_path, ["keygen"], seed=5))
         b = _last_json(_invoke(runner, tmp_path, ["keygen"], seed=5))
@@ -421,10 +440,46 @@ class TestCorruptFiles:
             raise OSError("interrupted")
 
         monkeypatch.setattr(os, "replace", interrupted)
-        with pytest.raises(OSError, match="interrupted"):
-            main(faucet)
+        assert _domain_error(capsys, faucet) == "io-error"
         assert (state / "ledger.jsonl").read_bytes() == before
         assert os.listdir(state) == ["ledger.jsonl"]
+
+    @pytest.mark.parametrize("price", ["abc", "-5", "+90000", "9_0000", " 90000 "])
+    def test_non_canonical_price_in_signal_attach(self, capsys, tmp_path, price):
+        state = ["--state-dir", str(tmp_path / "state")]
+        merchant_key, customer_key = tmp_path / "merchant.json", tmp_path / "customer.json"
+        template, contract = tmp_path / "template.json", tmp_path / "contract.json"
+        for seed, key in (("14", merchant_key), ("15", customer_key)):
+            assert _run_main(capsys, ["--seed", seed, "keygen", "--out", str(key)])[0] == 0
+        assert _run_main(capsys, ["--seed", "14", "contract", "template", "--merchant-key", str(merchant_key),
+                                  "--static", "terms=t", "--out", str(template)])[0] == 0
+        assert _run_main(capsys, ["--seed", "16", "contract", "build", "--template", str(template),
+                                  "--field", f"price={price}", "--out", str(contract)])[0] == 0
+        customer_pub = json.loads(customer_key.read_text())["public"]
+        merchant_pub = json.loads(merchant_key.read_text())["public"]
+        code, out, _ = _run_main(capsys, state + [
+            "chain", "faucet", "--to", "p2pkh:" + hash160(bytes.fromhex(customer_pub)).hex(),
+            "--amount", "100000"])
+        txid = json.loads(out)["txid"]
+        assert _domain_error(capsys, state + [
+            "signal", "attach", "--key", str(customer_key), "--merchant", merchant_pub,
+            "--outpoint", f"{txid}:0", "--amount", "10000", "--contract", str(contract)]) == "invalid-price"
+
+    def test_output_under_a_file_is_io_error(self, capsys, tmp_path):
+        (tmp_path / "afile").write_text("")
+        assert _domain_error(capsys, ["keygen", "--out", str(tmp_path / "afile" / "k.json")]) == "io-error"
+        assert os.listdir(tmp_path) == ["afile"]
+
+    def test_unreadable_file_is_io_error(self, capsys, tmp_path, monkeypatch):
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps(self.GOOD_KEY))
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        assert _domain_error(capsys, ["--state-dir", str(tmp_path / "state"), "signal", "scan",
+                                      "--key", str(key)]) == "io-error"
 
     def test_malformed_proof_file(self, capsys, tmp_path):
         key = tmp_path / "key.json"

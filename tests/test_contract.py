@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from paytocontract.chain import MAX_AMOUNT
 from paytocontract.contract import (
     SALT_BYTES,
     Branch,
@@ -332,6 +333,18 @@ class TestBuild:
         rng = Random(56)
         c = _sample_contract(rng, KeyPair.generate(rng))
         assert order_price(c) == 90000
+        assert order_price(with_leaf_value(c, "order/price", "0")) == 0
+        assert order_price(with_leaf_value(c, "order/price", str(MAX_AMOUNT))) == MAX_AMOUNT
+
+    @pytest.mark.parametrize("value", [
+        b"-5", b"+90000", b"9_0000", b" 90000 ", b"abc", b"", b"00", b"090000", b"90000\n",
+        "\u0663".encode(), b"\xff", str(MAX_AMOUNT + 1).encode()])
+    def test_non_canonical_price_rejected(self, value):
+        rng = Random(56)
+        c = with_leaf_value(_sample_contract(rng, KeyPair.generate(rng)), "order/price", value)
+        with pytest.raises(ProtocolError) as exc:
+            order_price(c)
+        assert exc.value.code == "invalid-price"
 
     def test_missing_merchant_pubkey_rejected(self):
         with pytest.raises(ProtocolError, match="invalid contract"):

@@ -21,6 +21,7 @@ from paytocontract.curve import (
     hash_to_scalar,
     random_scalar,
     shared_xs,
+    tweak_points,
 )
 from paytocontract.errors import ProtocolError
 from paytocontract.ripemd160 import ripemd160
@@ -273,6 +274,67 @@ class TestMultiplyEngine:
         result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+
+
+class TestTweakPoints:
+    """The batched ``base * G ** k`` against the single path and the affine oracle."""
+
+    @staticmethod
+    def _expected(base, k):
+        return oracle.point_add(oracle.as_tuple(base), oracle.point_mul(k % ORDER, oracle.G))
+
+    def test_matches_single_path_and_oracle(self):
+        rng = Random(24)
+        bases = [G, TestMultiplyEngine.OTHER_BASE, G ** random_scalar(rng)]
+        ks = [0, 1, 2, ORDER - 1] + list(SPECIAL_SCALARS) + [random_scalar(rng).value for _ in range(20)]
+        pairs = [(bases[i % len(bases)], k) for i, k in enumerate(ks)]
+        results = tweak_points(pairs)
+        assert len(results) == len(pairs)
+        for (base, k), result in zip(pairs, results):
+            assert result == base * G ** k, hex(k)
+            assert oracle.as_tuple(result) == self._expected(base, k), hex(k)
+
+    def test_identity_base_gives_the_power_and_zero_gives_the_base(self):
+        base = TestMultiplyEngine.OTHER_BASE
+        assert tweak_points([(Point.identity(), 5), (base, 0), (Point.identity(), 0)]) == [
+            G ** 5, base, Point.identity()]
+
+    def test_scalar_and_unreduced_exponents(self):
+        base = TestMultiplyEngine.OTHER_BASE
+        assert tweak_points([(base, Scalar(7)), (base, -1), (base, ORDER + 3)]) == [
+            base * G ** 7, base * G ** (ORDER - 1), base * G ** 3]
+
+    def test_empty_batch(self):
+        assert tweak_points([]) == []
+        assert curve._base_mul_batch([]) == []
+
+    def test_duplicate_exponents(self):
+        rng = Random(25)
+        k = random_scalar(rng).value
+        other = TestMultiplyEngine.OTHER_BASE
+        pairs = [(G, k), (other, k), (G, k), (other, k + 1), (other, k)]
+        assert tweak_points(pairs) == [base * G ** e for base, e in pairs]
+
+    def test_base_equal_or_opposite_to_the_power(self):
+        # the final addition's zero-denominator branches: a doubling and a cancellation
+        rng = Random(26)
+        for k in [1, 2, ORDER - 1] + [random_scalar(rng).value for _ in range(3)]:
+            power = G ** k
+            doubled, cancelled, plain = tweak_points([(power, k), (power.inverse(), k), (G, k)])
+            assert oracle.as_tuple(doubled) == oracle.point_double(oracle.as_tuple(power))
+            assert cancelled.is_identity()
+            assert plain == G * power
+
+    def test_batch_add_branches_match_oracle(self):
+        p, q = oracle.as_tuple(G ** 11), oracle.as_tuple(G ** 12)
+        minus_p = (p[0], oracle.P - p[1])
+        pairs = [(p, q), (p, p), (p, minus_p), (None, q), (p, None), (None, None)]
+        assert curve._batch_add(pairs) == [oracle.point_add(a, b) for a, b in pairs]
+
+    def test_lockstep_batch_matches_single_fixed_base(self):
+        rng = Random(27)
+        ks = [1, 2, ORDER - 1] + [random_scalar(rng).value for _ in range(10)]
+        assert curve._base_mul_batch(ks) == [curve._to_affine(curve._base_mul(k)) for k in ks]
 
 
 class TestSharedXs:

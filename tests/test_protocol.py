@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 import oracle
-from paytocontract import protocol
+from paytocontract import curve, protocol
 from paytocontract.chain import (
     FileStore,
     Ledger,
@@ -19,6 +19,7 @@ from paytocontract.contract import (
     encode_contract,
     payment_address,
     payment_private_key,
+    redact,
     sign_fields,
     with_leaf_value,
 )
@@ -147,6 +148,20 @@ class TestBasicFlow:
         txid = customer_approve_and_pay(contract, trust, funds, ledger, YES)
         assert verify_payment(contract, ledger) == (True, txid)
 
+    def test_receipt_verifier_counts_only_a_hidden_price_as_zero(self):
+        rng = Random(99)
+        identity, contract, _, ledger, _, funds = _setup(rng)
+        ledger.broadcast(build_transaction(ledger, funds, [TxOutput(payment_address(contract), 1)]))
+        # redaction keeps the address, and with the price hidden any payment counts
+        hidden = redact(contract, "order/price")
+        assert payment_address(hidden) == payment_address(contract)
+        assert verify_payment(hidden, ledger)[0]
+        assert not verify_payment(contract, ledger)[0]
+        malformed = with_leaf_value(contract, "order/price", "-5")
+        with pytest.raises(ProtocolError) as exc:
+            verify_payment(malformed, ledger)
+        assert exc.value.code == "invalid-price"
+
 
 class TestTamper:
     def test_tampered_copy_never_pays_and_true_copy_recovers(self):
@@ -274,6 +289,13 @@ class TestSignaling:
         assert len(merchant_scan_signals(identity, ledger)) == 1
         assert merchant_scan_signals(identity, ledger, watermark=len(ledger)) == []
 
+    def test_negative_watermark_rejected(self):
+        identity, ledger, _ = _scan_ledger(Random(131))
+        assert merchant_scan_signals(identity, ledger)
+        for watermark in (-1, -4):
+            with pytest.raises(ValueError, match="negative watermark"):
+                merchant_scan_signals(identity, ledger, watermark)
+
     def test_signal_output_spent_query(self):
         rng = Random(107)
         merchant = KeyPair.generate(rng)
@@ -385,6 +407,46 @@ class TestBatchedScan:
             found.append(len(expected))
         # twice, reused, p2pk, script key (+ multi); from the mark: twice again, reused, script key
         assert found == ([5, 3, 0] if customer_controlled else [4, 3, 0])
+
+
+class TestScanBatching:
+    """The scan's candidate addresses come from one batch: the number of
+    batched inversions does not grow with the number of pubkeys, and no
+    point is normalised on its own."""
+
+    @staticmethod
+    def _ledger_with_decoys(seed, decoys):
+        rng = Random(seed)
+        identity, ledger, _ = _scan_ledger(rng)
+        for _ in range(decoys):
+            key = KeyPair.generate(rng)
+            funding = ledger.faucet([TxOutput(_addr(key), 1000)])
+            ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, key.private)],
+                                               [TxOutput(Address("p2pkh", rng.randbytes(20)), 1000)]))
+        return identity, ledger
+
+    def test_inversions_independent_of_pubkey_count(self, monkeypatch):
+        calls = {"_batch_inverse": 0, "_to_affine": 0}
+        for name in calls:
+            original = getattr(curve, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(curve, name, counted)
+        counts = []
+        for seed, decoys in ((133, 0), (134, 12)):
+            identity, ledger = self._ledger_with_decoys(seed, decoys)
+            distinct = {p for tx in ledger.transactions for p in transaction_pubkeys(tx)}
+            for customer_controlled in (False, True):
+                calls.update(dict.fromkeys(calls, 0))
+                assert merchant_scan_signals(identity, ledger, 0, customer_controlled)
+                counts.append((len(distinct), calls["_batch_inverse"], calls["_to_affine"]))
+        assert counts[0][0] < counts[2][0]
+        assert {c[1] for c in counts} == {counts[0][1]}
+        assert 0 < counts[0][1] <= curve._BASE_WINDOWS + 1
+        assert all(c[2] == 0 for c in counts)
 
 
 class TestDlegProof:

@@ -13,6 +13,7 @@ from paytocontract.wallet import (
     Script,
     WalletBase,
     derive_address,
+    derive_addresses,
     derive_private,
     derive_public,
     derive_script,
@@ -141,6 +142,31 @@ class TestDeriveAddress:
         base = G ** Scalar(77)
         for scheme in (ADD, MUL):
             assert derive_address(base, b"L", scheme) == p2pkh_address(derive_public(base, b"L", scheme))
+
+
+class TestDeriveAddresses:
+    def test_matches_single_derive_address(self):
+        rng = Random(28)
+        bases = [G, G ** random_scalar(rng), G ** random_scalar(rng)]
+        labels = [b"", b"invoice-1", "text label", b"invoice-1", bytes(32)] + [rng.randbytes(32) for _ in range(10)]
+        pairs = [(bases[i % len(bases)], label) for i, label in enumerate(labels)]
+        assert derive_addresses(pairs) == [derive_address(base, label) for base, label in pairs]
+        assert derive_addresses([]) == []
+
+    def test_identity_base_rejected_like_derive_public(self):
+        from paytocontract.curve import Point
+
+        with pytest.raises(ValueError, match="public base must not be the identity"):
+            derive_addresses([(G, b"x"), (Point.identity(), b"x")])
+
+    def test_degenerate_result_raises_the_same_error(self):
+        base = G ** Scalar((-_h(b"x")) % ORDER)
+        with pytest.raises(ProtocolError) as single:
+            derive_address(base, b"x")
+        with pytest.raises(ProtocolError) as batch:
+            derive_addresses([(G, b"x"), (base, b"x")])
+        assert batch.value.code == single.value.code == "degenerate-derived-key"
+        assert str(batch.value) == str(single.value)
 
 
 class TestWalletBase:
