@@ -396,7 +396,8 @@ def with_leaf_value(c: Contract, path: FieldPath, value: Union[bytes, str, int])
     return replace(c, root=_replace_node(c.root, segments, Leaf(node.salt, _to_value_bytes(value))))
 
 
-_PRICE = re.compile(rb"0|[1-9][0-9]*")
+# at most the 20 digits of MAX_AMOUNT, which also keeps int() within its digit limit
+_PRICE = re.compile(rb"0|[1-9][0-9]{0,19}")
 
 
 def order_price(c: Contract) -> int:

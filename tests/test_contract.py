@@ -338,7 +338,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("value", [
         b"-5", b"+90000", b"9_0000", b" 90000 ", b"abc", b"", b"00", b"090000", b"90000\n",
-        "\u0663".encode(), b"\xff", str(MAX_AMOUNT + 1).encode()])
+        "\u0663".encode(), b"\xff", str(MAX_AMOUNT + 1).encode(), str(10 ** 20).encode(), b"1" * 5000])
     def test_non_canonical_price_rejected(self, value):
         rng = Random(56)
         c = with_leaf_value(_sample_contract(rng, KeyPair.generate(rng)), "order/price", value)
