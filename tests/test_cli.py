@@ -460,6 +460,7 @@ class TestCorruptFiles:
         code, out, _ = _run_main(capsys, state + [
             "chain", "faucet", "--to", "p2pkh:" + hash160(bytes.fromhex(customer_pub)).hex(),
             "--amount", "100000"])
+        assert code == 0
         txid = json.loads(out)["txid"]
         assert _domain_error(capsys, state + [
             "signal", "attach", "--key", str(customer_key), "--merchant", merchant_pub,
