@@ -354,11 +354,14 @@ def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
 
 
 def _sign_and_assemble(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
-                       outputs: Sequence[TxOutput]) -> Transaction:
-    """The builders' shared tail: check funds, then sign each input with its keys."""
+                       outputs: Sequence[TxOutput], change: Optional[PayTarget] = None) -> Transaction:
+    """The builders' shared tail: check funds, pay any remainder to ``change``, sign each input."""
     total = sum(ledger.utxo[(inp.prev_txid, inp.index)].amount for inp, _ in drafts)
-    if total < sum(o.amount for o in outputs):
+    remainder = total - sum(o.amount for o in outputs)
+    if remainder < 0:
         raise ProtocolError("insufficient funds")
+    if change is not None and remainder:
+        outputs = [*outputs, TxOutput(change, remainder)]
     preimage = tx_preimage([inp for inp, _ in drafts], outputs)
     signed = [
         replace(inp, signature=ecdsa_sign(keys[0], preimage)) if inp.redeem_script is None
@@ -372,6 +375,7 @@ def build_transaction(
     ledger: Ledger,
     spends: Sequence[Tuple[bytes, int, Scalar]],
     outputs: Sequence[TxOutput],
+    change: Optional[PayTarget] = None,
 ) -> Transaction:
     """Spend address/pubkey outputs with their matching keys and sign every input."""
     drafts = []
@@ -380,7 +384,7 @@ def build_transaction(
         pub = G ** key
         _check_key_lock(pub, prev.payto)
         drafts.append((TxInput(txid, index, pubkey=pub), (key,)))
-    return _sign_and_assemble(ledger, drafts, outputs)
+    return _sign_and_assemble(ledger, drafts, outputs, change)
 
 
 def build_script_spend(

@@ -153,6 +153,48 @@ IN_FILE = click.Path(exists=True, dir_okay=False)
 OUT_FILE = click.Path(dir_okay=False, path_type=Path)
 
 
+class Arg(click.ParamType):
+    """One kind of argument value, parsed from its text by ``parse``.  A ``ValueError``
+    is a usage error (exit 2); a ``ProtocolError``, such as an off-curve point, exits 1."""
+
+    def __init__(self, name: str, parse):
+        self.name = name
+        self.parse = parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(f"bad {self.name} {value!r}: {exc}", param, ctx)
+
+
+def _outpoint(text: str) -> Tuple[bytes, int]:
+    """``txid:index`` as (txid bytes, index); at most 20 index digits keep ``int`` in its limit."""
+    txid, sep, index = text.rpartition(":")
+    if not sep or not (index.isascii() and index.isdigit() and len(index) <= 20):
+        raise ValueError("not txid:index")
+    return OUTPOINT_TXID(txid), int(index)
+
+
+def _field(text: str) -> Tuple[str, bytes]:
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError("not name=value")
+    contract_mod.check_name(name)
+    return name, value.encode()
+
+
+TXID = Arg("txid", bytes.fromhex)
+OUTPOINT_TXID = Arg("outpoint", bytes.fromhex)
+LABEL = Arg("label", str.encode)
+LABEL_HEX = Arg("label", bytes.fromhex)
+POINT = Arg("point", lambda text: Point.decode(bytes.fromhex(text)))
+ADDRESS = Arg("address", Address.parse)
+OUTPOINT = Arg("outpoint", _outpoint)
+FIELD = Arg("field", _field)
+PATH = Arg("path", lambda text: contract_mod.path_str(contract_mod.parse_path(text)))
+
+
 @click.group()
 @click.option("--state-dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("./p2c-state"), show_default=True,
@@ -169,33 +211,10 @@ def cli(ctx, state_dir: Path, fmt: str, seed: Optional[int]):
 
 # -- helpers ----------------------------------------------------------------
 
-def _arg(text: str, what: str, parse=bytes.fromhex):
-    """A command-line value that ``parse`` rejects is a usage error."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise click.UsageError(f"bad {what} {text!r}: {exc}")
-
-
-def _point(text: str) -> Point:
-    return Point.decode(_arg(text, "point"))
-
-
-def _outpoints(ctx, param, values):
-    """Click callback: each ``txid:index`` as (txid bytes, index)."""
-    parsed = []
-    for text in values:
-        txid, sep, index = text.rpartition(":")
-        if not sep or not (index.isascii() and index.isdigit()):
-            raise click.UsageError(f"bad outpoint {text!r}: not txid:index")
-        parsed.append((_arg(txid, "outpoint"), int(index)))
-    return parsed
-
-
-def _label(label: Optional[str], label_hex: Optional[str]) -> bytes:
+def _label(label: Optional[bytes], label_hex: Optional[bytes]) -> bytes:
     if (label is None) == (label_hex is None):
         raise click.UsageError("give exactly one of --label / --label-hex")
-    return label.encode() if label is not None else _arg(label_hex, "label")
+    return label if label_hex is None else label_hex
 
 
 def _save_contract(cfg: CliConfig, c, out: Path, **summary):
@@ -210,16 +229,6 @@ def _save_record(cfg: CliConfig, record: dict, out: Optional[Path], summary: str
     else:
         _write(out, (json.dumps(record, sort_keys=True, indent=2) + "\n").encode(), private)
         cfg.emit({summary: record[summary], "written": str(out)})
-
-
-def _fields(pairs) -> dict:
-    fields = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise click.UsageError(f"field {pair!r} is not name=value")
-        fields[name] = value
-    return fields
 
 
 # -- keys and addresses -------------------------------------------------------
@@ -241,27 +250,26 @@ def address():
 
 
 @address.command("derive")
-@click.option("--pubbase", required=True, help="Compressed pubkey hex.")
-@click.option("--label", default=None, help="Label text (UTF-8).")
-@click.option("--label-hex", default=None, help="Label as raw hex bytes.")
+@click.option("--pubbase", required=True, type=POINT, help="Compressed pubkey hex.")
+@click.option("--label", type=LABEL, default=None, help="Label text (UTF-8).")
+@click.option("--label-hex", type=LABEL_HEX, default=None, help="Label as raw hex bytes.")
 @click.option("--scheme", type=click.Choice([s.value for s in DerivationScheme]),
               default=DerivationScheme.ADDITIVE.value, show_default=True)
 @pass_config
-def address_derive(cfg: CliConfig, pubbase: str, label: Optional[str],
-                   label_hex: Optional[str], scheme: str):
+def address_derive(cfg: CliConfig, pubbase: Point, label: Optional[bytes],
+                   label_hex: Optional[bytes], scheme: str):
     """Derived pubkey and pay-to-pubkey-hash address for a label."""
-    raw = _label(label, label_hex)
-    pub = derive_public(_point(pubbase), raw, DerivationScheme(scheme))
+    pub = derive_public(pubbase, _label(label, label_hex), DerivationScheme(scheme))
     cfg.emit({"pubkey": pub.encode().hex(), "address": p2pkh_address(pub).render()})
 
 
 @address.command("derive-script")
 @click.option("--script", "script_path", required=True, type=IN_FILE)
-@click.option("--label", default=None)
-@click.option("--label-hex", default=None)
+@click.option("--label", type=LABEL, default=None)
+@click.option("--label-hex", type=LABEL_HEX, default=None)
 @pass_config
-def address_derive_script(cfg: CliConfig, script_path: str, label: Optional[str],
-                          label_hex: Optional[str]):
+def address_derive_script(cfg: CliConfig, script_path: str, label: Optional[bytes],
+                          label_hex: Optional[bytes]):
     """Derive every pubkey in a base script; prints script JSON and p2sh address."""
     raw = _label(label, label_hex)
     derived = derive_script(_read(script_path, SCRIPT), raw)
@@ -286,38 +294,37 @@ def contract():
 
 @contract.command("template")
 @click.option("--merchant-key", required=True, type=IN_FILE)
-@click.option("--static", "static_pairs", multiple=True, help="name=value static field.")
-@click.option("--dynamic-key", default=None, help="Tracking pubkey hex for dynamic fields.")
+@click.option("--static", "static_pairs", type=FIELD, multiple=True, help="name=value static field.")
+@click.option("--dynamic-key", type=POINT, default=None, help="Tracking pubkey hex for dynamic fields.")
 @click.option("--out", required=True, type=OUT_FILE)
 @pass_config
 def contract_template(cfg: CliConfig, merchant_key: str, static_pairs, dynamic_key, out: Path):
     """Create a signed contract template (static fields under merchant/)."""
     pair = _read(merchant_key, KEYFILE)
-    template = contract_mod.build_template(
-        pair.public, _fields(static_pairs), cfg.rng(),
-        dynamic_signing_key=_point(dynamic_key) if dynamic_key else None,
-    )
-    paths = ["merchant/pubkey"] + [f"merchant/{n}" for n in _fields(static_pairs)]
+    static = dict(static_pairs)
+    template = contract_mod.build_template(pair.public, static, cfg.rng(),
+                                           dynamic_signing_key=dynamic_key)
+    paths = ["merchant/pubkey"] + [f"merchant/{n}" for n in static]
     _save_contract(cfg, contract_mod.sign_fields(template, pair.private, paths), out,
                    signed_paths=paths)
 
 
 @contract.command("build")
 @click.option("--template", "template_path", required=True, type=IN_FILE)
-@click.option("--field", "field_pairs", multiple=True, help="name=value order field.")
+@click.option("--field", "field_pairs", type=FIELD, multiple=True, help="name=value order field.")
 @click.option("--out", required=True, type=OUT_FILE)
 @pass_config
 def contract_build(cfg: CliConfig, template_path: str, field_pairs, out: Path):
     """Fill order fields into a template."""
     built = contract_mod.build_contract(_read(template_path, CONTRACT),
-                                        _fields(field_pairs), cfg.rng())
+                                        dict(field_pairs), cfg.rng())
     _save_contract(cfg, built, out, contract_hash=contract_mod.contract_hash(built).hex())
 
 
 @contract.command("sign")
 @click.argument("contract_path", type=IN_FILE)
 @click.option("--key", "key_path", required=True, type=IN_FILE)
-@click.option("--path", "paths", multiple=True, required=True)
+@click.option("--path", "paths", type=PATH, multiple=True, required=True)
 @click.option("--out", required=True, type=OUT_FILE)
 @pass_config
 def contract_sign(cfg: CliConfig, contract_path: str, key_path: str, paths, out: Path):
@@ -347,7 +354,7 @@ def contract_verify(cfg: CliConfig, contract_path: str):
 
 @contract.command("redact")
 @click.argument("contract_path", type=IN_FILE)
-@click.option("--path", "paths", multiple=True, required=True)
+@click.option("--path", "paths", type=PATH, multiple=True, required=True)
 @click.option("--out", required=True, type=OUT_FILE)
 @pass_config
 def contract_redact(cfg: CliConfig, contract_path: str, paths, out: Path):
@@ -361,14 +368,13 @@ def contract_redact(cfg: CliConfig, contract_path: str, paths, out: Path):
 
 @contract.command("encrypt-leaf")
 @click.argument("contract_path", type=IN_FILE)
-@click.option("--path", "path", required=True)
-@click.option("--recipient", required=True, help="Recipient pubkey hex.")
+@click.option("--path", "path", type=PATH, required=True)
+@click.option("--recipient", type=POINT, required=True, help="Recipient pubkey hex.")
 @click.option("--out", required=True, type=OUT_FILE)
 @pass_config
-def contract_encrypt_leaf(cfg: CliConfig, contract_path: str, path: str, recipient: str, out: Path):
+def contract_encrypt_leaf(cfg: CliConfig, contract_path: str, path: str, recipient: Point, out: Path):
     """Encrypt one leaf to a pubkey (do this before signing/paying)."""
-    c = contract_mod.encrypt_leaf(_read(contract_path, CONTRACT), path,
-                                  _point(recipient), cfg.rng())
+    c = contract_mod.encrypt_leaf(_read(contract_path, CONTRACT), path, recipient, cfg.rng())
     _save_contract(cfg, c, out, encrypted=path,
                    contract_hash=contract_mod.contract_hash(c).hex())
 
@@ -397,62 +403,56 @@ def chain():
 
 
 @chain.command("faucet")
-@click.option("--to", required=True, help="Address kind:hexdigest.")
+@click.option("--to", required=True, type=ADDRESS, help="Address kind:hexdigest.")
 @click.option("--amount", required=True, type=AMOUNT)
 @pass_config
-def chain_faucet(cfg: CliConfig, to: str, amount: int):
+def chain_faucet(cfg: CliConfig, to: Address, amount: int):
     """Mint a coinbase output (test setup)."""
     ledger = cfg.load_ledger()
-    tx = ledger.faucet([TxOutput(_arg(to, "address", Address.parse), amount)])
+    tx = ledger.faucet([TxOutput(to, amount)])
     cfg.save_ledger(ledger)
     cfg.emit({"txid": tx.txid.hex(), "index": 0, "amount": amount})
 
 
 @chain.command("send")
 @click.option("--key", "key_path", required=True, type=IN_FILE)
-@click.option("--outpoint", "outpoints", multiple=True, required=True, callback=_outpoints,
+@click.option("--outpoint", "outpoints", type=OUTPOINT, multiple=True, required=True,
               help="txid:index.")
-@click.option("--to", required=True)
+@click.option("--to", required=True, type=ADDRESS)
 @click.option("--amount", required=True, type=AMOUNT)
-@click.option("--change", default=None, help="Change address kind:hexdigest.")
+@click.option("--change", type=ADDRESS, default=None, help="Change address kind:hexdigest.")
 @pass_config
-def chain_send(cfg: CliConfig, key_path: str, outpoints, to: str, amount: int, change):
+def chain_send(cfg: CliConfig, key_path: str, outpoints, to: Address, amount: int, change):
     """Spend outputs owned by --key."""
     ledger = cfg.load_ledger()
     key = _read(key_path, KEYFILE).private
     spends = [(txid, idx, key) for txid, idx in outpoints]
-    outputs = [TxOutput(_arg(to, "address", Address.parse), amount)]
-    if change is not None:
-        total = sum(ledger.utxo[(t, i)].amount for t, i, _ in spends if (t, i) in ledger.utxo)
-        if total > amount:
-            outputs.append(TxOutput(_arg(change, "address", Address.parse), total - amount))
-    tx = ledger.broadcast(build_transaction(ledger, spends, outputs))
+    tx = ledger.broadcast(build_transaction(ledger, spends, [TxOutput(to, amount)], change))
     cfg.save_ledger(ledger)
     cfg.emit({"txid": tx.txid.hex(), "outputs": len(tx.outputs)})
 
 
 @chain.command("scan")
-@click.option("--address", "addr_text", required=True)
+@click.option("--address", "addr", required=True, type=ADDRESS)
 @pass_config
-def chain_scan(cfg: CliConfig, addr_text: str):
+def chain_scan(cfg: CliConfig, addr: Address):
     """All outputs ever paid to an address."""
     ledger = cfg.load_ledger()
-    hits = [{"txid": t.hex(), "index": i, "amount": a}
-            for t, i, a in ledger.scan_address(_arg(addr_text, "address", Address.parse))]
-    cfg.emit({"address": addr_text, "outputs": hits})
+    hits = [{"txid": t.hex(), "index": i, "amount": a} for t, i, a in ledger.scan_address(addr)]
+    cfg.emit({"address": addr.render(), "outputs": hits})
 
 
 @chain.command("show")
-@click.argument("txid", required=False)
+@click.argument("txid", type=TXID, required=False)
 @pass_config
-def chain_show(cfg: CliConfig, txid: Optional[str]):
+def chain_show(cfg: CliConfig, txid: Optional[bytes]):
     """Dump the ledger, or one transaction."""
     ledger = cfg.load_ledger()
     if txid is not None:
-        tx = ledger.get_transaction(_arg(txid, "txid"))
+        tx = ledger.get_transaction(txid)
         if tx is None:
-            raise ProtocolError("no such transaction", txid)
-        cfg.emit({"txid": txid, "transaction": tx_to_json(tx)})
+            raise ProtocolError("no such transaction", txid.hex())
+        cfg.emit({"txid": txid.hex(), "transaction": tx_to_json(tx)})
     else:
         cfg.emit({"transactions": len(ledger), "utxos": len(ledger.utxo),
                   "issued": ledger.total_issued})
@@ -468,8 +468,8 @@ def signal():
 @signal.command("attach")
 @click.option("--key", "key_path", required=True, type=IN_FILE,
               help="Signal key; must also own the spent outputs.")
-@click.option("--merchant", required=True, help="Merchant pubkey hex.")
-@click.option("--outpoint", "outpoints", multiple=True, required=True, callback=_outpoints)
+@click.option("--merchant", "merchant_pub", required=True, type=POINT, help="Merchant pubkey hex.")
+@click.option("--outpoint", "outpoints", type=OUTPOINT, multiple=True, required=True)
 @click.option("--amount", type=AMOUNT, default=0, show_default=True, help="Signal output amount.")
 @click.option("--contract", "contract_path", type=IN_FILE, default=None,
               help="Also pay this contract in the same transaction.")
@@ -477,12 +477,11 @@ def signal():
 @click.option("--variant", type=click.Choice(["merchant_controlled", "customer_controlled"]),
               default="merchant_controlled", show_default=True)
 @pass_config
-def signal_attach(cfg: CliConfig, key_path: str, merchant: str, outpoints, amount: int,
+def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints, amount: int,
                   contract_path, payment_amount, variant: str):
     """Broadcast a transaction carrying a signal output (optionally plus payment)."""
     ledger = cfg.load_ledger()
     pair = _read(key_path, KEYFILE)
-    merchant_pub = _point(merchant)
     spends = [(txid, idx, pair.private) for txid, idx in outpoints]
     if contract_path is not None:
         txid, value = combined_pay_and_signal(_read(contract_path, CONTRACT), pair, merchant_pub,
@@ -520,13 +519,13 @@ def dh():
 
 @dh.command("prove")
 @click.option("--key", "key_path", required=True, type=IN_FILE)
-@click.option("--merchant", required=True)
+@click.option("--merchant", required=True, type=POINT)
 @click.option("--out", type=OUT_FILE, default=None)
 @pass_config
-def dh_prove(cfg: CliConfig, key_path: str, merchant: str, out: Optional[Path]):
+def dh_prove(cfg: CliConfig, key_path: str, merchant: Point, out: Optional[Path]):
     """Prove the shared point for (signal key, merchant) without revealing the key."""
     pair = _read(key_path, KEYFILE)
-    proof = prove_dh(pair.private, _point(merchant), cfg.rng())
+    proof = prove_dh(pair.private, merchant, cfg.rng())
     record = {
         "shared": proof.shared.encode().hex(),
         "commit_g": proof.commit_g.encode().hex(),
@@ -539,15 +538,13 @@ def dh_prove(cfg: CliConfig, key_path: str, merchant: str, out: Optional[Path]):
 
 @dh.command("verify")
 @click.option("--proof", "proof_path", required=True, type=IN_FILE)
-@click.option("--signal-pub", default=None, help="Override the proof file's signal pubkey.")
-@click.option("--merchant", required=True)
+@click.option("--signal-pub", type=POINT, default=None, help="Override the proof file's signal pubkey.")
+@click.option("--merchant", required=True, type=POINT)
 @pass_config
-def dh_verify(cfg: CliConfig, proof_path: str, signal_pub: Optional[str], merchant: str):
+def dh_verify(cfg: CliConfig, proof_path: str, signal_pub: Optional[Point], merchant: Point):
     """Check a proof; exit 0 when valid, 1 when not."""
-    signal_point = _point(signal_pub) if signal_pub else None
-    merchant_pub = _point(merchant)
     proof, recorded = _read(proof_path, PROOF)
-    ok = verify_dh(proof, recorded if signal_point is None else signal_point, merchant_pub)
+    ok = verify_dh(proof, recorded if signal_pub is None else signal_pub, merchant)
     cfg.emit({"valid": ok})
     if not ok:
         sys.exit(1)
@@ -562,13 +559,13 @@ def redeem():
 @click.option("--contract", "contract_path", required=True, type=IN_FILE)
 @click.option("--key", "key_path", required=True, type=IN_FILE,
               help="Signal key used in the paying transaction.")
-@click.option("--merchant", required=True)
+@click.option("--merchant", required=True, type=POINT)
 @pass_config
-def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant: str):
+def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant: Point):
     """Encrypt the contract under the signalled value and post it."""
     fs = cfg.load_filestore()
     pair = _read(key_path, KEYFILE)
-    value = signal_value(pair.private, _point(merchant))
+    value = signal_value(pair.private, merchant)
     filename = redeem_post(_read(contract_path, CONTRACT), value, fs, cfg.rng())
     cfg.save_filestore(fs)
     cfg.emit({"filename": filename.hex()})
@@ -577,16 +574,15 @@ def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant:
 @redeem.command("retrieve")
 @click.option("--key", "key_path", required=True, type=IN_FILE,
               help="Merchant key file.")
-@click.option("--signal-pub", required=True, help="Signal pubkey from a scan.")
+@click.option("--signal-pub", required=True, type=POINT, help="Signal pubkey from a scan.")
 @pass_config
-def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: str):
+def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: Point):
     """Fetch and decrypt the contract behind a detected signal."""
     ledger = cfg.load_ledger()
     fs = cfg.load_filestore()
     identity = MerchantIdentity(_read(key_path, KEYFILE))
-    point = _point(signal_pub)
     matches = [r for r in merchant_scan_signals(identity, ledger)
-               if r.signal_pubkey == point]
+               if r.signal_pubkey == signal_pub]
     if not matches:
         raise ProtocolError("no signal from that key")
     retrieved, status = merchant_retrieve(identity, matches[0], fs, ledger)

@@ -49,7 +49,7 @@ def _check_salt(salt: bytes):
         raise ValueError(f"salt must be {SALT_BYTES} bytes")
 
 
-def _check_name(name: str):
+def check_name(name: str):
     if not name or "/" in name or len(name.encode()) > 0xFFFF:
         raise ValueError(f"bad field name {name!r}")
 
@@ -72,7 +72,7 @@ class Branch:
     def __post_init__(self):
         _check_salt(self.salt)
         for name in self.children:
-            _check_name(name)
+            check_name(name)
         # freeze child order to the canonical (sorted) one
         object.__setattr__(self, "children", dict(sorted(self.children.items())))
 
@@ -355,7 +355,7 @@ def build_template(
         "pubkey": Leaf(rand_bytes(SALT_BYTES, rng), merchant_pubkey.encode())
     }
     for name, value in static_fields.items():
-        _check_name(name)
+        check_name(name)
         if name == "pubkey":
             raise ProtocolError("path collision", "merchant/pubkey is reserved")
         children[name] = Leaf(rand_bytes(SALT_BYTES, rng), _to_value_bytes(value))
@@ -380,7 +380,7 @@ def build_contract(
         raise ProtocolError("path collision", "template already has an order branch")
     leaves: Dict[str, ContractNode] = {}
     for name, value in order_fields.items():
-        _check_name(name)
+        check_name(name)
         leaves[name] = Leaf(rand_bytes(SALT_BYTES, rng), _to_value_bytes(value))
     children = dict(template.root.children)
     children["order"] = Branch(rand_bytes(SALT_BYTES, rng), leaves)

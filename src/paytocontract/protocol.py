@@ -165,12 +165,16 @@ def customer_approve_and_pay(
         raise ProtocolError("invalid contract", "signature check failed")
     if not confirm(contract, alias):
         raise ProtocolError("declined")
-    amount = order_price(contract)
-    outputs = [TxOutput(payment_address(contract), amount)]
-    total = sum(ledger.utxo[(t, i)].amount for t, i, _ in funds if (t, i) in ledger.utxo)
-    if change_address is not None and total > amount:
-        outputs.append(TxOutput(change_address, total - amount))
-    return ledger.broadcast(build_transaction(ledger, funds, outputs)).txid
+    outputs = [TxOutput(payment_address(contract), order_price(contract))]
+    return ledger.broadcast(build_transaction(ledger, funds, outputs, change_address)).txid
+
+
+def _paying_txid(ledger: Ledger, addr: Address, price: int) -> Optional[bytes]:
+    """The first transaction that pays ``addr`` an output covering ``price``."""
+    for txid, _, amount in ledger.scan_address(addr):
+        if amount >= price:
+            return txid
+    return None
 
 
 def merchant_detect_payment(identity: MerchantIdentity, contract: Contract, ledger: Ledger) -> OrderStatus:
@@ -183,26 +187,21 @@ def merchant_detect_payment(identity: MerchantIdentity, contract: Contract, ledg
     spend_key = payment_private_key(contract, identity.reputation.private)
     if p2pkh_address(G ** spend_key) != addr:
         raise ProtocolError("key derivation mismatch", "derived key does not own the payment address")
-    price = order_price(contract)
-    for txid, _, amount in ledger.scan_address(addr):
-        if amount >= price:
-            return OrderStatus(contract_hash(contract), OrderState.PAID, txid)
-    return OrderStatus(contract_hash(contract), OrderState.AWAITING_PAYMENT)
+    txid = _paying_txid(ledger, addr, order_price(contract))
+    state = OrderState.AWAITING_PAYMENT if txid is None else OrderState.PAID
+    return OrderStatus(contract_hash(contract), state, txid)
 
 
 def verify_payment(contract: Contract, ledger: Ledger) -> Tuple[bool, Optional[bytes]]:
     """Receipt check anyone can run: no private keys, just the public record."""
-    addr = payment_address(contract)
     try:
         price = order_price(contract)
     except ProtocolError as exc:
         if exc.code != "no-such-field":
             raise
         price = 0  # price hidden; any payment to the address counts
-    for txid, _, amount in ledger.scan_address(addr):
-        if amount >= price:
-            return True, txid
-    return False, None
+    txid = _paying_txid(ledger, payment_address(contract), price)
+    return txid is not None, txid
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class Script:
         for op in self.ops:
             if isinstance(op, bool) or not isinstance(op, (int, Opcode, Point, bytes)):
                 raise ValueError(f"bad script element {op!r}")
-            if isinstance(op, int) and not isinstance(op, Opcode) and not 1 <= op <= 16:
+            if isinstance(op, int) and not 1 <= op <= 16:
                 raise ValueError("small-int push must be in 1..16")
             if isinstance(op, bytes) and len(op) != 20:
                 raise ValueError("digest literal must be 20 bytes")
@@ -172,11 +172,11 @@ class Script:
     def multisig_params(self) -> Optional[Tuple[int, int, Tuple[Point, ...]]]:
         """(m, n, pubkeys) when this is an m-of-n multisig template, else None."""
         ops = self.ops
-        if len(ops) < 4 or not isinstance(ops[0], int) or isinstance(ops[0], Opcode):
+        if len(ops) < 4 or not isinstance(ops[0], int):
             return None
         m, n, tail = ops[0], ops[-2], ops[-1]
         keys = ops[1:-2]
-        if tail is not Opcode.CHECKMULTISIG or not isinstance(n, int) or isinstance(n, Opcode):
+        if tail is not Opcode.CHECKMULTISIG or not isinstance(n, int):
             return None
         if len(keys) != n or not all(isinstance(k, Point) for k in keys):
             return None

@@ -61,6 +61,37 @@ class TestBroadcast:
         assert ledger.utxo[(tx.txid, 0)].amount == 90000
         assert ledger.utxo[(tx.txid, 1)].amount == 10000
 
+    def test_change_is_the_last_output(self):
+        rng = Random(65)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        second = ledger.faucet([TxOutput(_addr(pair), 5000)])
+        a, b = KeyPair.generate(rng), KeyPair.generate(rng)
+        spends = [(funding.txid, 0, pair.private), (second.txid, 0, pair.private)]
+        tx = build_transaction(ledger, spends, [TxOutput(_addr(a), 60000), TxOutput(_addr(b), 10000)],
+                               change=_addr(pair))
+        assert tx.outputs == (TxOutput(_addr(a), 60000), TxOutput(_addr(b), 10000),
+                              TxOutput(_addr(pair), 35000))
+        ledger.broadcast(tx)
+        assert ledger.utxo[(tx.txid, 2)] == TxOutput(_addr(pair), 35000)
+
+    def test_no_change_output_when_inputs_equal_outputs(self):
+        rng = Random(66)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                               [TxOutput(_addr(KeyPair.generate(rng)), 100000)], change=_addr(pair))
+        assert [o.amount for o in tx.outputs] == [100000]
+
+    def test_insufficient_funds_with_change(self):
+        rng = Random(67)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng, 50)
+        with pytest.raises(ProtocolError) as exc:
+            build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                              [TxOutput(_addr(pair), 51)], change=_addr(pair))
+        assert (exc.value.code, str(exc.value)) == ("insufficient-funds", "insufficient funds")
+
     def test_zero_amount_output_allowed(self):
         rng = Random(64)
         ledger = Ledger()

@@ -1,12 +1,14 @@
 import json
 import os
 from pathlib import Path
+from random import Random
 
 import pytest
 from click.testing import CliRunner
 
 from paytocontract.cli import cli, main
-from paytocontract.curve import hash160
+from paytocontract.contract import build_contract, build_template, encode_contract
+from paytocontract.curve import G, Scalar, hash160
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,6 +206,10 @@ class TestChainCommands:
         assert result.exit_code == 0
         assert result.output == "address: p2pkh:" + "11" * 20 + "\noutputs: []\n"
 
+    def test_scan_echoes_the_canonical_address(self, runner, tmp_path):
+        out = _last_json(_invoke(runner, tmp_path, ["chain", "scan", "--address", "p2pkh:" + "AB" * 20]))
+        assert out == {"address": "p2pkh:" + "ab" * 20, "outputs": []}
+
     def test_usage_error_exit_code(self, runner, tmp_path):
         result = runner.invoke(cli, ["chain", "send"])  # missing required options
         assert result.exit_code == 2
@@ -305,16 +311,50 @@ class TestInputFaults:
         (["address", "derive-script", "--script", "{script}", "--label-hex", "zz"], "bad label 'zz'"),
     ])
     def test_bad_hex_argument_is_usage_error(self, capsys, tmp_path, args, message):
+        self._assert_usage_error(capsys, tmp_path, args, message)
+
+    @pytest.mark.parametrize("args, message", [
+        (["chain", "send", "--key", "{key}", "--outpoint", "00" * 32 + ":" + "1" * 5000, "--to", OWN,
+          "--amount", "1"], "not txid:index"),
+        (["chain", "send", "--key", "{key}", "--outpoint", "00" * 32 + ":" + "1" * 21, "--to", OWN,
+          "--amount", "1"], "not txid:index"),
+        # Python hands a non-UTF-8 argument byte (here 0xff) to click as a lone surrogate
+        (["address", "derive", "--pubbase", MERCHANT, "--label", "x\udcff"], "bad label 'x\\udcff'"),
+        (["contract", "template", "--merchant-key", "{key}", "--static", "terms=\udcff", "--out", "{out}"],
+         "bad field 'terms=\\udcff'"),
+        (["contract", "build", "--template", "{template}", "--field", "item=\udcff", "--out", "{out}"],
+         "bad field 'item=\\udcff'"),
+        (["contract", "build", "--template", "{template}", "--field", "a/b=1", "--out", "{out}"],
+         "bad field name 'a/b'"),
+        (["contract", "build", "--template", "{template}", "--field", "=1", "--out", "{out}"],
+         "bad field name ''"),
+        (["chain", "scan", "--address", "p2pkh:zz"], "bad address 'p2pkh:zz'"),
+    ] + [
+        (["contract", command, "{contract}", "--path", path, *extra, "--out", "{out}"], f"bad path {path!r}")
+        for command, extra in [("redact", []), ("sign", ["--key", "{key}"]),
+                               ("encrypt-leaf", ["--recipient", MERCHANT])]
+        for path in ["", "a//b", "/"]
+    ])
+    def test_malformed_argument_is_usage_error(self, capsys, tmp_path, args, message):
+        self._assert_usage_error(capsys, tmp_path, args, message)
+
+    def _assert_usage_error(self, capsys, tmp_path, args, message):
         key, script = tmp_path / "key.json", tmp_path / "script.json"
         key.write_text(json.dumps({"private": "01".rjust(64, "0")}))
         script.write_text(json.dumps([{"push": 1}, {"pubkey": self.MERCHANT}, {"push": 1},
                                       {"op": "OP_CHECKMULTISIG"}]))
+        template = build_template(G ** Scalar(1), {"terms": "net 30"}, Random(1))
+        contract = build_contract(template, {"price": 5}, Random(2))
+        (tmp_path / "template.json").write_bytes(encode_contract(template))
+        (tmp_path / "contract.json").write_bytes(encode_contract(contract))
         state = tmp_path / "fresh"
-        files = {"{key}": str(key), "{script}": str(script)}
+        files = {"{key}": str(key), "{script}": str(script), "{out}": str(tmp_path / "out.json"),
+                 "{template}": str(tmp_path / "template.json"), "{contract}": str(tmp_path / "contract.json")}
         code, _, err = _run_main(capsys, ["--state-dir", str(state)] + [files.get(a, a) for a in args])
         assert code == 2
         assert message in err
         assert not state.exists()
+        assert not (tmp_path / "out.json").exists()
 
 
 def _domain_error(capsys, argv) -> str:

@@ -3,6 +3,10 @@
 import ast
 from pathlib import Path
 
+import click
+
+from paytocontract.cli import chain, cli
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "paytocontract"
 
 
@@ -58,3 +62,24 @@ def test_file_io_check_catches_a_planted_call():
     assert _file_io_calls("cli.py", planted) == [f"cli.py:{lines + 4}"]
     # the exemption belongs to cli.py's two functions, not to their names elsewhere
     assert _file_io_calls("chain.py", "def _read(p):\n    return open(p)\n") == ["chain.py:2"]
+
+
+# Every argument value has a kind (``cli.Arg``, a file path, a range or a
+# choice); a plain string would reach a command body unparsed.
+def _untyped_params(command: click.Command, path: str = "p2c"):
+    """``path name`` of each parameter typed plain ``click.STRING``, through every group."""
+    found = [f"{path} {param.name}" for param in command.params if param.type is click.STRING]
+    for name, sub in getattr(command, "commands", {}).items():
+        found += _untyped_params(sub, f"{path} {name}")
+    return found
+
+
+def test_every_cli_parameter_has_a_kind():
+    assert _untyped_params(cli) == []
+
+
+def test_untyped_check_catches_a_planted_option():
+    tip = click.Command("tip", params=[click.Option(["--to"])])
+    planted = click.Group("p2c", params=cli.params, commands={
+        **cli.commands, "chain": click.Group("chain", commands={**chain.commands, "tip": tip})})
+    assert _untyped_params(planted) == ["p2c chain tip to"]
