@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .curve import G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, hash160, sha256
 from .errors import MALFORMED, ProtocolError
@@ -143,8 +143,9 @@ def tx_from_json(obj: dict) -> Transaction:
 
 
 def _dump_line(obj: dict) -> str:
-    """The one canonical JSON form of a record: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The one canonical JSON form, of records and contracts: sorted keys, no
+    whitespace, text unescaped (a record's text is all ASCII hex and kinds)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _read_lines(data: Union[str, bytes], apply: Callable[[dict], object]):
@@ -243,8 +244,7 @@ class Ledger:
                 raise ProtocolError("invalid signature")
             return
         # p2sh: reveal the script, then satisfy its multisig threshold
-        if inp.redeem_script is None or hash160(inp.redeem_script.serialize()) != payto.digest:
-            raise ProtocolError("script does not match output")
+        _check_script_lock(inp.redeem_script, payto)
         params = inp.redeem_script.multisig_params()
         if params is None:
             raise ProtocolError("unsupported script")
@@ -296,12 +296,6 @@ class Ledger:
             if out.payto == addr
         ]
 
-    def list_pubkeys(self) -> Iterator[Tuple[Point, bytes]]:
-        """Every explicit pubkey on the record, paired with its transaction."""
-        for tx in self.transactions:
-            for point in transaction_pubkeys(tx):
-                yield point, tx.txid
-
     def get_transaction(self, txid: bytes) -> Optional[Transaction]:
         return self._by_txid.get(txid)
 
@@ -344,6 +338,14 @@ def _check_key_lock(pub: Optional[Point], payto: PayTarget):
         raise ProtocolError("key does not match output", "p2sh outputs need a script spend")
     if not unlocked:
         raise ProtocolError("key does not match output")
+
+
+def _check_script_lock(script: Optional[Script], payto: PayTarget):
+    """Builder's and validator's one lock rule for p2sh outputs."""
+    if isinstance(payto, Point) or payto.kind != "p2sh":
+        raise ProtocolError("script does not match output", "not a p2sh output")
+    if script is None or hash160(script.serialize()) != payto.digest:
+        raise ProtocolError("script does not match output")
 
 
 def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
@@ -395,11 +397,7 @@ def build_script_spend(
     """Spend p2sh outputs by revealing each script and signing with enough keys."""
     drafts = []
     for txid, index, keys, script in spends:
-        prev = _resolve_spend(ledger, txid, index)
-        if not isinstance(prev.payto, Address) or prev.payto.kind != "p2sh":
-            raise ProtocolError("script does not match output", "not a p2sh output")
-        if hash160(script.serialize()) != prev.payto.digest:
-            raise ProtocolError("script does not match output")
+        _check_script_lock(script, _resolve_spend(ledger, txid, index).payto)
         drafts.append((TxInput(txid, index, redeem_script=script), tuple(keys)))
     return _sign_and_assemble(ledger, drafts, outputs)
 

@@ -19,9 +19,9 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .chain import MAX_AMOUNT
+from .chain import MAX_AMOUNT, _dump_line
 from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
 from .errors import MALFORMED, ProtocolError
 from .sealing import open_sealed, seal
@@ -135,42 +135,28 @@ def node_from_json(obj: dict) -> ContractNode:
     raise ValueError(f"unknown node kind {kind!r}")
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
-
-
 def canonical_encode(node: ContractNode) -> bytes:
     """Deterministic JSON bytes: sorted keys, no whitespace, hex values."""
-    return _canonical_json(node_to_json(node))
+    return _dump_line(node_to_json(node)).encode()
 
 
 def decode_node(data: bytes) -> ContractNode:
     return node_from_json(json.loads(data))
 
 
-def resolve(root: ContractNode, path: FieldPath) -> ContractNode:
-    node = root
-    for segment in parse_path(path):
+def _walk(root: ContractNode, segments: Tuple[str, ...]) -> List[ContractNode]:
+    """The nodes from ``root`` down to the one at ``segments``, root first."""
+    nodes = [root]
+    for segment in segments:
+        node = nodes[-1]
         if not isinstance(node, Branch) or segment not in node.children:
-            raise ProtocolError("no such field", path_str(parse_path(path)))
-        node = node.children[segment]
-    return node
-
-
-def _replace_node(root: Branch, segments: Tuple[str, ...], new: ContractNode) -> Branch:
-    head, rest = segments[0], segments[1:]
-    if head not in root.children:
-        raise ProtocolError("no such field", path_str(segments))
-    child = root.children[head]
-    if rest:
-        if not isinstance(child, Branch):
             raise ProtocolError("no such field", path_str(segments))
-        child = _replace_node(child, rest, new)
-    else:
-        child = new
-    children = dict(root.children)
-    children[head] = child
-    return Branch(root.salt, children)
+        nodes.append(node.children[segment])
+    return nodes
+
+
+def resolve(root: ContractNode, path: FieldPath) -> ContractNode:
+    return _walk(root, parse_path(path))[-1]
 
 
 def iter_nodes(root: ContractNode, prefix: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], ContractNode]]:
@@ -210,13 +196,35 @@ def contract_hash(c: Contract) -> bytes:
     return node_digest(c.root)
 
 
+def _edit(c: Contract, path: FieldPath, change: Callable[[ContractNode, str], ContractNode]) -> Contract:
+    """Put ``change(node, path)`` in place of the node at ``path``, rebuilding
+    each branch above it with its own salt."""
+    segments = parse_path(path)
+    nodes = _walk(c.root, segments)
+    node = change(nodes.pop(), path_str(segments))
+    for segment, branch in zip(reversed(segments), reversed(nodes)):
+        node = Branch(branch.salt, {**branch.children, segment: node})
+    return replace(c, root=node)
+
+
+def _leaf(node: ContractNode, where: str) -> Leaf:
+    if not isinstance(node, Leaf):
+        raise ProtocolError("not a leaf", where)
+    return node
+
+
 def redact(c: Contract, path: FieldPath) -> Contract:
     """Replace the subtree at ``path`` by its digest, leaving the hash intact."""
-    segments = parse_path(path)
-    node = resolve(c.root, segments)
-    if isinstance(node, Redacted):
-        raise ProtocolError("already redacted", path_str(segments))
-    return replace(c, root=_replace_node(c.root, segments, Redacted(node_digest(node))))
+    def hide(node: ContractNode, where: str) -> Redacted:
+        if isinstance(node, Redacted):
+            raise ProtocolError("already redacted", where)
+        return Redacted(node_digest(node))
+    return _edit(c, path, hide)
+
+
+def _leaf_key(shared: Point) -> bytes:
+    """Sealing key of an encrypted leaf: the hash of the Diffie-Hellman point's x."""
+    return sha256(shared.x.to_bytes(32, "big"))
 
 
 def encrypt_leaf(c: Contract, path: FieldPath, recipient_pub: Point, rng: Optional[Random] = None) -> Contract:
@@ -225,17 +233,13 @@ def encrypt_leaf(c: Contract, path: FieldPath, recipient_pub: Point, rng: Option
     The tree then commits to the ciphertext, so this must happen before the
     contract is signed over or paid; it changes the root hash.
     """
-    segments = parse_path(path)
-    node = resolve(c.root, segments)
-    if not isinstance(node, Leaf):
-        raise ProtocolError("not a leaf", path_str(segments))
-    if node.encrypted:
-        raise ProtocolError("already encrypted", path_str(segments))
-    ephemeral = KeyPair.generate(rng)
-    shared = recipient_pub ** ephemeral.private
-    key = sha256(shared.x.to_bytes(32, "big"))
-    blob = ephemeral.public.encode() + seal(key, node.value, rng)
-    return replace(c, root=_replace_node(c.root, segments, Leaf(node.salt, blob, encrypted=True)))
+    def encrypt(node: ContractNode, where: str) -> Leaf:
+        if _leaf(node, where).encrypted:
+            raise ProtocolError("already encrypted", where)
+        ephemeral = KeyPair.generate(rng)
+        key = _leaf_key(recipient_pub ** ephemeral.private)
+        return Leaf(node.salt, ephemeral.public.encode() + seal(key, node.value, rng), encrypted=True)
+    return _edit(c, path, encrypt)
 
 
 def decrypt_leaf(c: Contract, path: FieldPath, recipient_priv: Scalar) -> bytes:
@@ -243,8 +247,7 @@ def decrypt_leaf(c: Contract, path: FieldPath, recipient_priv: Scalar) -> bytes:
     node = resolve(c.root, path)
     if not isinstance(node, Leaf) or not node.encrypted:
         raise ProtocolError("not an encrypted leaf", path_str(parse_path(path)))
-    ephemeral = Point.decode(node.value[:33])
-    key = sha256((ephemeral ** recipient_priv).x.to_bytes(32, "big"))
+    key = _leaf_key(Point.decode(node.value[:33]) ** recipient_priv)
     return open_sealed(key, node.value[33:])
 
 
@@ -389,11 +392,7 @@ def build_contract(
 
 def with_leaf_value(c: Contract, path: FieldPath, value: Union[bytes, str, int]) -> Contract:
     """Replace one leaf value in place (same salt); changes the root hash."""
-    segments = parse_path(path)
-    node = resolve(c.root, segments)
-    if not isinstance(node, Leaf):
-        raise ProtocolError("not a leaf", path_str(segments))
-    return replace(c, root=_replace_node(c.root, segments, Leaf(node.salt, _to_value_bytes(value))))
+    return _edit(c, path, lambda node, where: Leaf(_leaf(node, where).salt, _to_value_bytes(value)))
 
 
 # at most the 20 digits of MAX_AMOUNT, which also keeps int() within its digit limit
@@ -443,7 +442,7 @@ def contract_from_json(obj: dict) -> Contract:
 
 def encode_contract(c: Contract) -> bytes:
     """Canonical contract file bytes (deterministic JSON)."""
-    return _canonical_json(contract_to_json(c))
+    return _dump_line(contract_to_json(c)).encode()
 
 
 def decode_contract(data: bytes) -> Contract:

@@ -3,11 +3,12 @@
 The group is written multiplicatively to keep exponent notation readable:
 ``p * q`` combines two points and ``p ** k`` is scalar multiplication, so a
 keypair satisfies ``public == G ** private`` and key homomorphism reads
-``G ** (a + b) == G ** a * G ** b``.  Internally everything is computed
-additively in Jacobian coordinates; only the abstract group is exposed.
-Two batch entry points differ: ``tweak_points`` builds many ``base * G ** k``
-in affine coordinates with shared inversions, and ``shared_xs`` hands a
-batch of x-only Diffie-Hellman values to OpenSSL.
+``G ** (a + b) == G ** a * G ** b``.  Internally the group is written
+additively; only the abstract group is exposed.  ``p ** k`` runs in
+Jacobian coordinates, while ``p * q`` and the batch path ``tweak_points``
+(many ``base * G ** k``) add in affine coordinates, a batch sharing its
+inversions.  ``shared_xs`` hands a batch of x-only Diffie-Hellman values to
+OpenSSL.
 
 All values are immutable and all operations are pure functions.
 """
@@ -99,9 +100,6 @@ class Scalar:
 
     def __mul__(self, other: Scalar) -> Scalar:
         return Scalar(self.value * other.value % ORDER)
-
-    def __neg__(self) -> Scalar:
-        return Scalar(-self.value % ORDER)
 
     def inverse(self) -> Scalar:
         if self.value == 0:
@@ -442,11 +440,6 @@ class Point:
             y = FIELD_PRIME - y
         return cls(x, y)
 
-    @classmethod
-    def _from_jacobian(cls, p) -> Point:
-        aff = _to_affine(p)
-        return cls(None, None) if aff is None else cls(aff[0], aff[1])
-
     def __mul__(self, other: Point) -> Point:
         """Group operation: the product of two elements in multiplicative notation."""
         if not isinstance(other, Point):
@@ -455,7 +448,7 @@ class Point:
             return other
         if other.is_identity():
             return self
-        return Point._from_jacobian(_madd((self.x, self.y, 1), (other.x, other.y)))
+        return _from_affine(_batch_add([((self.x, self.y), (other.x, other.y))])[0])
 
     def __pow__(self, exponent: Union[Scalar, int]) -> Point:
         """Repeated group operation; exponents live modulo the curve order."""
@@ -463,8 +456,8 @@ class Point:
         if k == 0 or self.is_identity():
             return Point.identity()
         if self.x == _GX and self.y == _GY:
-            return Point._from_jacobian(_base_mul(k))
-        return Point._from_jacobian(_var_mul(k, self.x, self.y))
+            return _from_affine(_to_affine(_base_mul(k)))
+        return _from_affine(_to_affine(_var_mul(k, self.x, self.y)))
 
     def inverse(self) -> Point:
         if self.is_identity():
@@ -489,6 +482,11 @@ class Point:
 G = Point(_GX, _GY)
 
 
+def _from_affine(p) -> Point:
+    """The Point of an affine pair, None standing for the identity."""
+    return Point.identity() if p is None else Point(p[0], p[1])
+
+
 def tweak_points(pairs: Iterable[Tuple[Point, Union[Scalar, int]]]) -> List[Point]:
     """``base * G ** k`` for each ``(base, k)`` pair, computed as one batch.
 
@@ -502,7 +500,7 @@ def tweak_points(pairs: Iterable[Tuple[Point, Union[Scalar, int]]]) -> List[Poin
     ks = list(dict.fromkeys(k for _, k in pairs))
     powers = dict(zip(ks, _base_mul_batch(ks)))
     sums = _batch_add([(None if base.is_identity() else (base.x, base.y), powers[k]) for base, k in pairs])
-    return [Point.identity() if s is None else Point(s[0], s[1]) for s in sums]
+    return [_from_affine(s) for s in sums]
 
 
 _OPENSSL_CURVE = ec.SECP256K1()

@@ -362,8 +362,6 @@ def merchant_retrieve(
         contract = decode_contract(plaintext)
     except ProtocolError:
         raise ProtocolError("bad ciphertext", "not a contract") from None
-    if contract.merchant_pubkey != identity.reputation.public:
-        raise ProtocolError("foreign contract")
     status = merchant_detect_payment(identity, contract, ledger)
     if status.state is OrderState.PAID:
         status = OrderStatus(status.contract_hash, OrderState.ACCEPTED, status.paying_txid)

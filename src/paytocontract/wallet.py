@@ -124,10 +124,6 @@ class WalletBase:
     def from_private(cls, private: Scalar) -> WalletBase:
         return cls(G ** private, private)
 
-    @classmethod
-    def watch_only(cls, pubbase: Point) -> WalletBase:
-        return cls(pubbase)
-
     def derive_keypair(self, label: Label, scheme: DerivationScheme = DerivationScheme.ADDITIVE) -> KeyPair:
         if self.private_base is None:
             raise ProtocolError("watch-only wallet", "private base unavailable")

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from paytocontract.chain import (
+    MAX_AMOUNT,
     FileStore,
     Ledger,
     Transaction,
@@ -22,6 +23,11 @@ from paytocontract.wallet import Address, Opcode, Script, derive_script, multisi
 
 def _addr(pair: KeyPair) -> Address:
     return Address("p2pkh", hash160(pair.public.encode()))
+
+
+def _record_pubkeys(ledger: Ledger):
+    """Every explicit pubkey on the record, paired with its transaction's txid."""
+    return [(point, tx.txid) for tx in ledger.transactions for point in transaction_pubkeys(tx)]
 
 
 def _funded(ledger: Ledger, rng: Random, amount: int = 100000):
@@ -239,6 +245,27 @@ class TestScriptSpends:
             build_script_spend(ledger, [(pay.txid, 0, [pair.private], other)],
                                [TxOutput(_addr(k1), 100000)])
 
+    def test_key_spend_of_p2sh_output_rejected(self):
+        rng = Random(79)
+        ledger = Ledger()
+        owner = KeyPair.generate(rng)
+        funding = ledger.faucet([TxOutput(p2sh_address(multisig_script(1, (owner.public,))), 1000)])
+        with pytest.raises(ProtocolError) as exc:
+            build_transaction(ledger, [(funding.txid, 0, owner.private)], [TxOutput(_addr(owner), 1000)])
+        assert (exc.value.code, str(exc.value)) == (
+            "key-does-not-match-output", "key does not match output: p2sh outputs need a script spend")
+
+    def test_script_spend_of_p2pkh_output_rejected(self):
+        rng = Random(81)
+        ledger = Ledger()
+        owner, funding = _funded(ledger, rng, 1000)
+        script = multisig_script(1, (owner.public,))
+        with pytest.raises(ProtocolError) as exc:
+            build_script_spend(ledger, [(funding.txid, 0, [owner.private], script)],
+                               [TxOutput(_addr(owner), 1000)])
+        assert (exc.value.code, str(exc.value)) == (
+            "script-does-not-match-output", "script does not match output: not a p2sh output")
+
 
 def _hand_signed(prev_txid: bytes, outputs, pub=None, key=None, script=None) -> Transaction:
     """One-input transaction assembled without the builders' checks."""
@@ -330,6 +357,26 @@ class TestValidator:
         exc = _rejected(ledger, tx)
         assert (exc.code, str(exc)) == ("unsupported-script", "unsupported script")
 
+    # one script per way ``Script.multisig_params`` can refuse a template
+    @pytest.mark.parametrize("shape", ["too-short", "no-checkmultisig", "key-count-not-n",
+                                       "threshold-above-n"])
+    def test_p2sh_output_of_malformed_multisig(self, shape):
+        rng = Random(98)
+        ledger = Ledger()
+        owner = KeyPair.generate(rng)
+        ops = {
+            "too-short": (1, owner.public, Opcode.CHECKMULTISIG),
+            "no-checkmultisig": (1, owner.public, 1, Opcode.EQUAL),
+            "key-count-not-n": (1, owner.public, 2, Opcode.CHECKMULTISIG),
+            "threshold-above-n": (2, owner.public, 1, Opcode.CHECKMULTISIG),
+        }[shape]
+        script = Script(ops)
+        assert script.multisig_params() is None
+        funding = ledger.faucet([TxOutput(p2sh_address(script), 1000)])
+        tx = _hand_signed(funding.txid, (TxOutput(_addr(owner), 1000),), script=script)
+        exc = _rejected(ledger, tx)
+        assert (exc.code, str(exc)) == ("unsupported-script", "unsupported script")
+
 
 class TestQueries:
     def test_scan_unknown_address_empty(self):
@@ -350,7 +397,7 @@ class TestQueries:
         tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
                                [TxOutput(_addr(pair), 100000)])
         ledger.broadcast(tx)
-        assert list(ledger.list_pubkeys()) == [(pair.public, tx.txid)]
+        assert _record_pubkeys(ledger) == [(pair.public, tx.txid)]
 
     def test_list_pubkeys_counts_reappearance(self):
         rng = Random(76)
@@ -362,13 +409,13 @@ class TestQueries:
         t2 = build_transaction(ledger, [(t1.txid, 0, pair.private)],
                                [TxOutput(_addr(pair), 100000)])
         ledger.broadcast(t2)
-        assert [txid for pt, txid in ledger.list_pubkeys() if pt == pair.public] == [t1.txid, t2.txid]
+        assert [txid for pt, txid in _record_pubkeys(ledger) if pt == pair.public] == [t1.txid, t2.txid]
 
     def test_p2pkh_outputs_are_not_pubkeys(self):
         rng = Random(77)
         ledger = Ledger()
         _, funding = _funded(ledger, rng)
-        assert list(ledger.list_pubkeys()) == []  # coinbase has no inputs
+        assert _record_pubkeys(ledger) == []  # coinbase has no inputs
 
     def test_index_complete_against_serialized_ledger(self):
         # brute-force walk of the persisted records must find nothing extra
@@ -397,7 +444,7 @@ class TestQueries:
             for out in record["outputs"]:
                 if out["payto"]["kind"] == "p2pk":
                     walked.add(out["payto"]["pubkey"])
-        indexed = {pt.encode().hex() for pt, _ in ledger.list_pubkeys()}
+        indexed = {pt.encode().hex() for pt, _ in _record_pubkeys(ledger)}
         assert walked == indexed
 
 
@@ -575,6 +622,37 @@ class TestPersistence:
         with pytest.raises(ProtocolError) as exc:
             Ledger.from_jsonl(good + "\n" + json.dumps(off_curve) + "\n")
         assert exc.value.code == "invalid-point"
+
+    def test_out_of_range_values_are_corrupt_records(self):
+        rng = Random(84)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        signer = KeyPair.generate(rng)
+        script = multisig_script(1, (signer.public,))
+        pay = ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                                 [TxOutput(p2sh_address(script), 100000)]))
+        ledger.broadcast(build_script_spend(ledger, [(pay.txid, 0, [signer.private], script)],
+                                            [TxOutput(_addr(signer), 100000)]))
+        lines = ledger.to_jsonl().splitlines()
+        key_spend, script_spend = json.loads(lines[1]), json.loads(lines[2])
+        key_input, script_input = key_spend["inputs"][0], script_spend["inputs"][0]
+        # (line the record replaces, record, what its check says)
+        cases = [
+            (2, dict(key_spend, outputs=[dict(key_spend["outputs"][0], amount=format(MAX_AMOUNT + 1, "x"))]),
+             "amount out of range"),
+            (2, dict(key_spend, inputs=[dict(key_input, prev_txid="00" * 31)]), "bad outpoint"),
+            (2, dict(key_spend, inputs=[dict(key_input, signature="00" * 63)]), "need 64 bytes, got 63"),
+            # a 33-byte pubkey literal with one byte missing
+            (3, dict(script_spend, inputs=[dict(script_input, script="21" + "02" * 32)]),
+             "truncated script literal"),
+            (3, dict(script_spend, inputs=[dict(script_input, script="01")]), "unsupported script byte 0x01"),
+        ]
+        for number, record, message in cases:
+            text = "".join(line + "\n" for line in lines[:number - 1]) + json.dumps(record) + "\n"
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(text)
+            assert exc.value.code == "corrupt-record", record
+            assert f"line {number}: " in str(exc.value) and message in str(exc.value)
 
     def test_distinct_coinbases_have_distinct_txids(self):
         ledger = Ledger()

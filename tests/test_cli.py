@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from paytocontract.cli import cli, main
-from paytocontract.contract import build_contract, build_template, encode_contract
+from paytocontract.contract import (
+    build_contract, build_template, contract_to_json, decode_contract, encode_contract)
 from paytocontract.curve import G, Scalar, hash160
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,6 +138,22 @@ class TestContractCommands:
         before = _last_json(_invoke(runner, tmp_path, ["contract", "hash", str(contract)]))
         after = _last_json(_invoke(runner, tmp_path, ["contract", "hash", str(signed)]))
         assert before == after
+
+    def test_dynamic_key_round_trips_through_the_file(self, runner, tmp_path):
+        keyfile, _ = self._merchant(runner, tmp_path)
+        tracker = _last_json(_invoke(runner, tmp_path, ["keygen"], seed=10))["public"]
+        template, contract = tmp_path / "dynamic-template.json", tmp_path / "dynamic-contract.json"
+        _invoke(runner, tmp_path, [
+            "contract", "template", "--merchant-key", str(keyfile), "--dynamic-key", tracker,
+            "--out", str(template)], seed=9)
+        _invoke(runner, tmp_path, [
+            "contract", "build", "--template", str(template), "--field", "price=5",
+            "--out", str(contract)], seed=9)
+        for path in (template, contract):
+            data = path.read_bytes()
+            assert json.loads(data)["dynamic_signing_key"] == tracker
+            assert decode_contract(data).dynamic_signing_key.encode().hex() == tracker
+            assert encode_contract(decode_contract(data)) == data
 
     def test_encrypt_leaf_changes_hash(self, runner, tmp_path):
         keyfile, template = self._merchant(runner, tmp_path)
@@ -334,9 +351,32 @@ class TestInputFaults:
         for command, extra in [("redact", []), ("sign", ["--key", "{key}"]),
                                ("encrypt-leaf", ["--recipient", MERCHANT])]
         for path in ["", "a//b", "/"]
+    ] + [
+        (["address", "derive", "--pubbase", MERCHANT, "--label", "x", "--label-hex", "00"],
+         "give exactly one of --label / --label-hex"),
+        (["address", "derive", "--pubbase", MERCHANT], "give exactly one of --label / --label-hex"),
+        (["contract", "build", "--template", "{template}", "--field", "x", "--out", "{out}"],
+         "bad field 'x': not name=value"),
+        (["chain", "scan", "--address", "p2xx:" + "11" * 20],
+         f"bad address 'p2xx:{'11' * 20}': unknown address kind 'p2xx'"),
     ])
     def test_malformed_argument_is_usage_error(self, capsys, tmp_path, args, message):
         self._assert_usage_error(capsys, tmp_path, args, message)
+
+    def test_reserved_static_field_is_path_collision(self, capsys, tmp_path):
+        key, out = tmp_path / "key.json", tmp_path / "template.json"
+        key.write_text(json.dumps({"private": "01".rjust(64, "0")}))
+        assert _domain_error(capsys, ["--state-dir", str(tmp_path / "state"), "contract", "template",
+                                      "--merchant-key", str(key), "--static", "pubkey=x",
+                                      "--out", str(out)]) == "path-collision"
+        assert not out.exists()
+
+    def test_retrieve_without_a_signal_from_that_key(self, capsys, tmp_path):
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps({"private": "01".rjust(64, "0")}))
+        code = _domain_error(capsys, ["--state-dir", str(tmp_path / "state"), "redeem", "retrieve",
+                                      "--key", str(key), "--signal-pub", self.MERCHANT])
+        assert code == "no-signal-from-that-key"
 
     def _assert_usage_error(self, capsys, tmp_path, args, message):
         key, script = tmp_path / "key.json", tmp_path / "script.json"
@@ -448,11 +488,29 @@ class TestCorruptFiles:
         path.write_bytes(data)
         assert _domain_error(capsys, argv) == code
 
-    @pytest.mark.parametrize("text", ['[{"push": 1}, "zz"]', '[{"pubkey": "zz"}]', "[]", "{}"])
+    @pytest.mark.parametrize("text", ['[{"push": 1}, "zz"]', '[{"pubkey": "zz"}]', "[]", "{}",
+                                      '[{"push": 17}]'])
     def test_malformed_script_element(self, capsys, tmp_path, text):
         path, argv, _ = self._file_and_argv(tmp_path, "script")
         path.write_text(text)
         assert _domain_error(capsys, argv) == "invalid-script"
+
+    @pytest.mark.parametrize("where, node", [
+        ("order/price", {"kind": "redacted", "digest": "00" * 31}),
+        ("order/price", {"kind": "twig", "salt": "00" * 16}),
+        ("", {"kind": "leaf", "salt": "00" * 16, "value": "", "encrypted": False}),
+    ], ids=["31-byte-digest", "unknown-kind", "root-not-a-branch"])
+    def test_malformed_contract_tree(self, capsys, tmp_path, where, node):
+        template = build_template(G ** Scalar(1), {}, Random(1))
+        obj = contract_to_json(build_contract(template, {"price": 5}, Random(2)))
+        if where:
+            branch, name = where.split("/")
+            obj["root"]["children"][branch]["children"][name] = node
+        else:
+            obj["root"] = node
+        path, argv, code = self._file_and_argv(tmp_path, "contract")
+        path.write_text(json.dumps(obj))
+        assert _domain_error(capsys, argv) == code == "invalid-contract"
 
     @pytest.mark.parametrize("kind", list(FILES))
     def test_directory_is_usage_error(self, capsys, tmp_path, kind):
@@ -589,6 +647,22 @@ class TestSignalDhRedeemCommands:
             "--signal-pub", customer_pub]))
         assert retrieved["state"] == "accepted"
         assert retrieved["txid"] == attached["txid"]
+
+    def test_signal_attach_without_contract_is_found_by_scan(self, runner, tmp_path):
+        merchant_key, customer_key = tmp_path / "merchant.json", tmp_path / "customer.json"
+        _invoke(runner, tmp_path, ["keygen", "--out", str(merchant_key)], seed=14)
+        _invoke(runner, tmp_path, ["keygen", "--out", str(customer_key)], seed=15)
+        merchant_pub = json.loads(merchant_key.read_text())["public"]
+        customer_pub = json.loads(customer_key.read_text())["public"]
+        minted = _last_json(_invoke(runner, tmp_path, [
+            "chain", "faucet", "--to", "p2pkh:" + hash160(bytes.fromhex(customer_pub)).hex(),
+            "--amount", "1000"]))
+        attached = _last_json(_invoke(runner, tmp_path, [
+            "signal", "attach", "--key", str(customer_key), "--merchant", merchant_pub,
+            "--outpoint", f"{minted['txid']}:0", "--amount", "10"]))
+        scanned = _last_json(_invoke(runner, tmp_path, ["signal", "scan", "--key", str(merchant_key)]))
+        assert scanned["signals"] == [
+            {"signal_pubkey": customer_pub, "value": attached["value"], "txid": attached["txid"]}]
 
     def test_dh_prove_verify(self, runner, tmp_path):
         merchant_key = tmp_path / "merchant.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from random import Random
@@ -264,6 +265,26 @@ class TestSignatures:
         assert set(c.static_signatures) == {"merchant"}
         assert set(c.dynamic_signatures) == {"order/tracking"}
         assert verify_contract(c).ok
+
+    def test_signature_inside_redacted_ancestor_unverifiable(self):
+        rng = Random(58)
+        merchant = KeyPair.generate(rng)
+        c = sign_fields(_sample_contract(rng, merchant), merchant.private, ["order/item"])
+        report = verify_contract(redact(c, "order"))
+        assert report.static["order/item"] == "unverifiable"
+        assert report.static["merchant/terms"] == "valid"
+        assert report.ok
+
+    def test_dynamic_signatures_without_signing_key_invalid(self):
+        rng = Random(59)
+        merchant, tracker = KeyPair.generate(rng), KeyPair.generate(rng)
+        template = build_template(merchant.public, {"terms": "t"}, rng, dynamic_signing_key=tracker.public)
+        c = build_contract(template, {"tracking": "TK1"}, rng)
+        c = sign_fields(c, tracker.private, ["order/tracking"])
+        report = verify_contract(dataclasses.replace(c, dynamic_signing_key=None))
+        assert report.dynamic == {"order/tracking": "invalid"}
+        assert not report.ok
+        assert "dynamic signatures without a signing key" in report.warnings
 
     def test_unknown_signing_key_rejected(self):
         rng = Random(49)

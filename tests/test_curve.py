@@ -166,6 +166,16 @@ class TestPoint:
         with pytest.raises(ValueError, match="not on curve"):
             Point(1, 1)
 
+    @pytest.mark.parametrize("x, y", [(oracle.GX + oracle.P, oracle.GY), (oracle.GX, oracle.GY + oracle.P),
+                                      (-1, oracle.GY)])
+    def test_out_of_range_coordinate_rejected(self, x, y):
+        with pytest.raises(ValueError, match="coordinate out of range"):
+            Point(x, y)
+
+    def test_half_identity_rejected(self):
+        with pytest.raises(ValueError, match="both coordinates or neither"):
+            Point(oracle.GX, None)
+
 
 # scalars whose handling differs inside the multiply engine: the smallest
 # and largest, powers of two at window and half-length boundaries, and the
@@ -442,6 +452,17 @@ class TestEcdsa:
         sig = ecdsa_sign(Scalar(7), b"x")
         assert Signature.from_bytes(sig.to_bytes()) == sig
         assert len(sig.to_bytes()) == 64
+
+    def test_identity_candidate_rejected(self):
+        # r = -z / d and s = 1 make u1 * G + u2 * P = (z + r * d) * G the identity
+        d = 42
+        pub = G ** Scalar(d)
+        z = int.from_bytes(hashlib.sha256(b"m").digest(), "big") % ORDER
+        r = -z * pow(d, -1, ORDER) % ORDER
+        candidate = oracle.point_add(oracle.point_mul(z, oracle.G), oracle.point_mul(r, oracle.as_tuple(pub)))
+        assert candidate is None
+        assert not oracle.ecdsa_verify(oracle.as_tuple(pub), b"m", r, 1)
+        assert not ecdsa_verify(pub, b"m", Signature(Scalar(r), Scalar(1)))
 
     def test_identity_pubkey_rejected(self):
         sig = ecdsa_sign(Scalar(7), b"x")

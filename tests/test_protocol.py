@@ -46,7 +46,7 @@ from paytocontract.protocol import (
     verify_dh,
     verify_payment,
 )
-from paytocontract.sealing import open_sealed
+from paytocontract.sealing import NONCE_BYTES, open_sealed, seal
 from paytocontract.wallet import Address, derive_address, multisig_script, p2sh_address
 
 YES = lambda contract, alias: True
@@ -608,6 +608,28 @@ class TestRedemption:
         record = merchant_scan_signals(identity, ledger)[0]
         with pytest.raises(ProtocolError, match="bad ciphertext"):
             merchant_retrieve(identity, record, fs, ledger)
+
+    def test_sealed_non_contract_bad_ciphertext(self):
+        rng = Random(122)
+        identity, contract, ledger, fs, customer, funds = self._anon_setup(rng)
+        _, value = combined_pay_and_signal(contract, customer, identity.reputation.public,
+                                           funds, ledger)
+        key = sha256(value.to_bytes())
+        fs.put(sha256(key), seal(key, b"not a contract", rng))
+        record = merchant_scan_signals(identity, ledger)[0]
+        with pytest.raises(ProtocolError) as exc:
+            merchant_retrieve(identity, record, fs, ledger)
+        assert (exc.value.code, str(exc.value)) == ("bad-ciphertext", "bad ciphertext: not a contract")
+
+    def test_blob_shorter_than_nonce_and_tag_rejected(self):
+        key = sha256(b"key")
+        sealed = seal(key, b"", Random(123))
+        assert len(sealed) == NONCE_BYTES + 16
+        assert open_sealed(key, sealed) == b""
+        with pytest.raises(ProtocolError) as exc:
+            open_sealed(key, sealed[:-1])
+        assert (exc.value.code, str(exc.value)) == (
+            "authentication-failure", "authentication failure: sealed blob too short")
 
     def test_foreign_contract_behind_signal(self):
         rng = Random(121)

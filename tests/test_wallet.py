@@ -172,7 +172,7 @@ class TestDeriveAddresses:
 class TestWalletBase:
     def test_watch_only_derives_addresses_not_keys(self):
         pair = KeyPair.generate(Random(27))
-        watch = WalletBase.watch_only(pair.public)
+        watch = WalletBase(pair.public)
         full = WalletBase.from_private(pair.private)
         assert watch.derive_address(b"a") == full.derive_address(b"a")
         with pytest.raises(ProtocolError, match="watch-only"):
