@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .curve import G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, hash160, sha256
+from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
+                    hash160, sha256)
 from .errors import MALFORMED, ProtocolError
 from .wallet import Address, Script, p2pkh_address
 
@@ -23,6 +24,9 @@ MAX_AMOUNT = 2 ** 64 - 1
 
 # an output pays either an address or an explicit pubkey (pay-to-pubkey)
 PayTarget = Union[Address, Point]
+
+# a signature check, (pubkey, message, signature) -> valid
+Verify = Callable[[Point, bytes, Signature], bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,12 +218,15 @@ class Ledger:
 
     def broadcast(self, tx: Transaction) -> Transaction:
         """Validate and accept; raises ProtocolError on any rule violation."""
+        return self._accept(tx, ecdsa_verify)
+
+    def _accept(self, tx: Transaction, verify: Verify) -> Transaction:
         if not tx.inputs or tx.coinbase_tag is not None:
             raise ProtocolError("coinbase only via faucet")
-        self._validate(tx)
+        self._validate(tx, verify)
         return self._commit(tx)
 
-    def _validate(self, tx: Transaction):
+    def _validate(self, tx: Transaction, verify: Verify):
         preimage = tx_preimage(tx.inputs, tx.outputs, tx.coinbase_tag)
         if sha256(preimage) != tx.txid:
             raise ProtocolError("invalid txid")
@@ -231,16 +238,16 @@ class Ledger:
                 raise ProtocolError("spent outpoint", f"{inp.prev_txid.hex()}:{inp.index}")
             prev = _resolve_spend(self, inp.prev_txid, inp.index)
             seen.add(outpoint)
-            self._check_authorization(inp, prev.payto, preimage)
+            self._check_authorization(inp, prev.payto, preimage, verify)
             input_total += prev.amount
         if input_total < sum(o.amount for o in tx.outputs):
             raise ProtocolError("insufficient funds")
 
     @staticmethod
-    def _check_authorization(inp: TxInput, payto: PayTarget, preimage: bytes):
+    def _check_authorization(inp: TxInput, payto: PayTarget, preimage: bytes, verify: Verify):
         if isinstance(payto, Point) or payto.kind == "p2pkh":
             _check_key_lock(inp.pubkey, payto)
-            if inp.signature is None or not ecdsa_verify(inp.pubkey, preimage, inp.signature):
+            if inp.signature is None or not verify(inp.pubkey, preimage, inp.signature):
                 raise ProtocolError("invalid signature")
             return
         # p2sh: reveal the script, then satisfy its multisig threshold
@@ -254,7 +261,7 @@ class Ledger:
         unused = list(pubkeys)
         for sig in inp.signatures:
             for candidate in unused:
-                if ecdsa_verify(candidate, preimage, sig):
+                if verify(candidate, preimage, sig):
                     unused.remove(candidate)
                     break
             else:
@@ -312,13 +319,16 @@ class Ledger:
     @classmethod
     def from_jsonl(cls, data: Union[str, bytes]) -> Ledger:
         """Rebuild by replaying every record through full validation; a coinbase
-        record mints as written, so it needs no inputs and its position as tag."""
+        record mints as written, so it needs no inputs and its position as tag.
+        A replay verifies every signature on the record, so it verifies them
+        through OpenSSL (``ecdsa_verify_openssl``), whose fixed memory cost
+        that many verifies repay."""
         ledger = cls()
 
         def replay(obj: dict):
             tx = tx_from_json(obj)
             if tx.coinbase_tag is None:
-                ledger.broadcast(tx)
+                ledger._accept(tx, ecdsa_verify_openssl)
             elif tx.inputs or tx.coinbase_tag != len(ledger):
                 raise ValueError(f"coinbase record {tx.coinbase_tag} has inputs or is misplaced")
             else:

@@ -476,9 +476,10 @@ def signal():
 @click.option("--payment-amount", type=AMOUNT, default=None)
 @click.option("--variant", type=click.Choice(["merchant_controlled", "customer_controlled"]),
               default="merchant_controlled", show_default=True)
+@click.option("--change", type=ADDRESS, default=None, help="Change address kind:hexdigest.")
 @pass_config
 def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints, amount: int,
-                  contract_path, payment_amount, variant: str):
+                  contract_path, payment_amount, variant: str, change):
     """Broadcast a transaction carrying a signal output (optionally plus payment)."""
     ledger = cfg.load_ledger()
     pair = _read(key_path, KEYFILE)
@@ -486,10 +487,10 @@ def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints,
     if contract_path is not None:
         txid, value = combined_pay_and_signal(_read(contract_path, CONTRACT), pair, merchant_pub,
                                               spends, ledger, payment_amount, amount,
-                                              SignalVariant(variant))
+                                              SignalVariant(variant), change=change)
     else:
         outputs, value = attach_signal([], pair, merchant_pub, amount, SignalVariant(variant))
-        txid = ledger.broadcast(build_transaction(ledger, spends, outputs)).txid
+        txid = ledger.broadcast(build_transaction(ledger, spends, outputs, change)).txid
     cfg.save_ledger(ledger)
     cfg.emit({"txid": txid.hex(), "value": format(value.value, "064x")})
 

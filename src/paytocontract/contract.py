@@ -182,11 +182,15 @@ class Contract:
     dynamic_signing_key: Optional[Point] = None
 
     def __post_init__(self):
-        try:
-            node = resolve(self.root, MERCHANT_PUBKEY_PATH)
-        except ProtocolError:
-            raise ProtocolError("invalid contract", "merchant pubkey field missing") from None
-        # a redacted pubkey field stays committed; check only when visible
+        node = self.root
+        for segment in parse_path(MERCHANT_PUBKEY_PATH):
+            if isinstance(node, Redacted):
+                break
+            if not isinstance(node, Branch) or segment not in node.children:
+                raise ProtocolError("invalid contract", "merchant pubkey field missing")
+            node = node.children[segment]
+        # a pubkey field that is redacted, or under a redacted ancestor, stays
+        # committed; check only when visible
         if isinstance(node, Leaf) and node.value != self.merchant_pubkey.encode():
             raise ProtocolError("invalid contract", "merchant pubkey mismatch")
 

@@ -8,7 +8,8 @@ additively; only the abstract group is exposed.  ``p ** k`` runs in
 Jacobian coordinates, while ``p * q`` and the batch path ``tweak_points``
 (many ``base * G ** k``) add in affine coordinates, a batch sharing its
 inversions.  ``shared_xs`` hands a batch of x-only Diffie-Hellman values to
-OpenSSL.
+OpenSSL, and ``ecdsa_verify_openssl`` checks a signature there, for the
+ledger replay's many verifies.
 
 All values are immutable and all operations are pure functions.
 """
@@ -22,7 +23,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
+from cryptography.hazmat.primitives.hashes import SHA256
 
 from .errors import ProtocolError
 from .ripemd160 import ripemd160
@@ -605,3 +609,21 @@ def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:
     if candidate.is_identity():
         return False
     return candidate.x % ORDER == r
+
+
+def ecdsa_verify_openssl(pub: Point, message: bytes, sig: Signature) -> bool:
+    """``ecdsa_verify`` through OpenSSL, about three times faster per signature.
+
+    The first call in a process loads OpenSSL's secp256k1 key and verify
+    state, about 2 MB of RSS, so only a replay of the whole record, which
+    verifies every signature on it, uses it; a single broadcast stays with
+    the pure ``ecdsa_verify``.
+    """
+    if not isinstance(sig, Signature) or pub.is_identity() or not sig.r or not sig.s:
+        return False
+    key = ec.EllipticCurvePublicNumbers(pub.x, pub.y, _OPENSSL_CURVE).public_key()
+    try:
+        key.verify(encode_dss_signature(sig.r.value, sig.s.value), message, ec.ECDSA(SHA256()))
+    except InvalidSignature:
+        return False
+    return True

@@ -20,7 +20,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .chain import FileStore, Ledger, TxOutput, build_transaction, transaction_pubkeys
+from .chain import FileStore, Ledger, PayTarget, TxOutput, build_transaction, transaction_pubkeys
 from .contract import (
     Contract,
     contract_hash,
@@ -378,8 +378,10 @@ def combined_pay_and_signal(
     signal_amount: int = 0,
     variant: SignalVariant = SignalVariant.MERCHANT_CONTROLLED,
     registry: Optional[SignalKeyRegistry] = None,
+    change: Optional[PayTarget] = None,
 ) -> Tuple[bytes, Scalar]:
-    """One transaction with two outputs: the contract payment and the signal.
+    """One transaction with two outputs: the contract payment and the signal,
+    plus any remainder of the funds paid to ``change``.
 
     The signal key must be among the spending keys so its pubkey appears in
     an input.  Both outputs belong to the merchant (in the default variant),
@@ -390,4 +392,4 @@ def combined_pay_and_signal(
     amount = order_price(contract) if payment_amount is None else payment_amount
     outputs = [TxOutput(payment_address(contract), amount)]
     outputs, value = attach_signal(outputs, signal_key, merchant_pub, signal_amount, variant, registry)
-    return ledger.broadcast(build_transaction(ledger, funds, outputs)).txid, value
+    return ledger.broadcast(build_transaction(ledger, funds, outputs, change)).txid, value

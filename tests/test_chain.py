@@ -654,12 +654,114 @@ class TestPersistence:
             assert exc.value.code == "corrupt-record", record
             assert f"line {number}: " in str(exc.value) and message in str(exc.value)
 
+    def test_bad_signature_before_a_corrupt_line_is_invalid_signature(self):
+        # records are checked in order, so the first failing record names the error
+        rng = Random(85)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        other = KeyPair.generate(rng)
+        first = ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                                   [TxOutput(_addr(other), 100000)]))
+        ledger.broadcast(build_transaction(ledger, [(first.txid, 0, other.private)],
+                                           [TxOutput(_addr(pair), 100000)]))
+        lines = ledger.to_jsonl().splitlines()
+        record = json.loads(lines[1])
+        forged = ecdsa_sign(other.private, b"another message").to_bytes().hex()
+        lines[1] = json.dumps(dict(record, inputs=[dict(record["inputs"][0], signature=forged)]))
+        for tail in ([], lines[2:], lines[2:] + ['{"bad json'], ['{"bad json']):
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl("\n".join(lines[:2] + tail) + "\n")
+            assert (exc.value.code, str(exc.value)) == ("invalid-signature", "invalid signature"), tail
+
+    def test_two_of_three_spend_signed_out_of_key_order_replays(self):
+        rng = Random(86)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        keys = [KeyPair.generate(rng) for _ in range(3)]
+        script = multisig_script(2, tuple(k.public for k in keys))
+        pay = ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                                 [TxOutput(p2sh_address(script), 100000)]))
+        sweep = ledger.broadcast(build_script_spend(
+            ledger, [(pay.txid, 0, [keys[2].private, keys[0].private], script)],
+            [TxOutput(_addr(pair), 100000)]))
+        again = Ledger.from_jsonl(ledger.to_jsonl())
+        assert again.to_jsonl() == ledger.to_jsonl()
+        assert (sweep.txid, 0) in again.utxo and not again.utxo.keys() & {(pay.txid, 0)}
+
     def test_distinct_coinbases_have_distinct_txids(self):
         ledger = Ledger()
         target = Address("p2pkh", b"\x03" * 20)
         a = ledger.faucet([TxOutput(target, 7)])
         b = ledger.faucet([TxOutput(target, 7)])
         assert a.txid != b.txid
+
+
+def _seeded_ledger(rng: Random, spends: int) -> Ledger:
+    """A chain of p2pkh, p2pk and 2-of-3 p2sh spends with a coinbase after each,
+    every multisig signed in key order so that each signature needs one verify."""
+    ledger = Ledger()
+    owner, funding = _funded(ledger, rng)
+    keys = [KeyPair.generate(rng) for _ in range(3)]
+    script = multisig_script(2, tuple(k.public for k in keys))
+    targets = (owner.public, p2sh_address(script), _addr(owner))
+    prev = funding
+    for i in range(spends):
+        outputs = [TxOutput(targets[i % 3], 100000)]
+        if prev.outputs[0].payto == targets[1]:
+            tx = build_script_spend(ledger, [(prev.txid, 0, [keys[0].private, keys[1].private], script)],
+                                    outputs)
+        else:
+            tx = build_transaction(ledger, [(prev.txid, 0, owner.private)], outputs)
+        prev = ledger.broadcast(tx)
+        ledger.faucet([TxOutput(_addr(KeyPair.generate(rng)), i + 1)])
+    return ledger
+
+
+def _signature_count(ledger: Ledger) -> int:
+    return sum(len(inp.signatures) or 1 for tx in ledger.transactions for inp in tx.inputs)
+
+
+class TestVerifyCounts:
+    """A replay verifies through OpenSSL, a broadcast through the pure engine,
+    each once per signature."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import paytocontract.chain as chain
+
+        counted = {"pure": 0, "openssl": 0}
+        for name, attr in (("pure", "ecdsa_verify"), ("openssl", "ecdsa_verify_openssl")):
+            def counting(*args, _name=name, _verify=getattr(chain, attr)):
+                counted[_name] += 1
+                return _verify(*args)
+            monkeypatch.setattr(chain, attr, counting)
+        return counted
+
+    def test_broadcast_verifies_each_signature_once_in_pure_python(self, counts):
+        ledger = _seeded_ledger(Random(87), 9)
+        assert counts == {"pure": _signature_count(ledger), "openssl": 0}
+
+    def test_replay_verifies_each_signature_once_through_openssl(self, counts):
+        ledger = _seeded_ledger(Random(87), 9)
+        text = ledger.to_jsonl()
+        signatures = _signature_count(ledger)
+        counts.update(pure=0, openssl=0)
+        again = Ledger.from_jsonl(text)
+        assert counts == {"pure": 0, "openssl": signatures}
+        assert again.to_jsonl() == text and len(again) == 19 and signatures == 12
+
+    def test_chain_show_replays_through_openssl(self, counts, tmp_path):
+        from click.testing import CliRunner
+
+        from paytocontract.cli import cli
+
+        ledger = _seeded_ledger(Random(88), 6)
+        (tmp_path / "ledger.jsonl").write_text(ledger.to_jsonl())
+        counts.update(pure=0, openssl=0)
+        result = CliRunner().invoke(cli, ["--state-dir", str(tmp_path), "--format", "json", "chain", "show"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["transactions"] == 13
+        assert counts == {"pure": 0, "openssl": _signature_count(ledger)}
 
 
 class TestFileStore:

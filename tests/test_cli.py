@@ -122,6 +122,18 @@ class TestContractCommands:
         addr2 = _last_json(_invoke(runner, tmp_path, ["contract", "payment-address", str(redacted)]))
         assert addr1 == addr2
 
+    def test_redact_the_merchant_branch(self, runner, tmp_path):
+        keyfile, template = self._merchant(runner, tmp_path)
+        contract, redacted = tmp_path / "contract.json", tmp_path / "redacted.json"
+        built = _last_json(_invoke(runner, tmp_path, [
+            "contract", "build", "--template", str(template), "--field", "price=90000",
+            "--out", str(contract)], seed=9))
+        after = _last_json(_invoke(runner, tmp_path, [
+            "contract", "redact", str(contract), "--path", "merchant", "--out", str(redacted)]))
+        assert after["contract_hash"] == built["contract_hash"]
+        report = _last_json(_invoke(runner, tmp_path, ["contract", "verify", str(redacted)]))
+        assert report["ok"] and set(report["static"].values()) == {"unverifiable"}
+
     def test_sign_adds_a_valid_static_signature(self, runner, tmp_path):
         keyfile, template = self._merchant(runner, tmp_path)
         contract = tmp_path / "contract.json"
@@ -663,6 +675,34 @@ class TestSignalDhRedeemCommands:
         scanned = _last_json(_invoke(runner, tmp_path, ["signal", "scan", "--key", str(merchant_key)]))
         assert scanned["signals"] == [
             {"signal_pubkey": customer_pub, "value": attached["value"], "txid": attached["txid"]}]
+
+    @pytest.mark.parametrize("payment, change", [(None, 990), ("200", 790)])
+    def test_signal_attach_pays_change(self, runner, tmp_path, payment, change):
+        merchant_key, customer_key = tmp_path / "merchant.json", tmp_path / "customer.json"
+        _invoke(runner, tmp_path, ["keygen", "--out", str(merchant_key)], seed=14)
+        _invoke(runner, tmp_path, ["keygen", "--out", str(customer_key)], seed=15)
+        merchant_pub = json.loads(merchant_key.read_text())["public"]
+        customer_pub = json.loads(customer_key.read_text())["public"]
+        minted = _last_json(_invoke(runner, tmp_path, [
+            "chain", "faucet", "--to", "p2pkh:" + hash160(bytes.fromhex(customer_pub)).hex(),
+            "--amount", "1000"]))
+        with_contract = []
+        if payment is not None:
+            template, contract = tmp_path / "template.json", tmp_path / "contract.json"
+            _invoke(runner, tmp_path, ["contract", "template", "--merchant-key", str(merchant_key),
+                                       "--static", "terms=t", "--out", str(template)], seed=14)
+            _invoke(runner, tmp_path, ["contract", "build", "--template", str(template),
+                                       "--field", "price=90000", "--out", str(contract)], seed=16)
+            with_contract = ["--contract", str(contract), "--payment-amount", payment]
+        rest = "p2pkh:" + "11" * 20
+        attached = _last_json(_invoke(runner, tmp_path, [
+            "signal", "attach", "--key", str(customer_key), "--merchant", merchant_pub,
+            "--outpoint", f"{minted['txid']}:0", "--amount", "10", "--change", rest, *with_contract]))
+        scanned = _last_json(_invoke(runner, tmp_path, ["chain", "scan", "--address", rest]))
+        assert scanned["outputs"] == [{"txid": attached["txid"], "index": 2 if payment else 1,
+                                       "amount": change}]
+        shown = _last_json(_invoke(runner, tmp_path, ["chain", "show"]))
+        assert shown == {"transactions": 2, "utxos": 3 if payment else 2, "issued": 1000}
 
     def test_dh_prove_verify(self, runner, tmp_path):
         merchant_key = tmp_path / "merchant.json"

@@ -155,6 +155,29 @@ class TestRedaction:
         with pytest.raises(ProtocolError, match="already redacted"):
             redact(once, "order")
 
+    def test_redacting_the_merchant_branch_keeps_the_contract(self):
+        # the pubkey field stays committed under its redacted ancestor
+        rng = Random(38)
+        c = _sample_contract(rng, KeyPair.generate(rng))
+        redacted = redact(c, "merchant")
+        assert contract_hash(redacted) == contract_hash(c)
+        assert payment_address(redacted) == payment_address(c)
+        assert decode_contract(encode_contract(redacted)) == redacted
+        report = verify_contract(redacted)
+        assert report.static == dict.fromkeys(["merchant/pubkey", "merchant/terms", "merchant/pricelist"],
+                                              "unverifiable")
+        assert report.ok and report.redacted_paths == ("merchant",)
+
+    def test_merchant_pubkey_still_required_when_nothing_is_redacted(self):
+        rng = Random(39)
+        c = _sample_contract(rng, KeyPair.generate(rng))
+        merchant = resolve(c.root, "merchant")
+        without = Branch(merchant.salt, {k: v for k, v in merchant.children.items() if k != "pubkey"})
+        with pytest.raises(ProtocolError, match="merchant pubkey field missing"):
+            dataclasses.replace(c, root=Branch(c.root.salt, {**c.root.children, "merchant": without}))
+        with pytest.raises(ProtocolError, match="merchant pubkey field missing"):
+            dataclasses.replace(c, root=Branch(c.root.salt, {**c.root.children, "merchant": Leaf(_salt(), b"")}))
+
     def test_unknown_path_rejected(self):
         rng = Random(36)
         c = _sample_contract(rng, KeyPair.generate(rng))

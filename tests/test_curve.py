@@ -17,6 +17,7 @@ from paytocontract.curve import (
     Signature,
     ecdsa_sign,
     ecdsa_verify,
+    ecdsa_verify_openssl,
     hash160,
     hash_to_scalar,
     random_scalar,
@@ -467,6 +468,45 @@ class TestEcdsa:
     def test_identity_pubkey_rejected(self):
         sig = ecdsa_sign(Scalar(7), b"x")
         assert not ecdsa_verify(Point.identity(), b"x", sig)
+
+
+class TestEcdsaVerifyOpenssl:
+    """OpenSSL's verify against the pure one and the textbook oracle."""
+
+    @staticmethod
+    def _agree(pub, message, r, s):
+        sig = Signature(Scalar(r), Scalar(s))
+        expected = oracle.ecdsa_verify(oracle.as_tuple(pub), message, r, s)
+        assert ecdsa_verify_openssl(pub, message, sig) == ecdsa_verify(pub, message, sig) == expected
+        return expected
+
+    def test_seeded_cases_match_pure_and_oracle(self):
+        rng = Random(61)
+        for _ in range(8):
+            pair, other = KeyPair.generate(rng), KeyPair.generate(rng)
+            message = rng.randbytes(rng.randrange(0, 80))
+            sig = ecdsa_sign(pair.private, message)
+            r, s = sig.r.value, sig.s.value
+            assert self._agree(pair.public, message, r, s)
+            # ECDSA without a low-s rule accepts both s and n - s
+            assert self._agree(pair.public, message, r, ORDER - s)
+            assert not self._agree(other.public, message, r, s)
+            assert not self._agree(pair.public, message + b"x", r, s)
+            assert not self._agree(pair.public, message, s, r)
+
+    def test_degenerate_inputs_rejected(self):
+        pair = KeyPair.from_private(Scalar(42))
+        sig = ecdsa_sign(pair.private, b"m")
+        assert not ecdsa_verify_openssl(Point.identity(), b"m", sig)
+        assert not ecdsa_verify_openssl(pair.public, b"m", sig.to_bytes())
+        for r, s in ((0, sig.s.value), (sig.r.value, 0), (0, 0)):
+            assert not self._agree(pair.public, b"m", r, s)
+
+    def test_identity_candidate_rejected(self):
+        # r = -z / d and s = 1 put u1 * G + u2 * P at the identity
+        d = 42
+        z = int.from_bytes(hashlib.sha256(b"m").digest(), "big") % ORDER
+        assert not self._agree(G ** Scalar(d), b"m", -z * pow(d, -1, ORDER) % ORDER, 1)
 
 
 class TestKeyPair:

@@ -83,3 +83,32 @@ def test_untyped_check_catches_a_planted_option():
     planted = click.Group("p2c", params=cli.params, commands={
         **cli.commands, "chain": click.Group("chain", commands={**chain.commands, "tip": tip})})
     assert _untyped_params(planted) == ["p2c chain tip to"]
+
+
+# OpenSSL is reached through two modules only: the curve (ECDH, ECDSA verify)
+# and the AEAD of ``sealing``.
+CRYPTOGRAPHY_IMPORTERS = {"curve.py", "sealing.py"}
+
+
+def _imports_cryptography(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "cryptography" for name in names):
+            return True
+    return False
+
+
+def test_only_curve_and_sealing_import_cryptography():
+    importers = {path.name for path in PACKAGE.glob("*.py") if _imports_cryptography(path.read_text())}
+    assert importers == CRYPTOGRAPHY_IMPORTERS
+
+
+def test_cryptography_check_catches_a_planted_import():
+    assert _imports_cryptography("def f():\n    import cryptography.hazmat\n")
+    assert _imports_cryptography("from cryptography.exceptions import InvalidSignature\n")
+    assert not _imports_cryptography("from .curve import ecdsa_verify_openssl\nimport cryptographyx\n")
