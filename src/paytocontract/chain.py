@@ -17,10 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
                     hash160, sha256)
-from .errors import MALFORMED, ProtocolError
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line
 from .wallet import Address, Script, p2pkh_address
-
-MAX_AMOUNT = 2 ** 64 - 1
 
 # an output pays either an address or an explicit pubkey (pay-to-pubkey)
 PayTarget = Union[Address, Point]
@@ -144,12 +142,6 @@ def tx_from_json(obj: dict) -> Transaction:
     )
     tag = obj.get("coinbase")
     return Transaction.assemble(inputs, outputs, int(tag, 16) if tag is not None else None)
-
-
-def _dump_line(obj: dict) -> str:
-    """The one canonical JSON form, of records and contracts: sorted keys, no
-    whitespace, text unescaped (a record's text is all ASCII hex and kinds)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _read_lines(data: Union[str, bytes], apply: Callable[[dict], object]):

@@ -5,6 +5,11 @@ sessions can resume; scenario subcommands always run against fresh
 in-memory state and print an event transcript.  All digests, scalars, and
 points are lowercase hex on this surface; addresses render as
 ``kind:hexdigest``.
+
+At import this module loads only ``curve``, ``wallet`` and ``errors``, which
+every argument kind needs; ``contract``, ``chain``, ``protocol`` and
+``scenarios`` are imported inside the commands and parsers that call them,
+so a command that loads no ledger does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -16,28 +21,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import click
 
-from . import contract as contract_mod
-from .chain import MAX_AMOUNT, FileStore, Ledger, TxOutput, build_transaction, tx_to_json
+from . import SCENARIOS
 from .curve import KeyPair, Point, Scalar, random_scalar
-from .errors import MALFORMED, ProtocolError
-from .protocol import (
-    MerchantIdentity,
-    DlegProof,
-    SignalVariant,
-    attach_signal,
-    combined_pay_and_signal,
-    merchant_retrieve,
-    merchant_scan_signals,
-    prove_dh,
-    redeem_post,
-    signal_value,
-    verify_dh,
-)
-from .scenarios import SCENARIOS, run_scenario
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError
 from .wallet import (
     Address,
     DerivationScheme,
@@ -48,6 +38,10 @@ from .wallet import (
     script_from_json,
     script_to_json,
 )
+
+if TYPE_CHECKING:
+    from .chain import FileStore, Ledger
+    from .protocol import DlegProof
 
 
 # -- file I/O: every file p2c reads or writes goes through these two --------
@@ -98,14 +92,22 @@ def _json(data: bytes):
 
 def _proof(data: bytes) -> Tuple[DlegProof, Point]:
     """A ``dh prove --out`` record: the proof and its signal pubkey."""
+    from .protocol import DlegProof
+
     obj = _json(data)
     shared, commit_g, commit_p, signal = (Point.decode(bytes.fromhex(obj[k])) for k in
                                           ("shared", "commit_g", "commit_p", "signal_pubkey"))
     return DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16))), signal
 
 
+def _contract(data: bytes):
+    from .contract import decode_contract
+
+    return decode_contract(data)
+
+
 KEYFILE = ("invalid keyfile", lambda data: KeyPair.from_private(Scalar(int(_json(data)["private"], 16))))
-CONTRACT = ("invalid contract", contract_mod.decode_contract)
+CONTRACT = ("invalid contract", _contract)
 SCRIPT = ("invalid script", lambda data: script_from_json(_json(data)))
 PROOF = ("invalid proof", _proof)
 
@@ -124,12 +126,16 @@ class CliConfig:
         return _read(path, ("corrupt record", store.from_jsonl)) if path.exists() else store()
 
     def load_ledger(self) -> Ledger:
+        from .chain import Ledger
+
         return self._load(Ledger, "ledger.jsonl")
 
     def save_ledger(self, ledger: Ledger):
         _write(self.state_dir / "ledger.jsonl", ledger.to_jsonl().encode())
 
     def load_filestore(self) -> FileStore:
+        from .chain import FileStore
+
         return self._load(FileStore, "filestore.jsonl")
 
     def save_filestore(self, fs: FileStore):
@@ -177,11 +183,19 @@ def _outpoint(text: str) -> Tuple[bytes, int]:
 
 
 def _field(text: str) -> Tuple[str, bytes]:
+    from .contract import check_name
+
     name, sep, value = text.partition("=")
     if not sep:
         raise ValueError("not name=value")
-    contract_mod.check_name(name)
+    check_name(name)
     return name, value.encode()
+
+
+def _path(text: str) -> str:
+    from .contract import parse_path, path_str
+
+    return path_str(parse_path(text))
 
 
 TXID = Arg("txid", bytes.fromhex)
@@ -192,7 +206,7 @@ POINT = Arg("point", lambda text: Point.decode(bytes.fromhex(text)))
 ADDRESS = Arg("address", Address.parse)
 OUTPOINT = Arg("outpoint", _outpoint)
 FIELD = Arg("field", _field)
-PATH = Arg("path", lambda text: contract_mod.path_str(contract_mod.parse_path(text)))
+PATH = Arg("path", _path)
 
 
 @click.group()
@@ -218,7 +232,9 @@ def _label(label: Optional[bytes], label_hex: Optional[bytes]) -> bytes:
 
 
 def _save_contract(cfg: CliConfig, c, out: Path, **summary):
-    _write(out, contract_mod.encode_contract(c))
+    from .contract import encode_contract
+
+    _write(out, encode_contract(c))
     cfg.emit({"written": str(out), **summary})
 
 
@@ -300,13 +316,13 @@ def contract():
 @pass_config
 def contract_template(cfg: CliConfig, merchant_key: str, static_pairs, dynamic_key, out: Path):
     """Create a signed contract template (static fields under merchant/)."""
+    from .contract import build_template, sign_fields
+
     pair = _read(merchant_key, KEYFILE)
     static = dict(static_pairs)
-    template = contract_mod.build_template(pair.public, static, cfg.rng(),
-                                           dynamic_signing_key=dynamic_key)
+    template = build_template(pair.public, static, cfg.rng(), dynamic_signing_key=dynamic_key)
     paths = ["merchant/pubkey"] + [f"merchant/{n}" for n in static]
-    _save_contract(cfg, contract_mod.sign_fields(template, pair.private, paths), out,
-                   signed_paths=paths)
+    _save_contract(cfg, sign_fields(template, pair.private, paths), out, signed_paths=paths)
 
 
 @contract.command("build")
@@ -316,9 +332,10 @@ def contract_template(cfg: CliConfig, merchant_key: str, static_pairs, dynamic_k
 @pass_config
 def contract_build(cfg: CliConfig, template_path: str, field_pairs, out: Path):
     """Fill order fields into a template."""
-    built = contract_mod.build_contract(_read(template_path, CONTRACT),
-                                        dict(field_pairs), cfg.rng())
-    _save_contract(cfg, built, out, contract_hash=contract_mod.contract_hash(built).hex())
+    from .contract import build_contract, contract_hash
+
+    built = build_contract(_read(template_path, CONTRACT), dict(field_pairs), cfg.rng())
+    _save_contract(cfg, built, out, contract_hash=contract_hash(built).hex())
 
 
 @contract.command("sign")
@@ -329,8 +346,9 @@ def contract_build(cfg: CliConfig, template_path: str, field_pairs, out: Path):
 @pass_config
 def contract_sign(cfg: CliConfig, contract_path: str, key_path: str, paths, out: Path):
     """Sign subtree digests at the given field paths."""
-    signed = contract_mod.sign_fields(_read(contract_path, CONTRACT),
-                                      _read(key_path, KEYFILE).private, list(paths))
+    from .contract import sign_fields
+
+    signed = sign_fields(_read(contract_path, CONTRACT), _read(key_path, KEYFILE).private, list(paths))
     _save_contract(cfg, signed, out, signed_paths=list(paths))
 
 
@@ -339,7 +357,9 @@ def contract_sign(cfg: CliConfig, contract_path: str, key_path: str, paths, out:
 @pass_config
 def contract_verify(cfg: CliConfig, contract_path: str):
     """Check every signature; nonzero exit when any is invalid."""
-    report = contract_mod.verify_contract(_read(contract_path, CONTRACT))
+    from .contract import verify_contract
+
+    report = verify_contract(_read(contract_path, CONTRACT))
     cfg.emit({
         "ok": report.ok,
         "static": dict(report.static),
@@ -359,11 +379,12 @@ def contract_verify(cfg: CliConfig, contract_path: str):
 @pass_config
 def contract_redact(cfg: CliConfig, contract_path: str, paths, out: Path):
     """Replace subtrees by their digests; the contract hash is unchanged."""
+    from .contract import contract_hash, redact
+
     c = _read(contract_path, CONTRACT)
     for p in paths:
-        c = contract_mod.redact(c, p)
-    _save_contract(cfg, c, out, redacted=list(paths),
-                   contract_hash=contract_mod.contract_hash(c).hex())
+        c = redact(c, p)
+    _save_contract(cfg, c, out, redacted=list(paths), contract_hash=contract_hash(c).hex())
 
 
 @contract.command("encrypt-leaf")
@@ -374,9 +395,10 @@ def contract_redact(cfg: CliConfig, contract_path: str, paths, out: Path):
 @pass_config
 def contract_encrypt_leaf(cfg: CliConfig, contract_path: str, path: str, recipient: Point, out: Path):
     """Encrypt one leaf to a pubkey (do this before signing/paying)."""
-    c = contract_mod.encrypt_leaf(_read(contract_path, CONTRACT), path, recipient, cfg.rng())
-    _save_contract(cfg, c, out, encrypted=path,
-                   contract_hash=contract_mod.contract_hash(c).hex())
+    from .contract import contract_hash, encrypt_leaf
+
+    c = encrypt_leaf(_read(contract_path, CONTRACT), path, recipient, cfg.rng())
+    _save_contract(cfg, c, out, encrypted=path, contract_hash=contract_hash(c).hex())
 
 
 @contract.command("hash")
@@ -384,7 +406,9 @@ def contract_encrypt_leaf(cfg: CliConfig, contract_path: str, path: str, recipie
 @pass_config
 def contract_hash_cmd(cfg: CliConfig, contract_path: str):
     """Root digest (stable under redaction)."""
-    cfg.emit({"contract_hash": contract_mod.contract_hash(_read(contract_path, CONTRACT)).hex()})
+    from .contract import contract_hash
+
+    cfg.emit({"contract_hash": contract_hash(_read(contract_path, CONTRACT)).hex()})
 
 
 @contract.command("payment-address")
@@ -392,7 +416,9 @@ def contract_hash_cmd(cfg: CliConfig, contract_path: str):
 @pass_config
 def contract_payment_address(cfg: CliConfig, contract_path: str):
     """The address the contract determines."""
-    cfg.emit({"address": contract_mod.payment_address(_read(contract_path, CONTRACT)).render()})
+    from .contract import payment_address
+
+    cfg.emit({"address": payment_address(_read(contract_path, CONTRACT)).render()})
 
 
 # -- chain ----------------------------------------------------------------------
@@ -408,6 +434,8 @@ def chain():
 @pass_config
 def chain_faucet(cfg: CliConfig, to: Address, amount: int):
     """Mint a coinbase output (test setup)."""
+    from .chain import TxOutput
+
     ledger = cfg.load_ledger()
     tx = ledger.faucet([TxOutput(to, amount)])
     cfg.save_ledger(ledger)
@@ -424,6 +452,8 @@ def chain_faucet(cfg: CliConfig, to: Address, amount: int):
 @pass_config
 def chain_send(cfg: CliConfig, key_path: str, outpoints, to: Address, amount: int, change):
     """Spend outputs owned by --key."""
+    from .chain import TxOutput, build_transaction
+
     ledger = cfg.load_ledger()
     key = _read(key_path, KEYFILE).private
     spends = [(txid, idx, key) for txid, idx in outpoints]
@@ -447,6 +477,8 @@ def chain_scan(cfg: CliConfig, addr: Address):
 @pass_config
 def chain_show(cfg: CliConfig, txid: Optional[bytes]):
     """Dump the ledger, or one transaction."""
+    from .chain import tx_to_json
+
     ledger = cfg.load_ledger()
     if txid is not None:
         tx = ledger.get_transaction(txid)
@@ -481,6 +513,9 @@ def signal():
 def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints, amount: int,
                   contract_path, payment_amount, variant: str, change):
     """Broadcast a transaction carrying a signal output (optionally plus payment)."""
+    from .chain import build_transaction
+    from .protocol import SignalVariant, attach_signal, combined_pay_and_signal
+
     ledger = cfg.load_ledger()
     pair = _read(key_path, KEYFILE)
     spends = [(txid, idx, pair.private) for txid, idx in outpoints]
@@ -503,6 +538,8 @@ def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints,
 @pass_config
 def signal_scan(cfg: CliConfig, key_path: str, watermark: int, include_customer_controlled: bool):
     """Detect signals addressed to the merchant key."""
+    from .protocol import MerchantIdentity, merchant_scan_signals
+
     ledger = cfg.load_ledger()
     identity = MerchantIdentity(_read(key_path, KEYFILE))
     records = merchant_scan_signals(identity, ledger, watermark, include_customer_controlled)
@@ -525,6 +562,8 @@ def dh():
 @pass_config
 def dh_prove(cfg: CliConfig, key_path: str, merchant: Point, out: Optional[Path]):
     """Prove the shared point for (signal key, merchant) without revealing the key."""
+    from .protocol import prove_dh
+
     pair = _read(key_path, KEYFILE)
     proof = prove_dh(pair.private, merchant, cfg.rng())
     record = {
@@ -544,6 +583,8 @@ def dh_prove(cfg: CliConfig, key_path: str, merchant: Point, out: Optional[Path]
 @pass_config
 def dh_verify(cfg: CliConfig, proof_path: str, signal_pub: Optional[Point], merchant: Point):
     """Check a proof; exit 0 when valid, 1 when not."""
+    from .protocol import verify_dh
+
     proof, recorded = _read(proof_path, PROOF)
     ok = verify_dh(proof, recorded if signal_pub is None else signal_pub, merchant)
     cfg.emit({"valid": ok})
@@ -564,6 +605,8 @@ def redeem():
 @pass_config
 def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant: Point):
     """Encrypt the contract under the signalled value and post it."""
+    from .protocol import redeem_post, signal_value
+
     fs = cfg.load_filestore()
     pair = _read(key_path, KEYFILE)
     value = signal_value(pair.private, merchant)
@@ -579,6 +622,9 @@ def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant:
 @pass_config
 def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: Point):
     """Fetch and decrypt the contract behind a detected signal."""
+    from .contract import contract_hash
+    from .protocol import MerchantIdentity, merchant_retrieve, merchant_scan_signals
+
     ledger = cfg.load_ledger()
     fs = cfg.load_filestore()
     identity = MerchantIdentity(_read(key_path, KEYFILE))
@@ -589,7 +635,7 @@ def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: Point):
     retrieved, status = merchant_retrieve(identity, matches[0], fs, ledger)
     result = {"state": status.state.value}
     if retrieved is not None:
-        result["contract_hash"] = contract_mod.contract_hash(retrieved).hex()
+        result["contract_hash"] = contract_hash(retrieved).hex()
     if status.paying_txid is not None:
         result["txid"] = status.paying_txid.hex()
     cfg.emit(result)
@@ -604,11 +650,15 @@ def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: Point):
 @pass_config
 def scenario(cfg: CliConfig, name: str, yes: bool):
     """Run a full multi-actor walkthrough against fresh state."""
+    from .scenarios import run_scenario
+
     approve = None
     if name == "basic" and not yes:
         def approve(c, alias):
+            from .contract import contract_to_json
+
             click.echo("--- contract for approval ---", err=True)
-            click.echo(json.dumps(contract_mod.contract_to_json(c), indent=2, sort_keys=True), err=True)
+            click.echo(json.dumps(contract_to_json(c), indent=2, sort_keys=True), err=True)
             click.echo(f"--- merchant alias: {alias} ---", err=True)
             return click.confirm("approve this contract?", err=True)
 

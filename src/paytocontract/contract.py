@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .chain import MAX_AMOUNT, _dump_line
 from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
-from .errors import MALFORMED, ProtocolError
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_private
 

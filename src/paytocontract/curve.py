@@ -9,13 +9,15 @@ Jacobian coordinates, while ``p * q`` and the batch path ``tweak_points``
 (many ``base * G ** k``) add in affine coordinates, a batch sharing its
 inversions.  ``shared_xs`` hands a batch of x-only Diffie-Hellman values to
 OpenSSL, and ``ecdsa_verify_openssl`` checks a signature there, for the
-ledger replay's many verifies.
+ledger replay's many verifies; ``cryptography`` is imported on the first
+such call, once per process.
 
 All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import secrets
@@ -23,13 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
-from cryptography.hazmat.primitives.hashes import SHA256
-
 from .errors import ProtocolError
-from .ripemd160 import ripemd160
 
 # secp256k1 domain parameters
 ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -54,6 +50,7 @@ def _select_ripemd160() -> Callable[[bytes], bytes]:
     try:
         hashlib.new("ripemd160")
     except ValueError:
+        from .ripemd160 import ripemd160
         return ripemd160
     return lambda data: hashlib.new("ripemd160", data).digest()
 
@@ -507,7 +504,17 @@ def tweak_points(pairs: Iterable[Tuple[Point, Union[Scalar, int]]]) -> List[Poin
     return [_from_affine(s) for s in sums]
 
 
-_OPENSSL_CURVE = ec.SECP256K1()
+@functools.cache
+def _openssl():
+    """OpenSSL's secp256k1 through ``cryptography``, loaded on the first call:
+    ``(ec, curve, ECDSA-over-SHA-256, encode_dss_signature, InvalidSignature)``.
+    A process that stays in the pure engine never imports it."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
+    from cryptography.hazmat.primitives.hashes import SHA256
+
+    return ec, ec.SECP256K1(), ec.ECDSA(SHA256()), encode_dss_signature, InvalidSignature
 
 
 def shared_xs(priv: Scalar, points: Iterable[Point]) -> List[Optional[int]]:
@@ -519,14 +526,15 @@ def shared_xs(priv: Scalar, points: Iterable[Point]) -> List[Optional[int]]:
     exchange, so a single multiply, and any caller that needs the whole
     point, stays with ``P ** k``.
     """
-    key = ec.derive_private_key(priv.value, _OPENSSL_CURVE)
+    ec, secp256k1, *_ = _openssl()
+    key = ec.derive_private_key(priv.value, secp256k1)
     ecdh = ec.ECDH()
     xs: List[Optional[int]] = []
     for p in points:
         if p.is_identity():
             xs.append(None)
         else:
-            peer = ec.EllipticCurvePublicNumbers(p.x, p.y, _OPENSSL_CURVE).public_key()
+            peer = ec.EllipticCurvePublicNumbers(p.x, p.y, secp256k1).public_key()
             xs.append(int.from_bytes(key.exchange(ecdh, peer), "big"))
     return xs
 
@@ -621,9 +629,10 @@ def ecdsa_verify_openssl(pub: Point, message: bytes, sig: Signature) -> bool:
     """
     if not isinstance(sig, Signature) or pub.is_identity() or not sig.r or not sig.s:
         return False
-    key = ec.EllipticCurvePublicNumbers(pub.x, pub.y, _OPENSSL_CURVE).public_key()
+    ec, secp256k1, ecdsa, encode_dss_signature, invalid_signature = _openssl()
+    key = ec.EllipticCurvePublicNumbers(pub.x, pub.y, secp256k1).public_key()
     try:
-        key.verify(encode_dss_signature(sig.r.value, sig.s.value), message, ec.ECDSA(SHA256()))
-    except InvalidSignature:
+        key.verify(encode_dss_signature(sig.r.value, sig.s.value), message, ecdsa)
+    except invalid_signature:
         return False
     return True

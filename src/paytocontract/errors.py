@@ -1,8 +1,20 @@
-"""Shared error type for protocol-level failures, and what malformed input raises."""
+"""Rules every stored format shares: the error type for protocol-level failures,
+what malformed input raises, the amount bound and the one canonical JSON form."""
+
+import json
 
 # What decoding untrusted bytes raises: bad UTF-8, JSON, hex or numbers, a missing
 # or mistyped field, or nesting too deep.  Each reader maps it to its own code.
 MALFORMED = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+# the largest amount an output, an order price or a CLI argument may carry
+MAX_AMOUNT = 2 ** 64 - 1
+
+
+def _dump_line(obj: dict) -> str:
+    """The one canonical JSON form, of records and contracts: sorted keys, no
+    whitespace, text unescaped (a record's text is all ASCII hex and kinds)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 class ProtocolError(Exception):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, List, Optional
 
+from . import SCENARIOS
 from .chain import Ledger, FileStore, TxOutput, build_transaction
 from .contract import (
     Contract,
@@ -44,8 +45,6 @@ from .protocol import (
 from .wallet import Address, derive_address, p2pkh_address
 
 ApproveCallback = Optional[Callable[[Contract, str], bool]]
-
-SCENARIOS = ("basic", "offline", "anonymous", "tamper")
 
 STATIC_FIELDS = {
     "terms": "goods ship within 14 days of payment; no returns on digital items",
@@ -305,12 +304,10 @@ def run_tamper(seed: Optional[int] = None) -> List[dict]:
 
 
 def run_scenario(name: str, seed: Optional[int] = None, approve: ApproveCallback = None) -> List[dict]:
+    """The transcript of ``run_<name>`` for a name in ``SCENARIOS``; only the
+    basic flow takes ``approve``."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
     if name == "basic":
         return run_basic(seed, approve)
-    if name == "offline":
-        return run_offline(seed)
-    if name == "anonymous":
-        return run_anonymous(seed)
-    if name == "tamper":
-        return run_tamper(seed)
-    raise ValueError(f"unknown scenario {name!r}")
+    return globals()[f"run_{name}"](seed)

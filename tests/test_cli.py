@@ -1,15 +1,22 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
 import pytest
 from click.testing import CliRunner
 
-from paytocontract.cli import cli, main
+from paytocontract import scenarios
+from paytocontract.chain import Ledger, TxOutput, build_transaction
+from paytocontract.cli import CliConfig, cli, main, scenario
 from paytocontract.contract import (
-    build_contract, build_template, contract_to_json, decode_contract, encode_contract)
-from paytocontract.curve import G, Scalar, hash160
+    build_contract, build_template, contract_to_json, decode_contract, encode_contract, encrypt_leaf,
+    payment_address, redact, sign_fields, verify_contract)
+from paytocontract.curve import G, KeyPair, Scalar, hash160
+from paytocontract.wallet import derive_public, p2pkh_address
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -743,6 +750,17 @@ class TestScenarios:
         for line in a.strip().splitlines():
             json.loads(line)  # every event is one JSON object per line
 
+    def test_cli_offers_exactly_the_names_run_scenario_accepts(self):
+        offered = list(scenario.params[0].type.choices)
+        walkthroughs = {name[len("run_"):] for name in vars(scenarios)
+                        if name.startswith("run_") and name != "run_scenario"}
+        assert set(offered) == walkthroughs and len(offered) == len(walkthroughs)
+        for name in offered:
+            assert scenarios.run_scenario(name, 3)[-1]["action"]
+        for name in ("Basic", "nope", "", "scenario"):
+            with pytest.raises(ValueError, match="unknown scenario"):
+                scenarios.run_scenario(name, 3)
+
     def test_interactive_decline_ends_gracefully(self, runner):
         result = runner.invoke(cli, ["--seed", "7", "scenario", "basic"], input="n\n")
         assert result.exit_code == 0
@@ -757,3 +775,85 @@ class TestScenarios:
         assert '"merchant_pubkey"' in result.stderr
         lines = [json.loads(l) for l in result.stdout.strip().splitlines()]
         assert lines[-1]["action"] == "receipt-checked"
+
+
+# A fresh interpreter runs one command through ``cli.main``, then names every
+# module it loaded on stderr.
+COLD_PROGRAM = (
+    "import json, sys\n"
+    "from paytocontract.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "finally:\n"
+    "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+)
+NO_LEDGER_SKIPS = {"paytocontract.chain", "paytocontract.protocol", "paytocontract.scenarios", "cryptography"}
+
+
+class TestColdImports:
+    """Each command imports only the modules it runs, and prints what it always did."""
+
+    @staticmethod
+    def _cold(argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        result = subprocess.run([sys.executable, "-c", COLD_PROGRAM, *argv], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout), set(json.loads(result.stderr.strip().splitlines()[-1]))
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("cold")
+        rng = Random(31)
+        merchant, payer, reader = (KeyPair.generate(rng) for _ in range(3))
+        template = sign_fields(build_template(merchant.public, {"terms": "net 30"}, rng),
+                               merchant.private, ["merchant/pubkey", "merchant/terms"])
+        order = build_contract(template, {"item": "lamp", "price": 4200, "delivery_address": "9 Elm St"}, rng)
+        sealed = encrypt_leaf(order, "order/delivery_address", reader.public, rng)
+        (work / "sealed.json").write_bytes(encode_contract(sealed))
+        redacted = redact(order, "order/delivery_address")
+        (work / "redacted.json").write_bytes(encode_contract(redacted))
+        ledger = Ledger()
+        funded = ledger.faucet([TxOutput(p2pkh_address(payer.public), 9000)])
+        ledger.broadcast(build_transaction(ledger, [(funded.txid, 0, payer.private)],
+                                           [TxOutput(payment_address(order), 4200)], p2pkh_address(payer.public)))
+        CliConfig(work / "state", "json", None).save_ledger(ledger)
+        return work, merchant, sealed, redacted, ledger
+
+    def test_address_derive_loads_neither_contracts_nor_ledger_nor_openssl(self, files):
+        work, merchant, *_ = files
+        out, loaded = self._cold(["--state-dir", str(work / "state"), "address", "derive",
+                                  "--pubbase", merchant.public.encode().hex(), "--label", "order-7"])
+        pub = derive_public(merchant.public, b"order-7")
+        assert out == {"pubkey": pub.encode().hex(), "address": p2pkh_address(pub).render()}
+        skipped = NO_LEDGER_SKIPS | {"paytocontract.contract", "paytocontract.sealing"}
+        try:
+            hashlib.new("ripemd160")
+            skipped.add("paytocontract.ripemd160")  # the pure fallback is for builds without it
+        except ValueError:
+            pass
+        assert loaded & skipped == set()
+
+    def test_contract_verify_loads_no_ledger_and_no_openssl(self, files):
+        work, _, sealed, *_ = files
+        out, loaded = self._cold(["--state-dir", str(work / "state"), "contract", "verify",
+                                  str(work / "sealed.json")])
+        report = verify_contract(sealed)
+        assert out == {"ok": True, "static": dict(report.static), "dynamic": dict(report.dynamic),
+                       "redacted": [], "encrypted": ["order/delivery_address"], "warnings": list(report.warnings)}
+        assert "paytocontract.contract" in loaded and loaded & NO_LEDGER_SKIPS == set()
+
+    def test_contract_payment_address_loads_no_ledger_and_no_openssl(self, files):
+        work, _, _, redacted, _ = files
+        out, loaded = self._cold(["--state-dir", str(work / "state"), "contract", "payment-address",
+                                  str(work / "redacted.json")])
+        assert out == {"address": payment_address(redacted).render()}
+        assert loaded & NO_LEDGER_SKIPS == set()
+
+    def test_chain_show_loads_the_ledger_and_openssl_but_no_contracts(self, files):
+        work, *_, ledger = files
+        out, loaded = self._cold(["--state-dir", str(work / "state"), "chain", "show"])
+        assert out == {"transactions": 2, "utxos": len(ledger.utxo), "issued": 9000}
+        assert {"paytocontract.chain", "cryptography"} <= loaded  # the replay verifies through OpenSSL
+        assert loaded & {"paytocontract.contract", "paytocontract.sealing", "paytocontract.protocol",
+                         "paytocontract.scenarios"} == set()
