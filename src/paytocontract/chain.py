@@ -6,7 +6,9 @@ a public record.  ``FileStore`` is a write-once filesystem keyed by 32-byte
 digest filenames.
 
 Both serialize as newline-delimited canonical JSON with integers rendered
-as big-endian hex, which keeps txids bit-stable across save/load.
+as big-endian hex, which keeps txids bit-stable across save/load.  A
+``ledger_checkpoint`` binds the length and hash of ledger bytes that were
+validated, so that a reload commits that prefix without verifying it again.
 """
 
 from __future__ import annotations
@@ -144,11 +146,12 @@ def tx_from_json(obj: dict) -> Transaction:
     return Transaction.assemble(inputs, outputs, int(tag, 16) if tag is not None else None)
 
 
-def _read_lines(data: Union[str, bytes], apply: Callable[[dict], object]):
-    """Hand each non-blank line's record to ``apply``.  A line that is not
-    UTF-8 or JSON, or a record with a missing field, a wrong type or bad hex,
-    is a ``corrupt record``; ``ProtocolError``s of the record's own checks pass."""
-    for number, line in enumerate(data.splitlines(), 1):
+def _read_lines(data: Union[str, bytes], apply: Callable[[dict], object], first: int = 1):
+    """Hand each non-blank line's record to ``apply``; ``first`` numbers the
+    first line.  A line that is not UTF-8 or JSON, or a record with a missing
+    field, a wrong type or bad hex, is a ``corrupt record``; ``ProtocolError``s
+    of the record's own checks pass."""
+    for number, line in enumerate(data.splitlines(), first):
         if line.strip():
             try:
                 apply(json.loads(line.decode() if isinstance(line, bytes) else line))
@@ -309,13 +312,26 @@ class Ledger:
         return "".join(_dump_line(tx_to_json(tx)) + "\n" for tx in self.transactions)
 
     @classmethod
-    def from_jsonl(cls, data: Union[str, bytes]) -> Ledger:
+    def from_jsonl(cls, data: Union[str, bytes], checkpoint: Optional[bytes] = None) -> Ledger:
         """Rebuild by replaying every record through full validation; a coinbase
         record mints as written, so it needs no inputs and its position as tag.
         A replay verifies every signature on the record, so it verifies them
         through OpenSSL (``ecdsa_verify_openssl``), whose fixed memory cost
-        that many verifies repay."""
+        that many verifies repay.
+
+        ``checkpoint`` is the ``ledger_checkpoint`` of a prefix of ``data``
+        that was validated when it was saved.  That prefix is committed as
+        written, with no signature verified, and only the records after it
+        are replayed; line numbers in errors still count from the file's start.
+        """
         ledger = cls()
+        first = 1
+        if checkpoint is not None:
+            data = data.encode() if isinstance(data, str) else data
+            prefix = data[:_checkpointed_length(data, checkpoint)]
+            _read_lines(prefix, lambda obj: ledger._commit(tx_from_json(obj)))
+            data = data[len(prefix):]
+            first += len(prefix.splitlines())
 
         def replay(obj: dict):
             tx = tx_from_json(obj)
@@ -326,8 +342,29 @@ class Ledger:
             else:
                 ledger._commit(tx)
 
-        _read_lines(data, replay)
+        _read_lines(data, replay, first)
         return ledger
+
+
+def ledger_checkpoint(data: bytes) -> bytes:
+    """The checkpoint of validated ledger bytes: one canonical JSON line
+    binding their length and SHA-256."""
+    return (_dump_line({"length": len(data), "sha256": sha256(data).hex()}) + "\n").encode()
+
+
+def _checkpointed_length(data: bytes, checkpoint: bytes) -> int:
+    """The length of the prefix of ``data`` that ``checkpoint`` binds.  A
+    checkpoint that is not exactly ``ledger_checkpoint`` of a prefix ending on
+    a line boundary is a ``corrupt record``."""
+    try:
+        length = json.loads(checkpoint.decode())["length"]
+    except MALFORMED as exc:
+        raise ProtocolError("corrupt record", f"checkpoint: {exc!r}") from None
+    if type(length) is not int or not 0 <= length <= len(data) or (length and data[length - 1] != 0x0A):
+        raise ProtocolError("corrupt record", f"checkpoint: length {length!r} does not end a ledger line")
+    if ledger_checkpoint(data[:length]) != checkpoint:
+        raise ProtocolError("corrupt record", "checkpoint does not match the ledger")
+    return length
 
 
 def _check_key_lock(pub: Optional[Point], payto: PayTarget):

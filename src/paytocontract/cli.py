@@ -121,17 +121,29 @@ class CliConfig:
     def rng(self) -> Optional[Random]:
         return Random(self.seed) if self.seed is not None else None
 
-    def _load(self, store, name: str):
+    def _load(self, store, name: str, **options):
         path = self.state_dir / name
-        return _read(path, ("corrupt record", store.from_jsonl)) if path.exists() else store()
+        decode = functools.partial(store.from_jsonl, **options)
+        return _read(path, ("corrupt record", decode)) if path.exists() else store()
 
     def load_ledger(self) -> Ledger:
+        """The saved ledger.  The prefix its ``ledger.ckpt`` sidecar binds was
+        validated when it was saved and is not verified again; without the
+        sidecar every record is replayed."""
         from .chain import Ledger
 
-        return self._load(Ledger, "ledger.jsonl")
+        sidecar = self.state_dir / "ledger.ckpt"
+        checkpoint = _read(sidecar, ("corrupt record", bytes)) if sidecar.exists() else None
+        return self._load(Ledger, "ledger.jsonl", checkpoint=checkpoint)
 
     def save_ledger(self, ledger: Ledger):
-        _write(self.state_dir / "ledger.jsonl", ledger.to_jsonl().encode())
+        """Write the ledger, then its checkpoint.  A failure between the two
+        leaves the old checkpoint, which still binds a prefix of the new file."""
+        from .chain import ledger_checkpoint
+
+        data = ledger.to_jsonl().encode()
+        _write(self.state_dir / "ledger.jsonl", data)
+        _write(self.state_dir / "ledger.ckpt", ledger_checkpoint(data))
 
     def load_filestore(self) -> FileStore:
         from .chain import FileStore

@@ -214,7 +214,8 @@ def _batch_to_affine(points):
 # k = sum d_i * 2^(W*i), and G ** k is one mixed addition per nonzero digit
 # from an affine table row[i][|d|-1] = |d| * 2^(W*i) * G, negated for d < 0.
 # The table is built on first use, so importing the package does not pay
-# for it.  Every short-lived ``p2c`` process builds it, which is what fixes
+# for it, and a process's first few G ** k do without it (_generator_mul).
+# Short-lived processes that do more still build it, which is what fixes
 # W: 6 bits (1376 points) build in about 7 ms on a 2-core x86-64 host with
 # CPython 3.11; 7 and 8 bits multiply faster but take 2x and 3x as long.
 _BASE_WINDOW = 6
@@ -262,6 +263,27 @@ def _base_terms(k):
             yield x, FIELD_PRIME - y
         else:
             yield None
+
+
+# The table repays its build only over many G ** k: the build costs
+# 12.1-13.4 ms, after which a G ** k takes 0.36-0.40 ms, against 1.4-1.6 ms
+# through _var_mul (fresh CPython 3.11 interpreters, 2-core x86-64 host).
+# That is about 12 multiplies to break even, while a short-lived ``p2c``
+# command does 1-4.  So a process's first _UNTABLED_BASE_MULS G ** k go
+# through _var_mul, and the next one builds the table: a process that goes
+# on to thousands pays about one more build's worth.  ``tweak_points``
+# batches enough multiplies to build the table at once.
+_UNTABLED_BASE_MULS = 12
+_untabled_base_muls = 0
+
+
+def _generator_mul(k):
+    """Jacobian G ** k: through the table once it exists or the cut-over is passed."""
+    global _untabled_base_muls
+    if _base_table_rows is None and _untabled_base_muls < _UNTABLED_BASE_MULS:
+        _untabled_base_muls += 1
+        return _var_mul(k, _GX, _GY)
+    return _base_mul(k)
 
 
 def _base_mul(k):
@@ -457,7 +479,7 @@ class Point:
         if k == 0 or self.is_identity():
             return Point.identity()
         if self.x == _GX and self.y == _GY:
-            return _from_affine(_to_affine(_base_mul(k)))
+            return _from_affine(_to_affine(_generator_mul(k)))
         return _from_affine(_to_affine(_var_mul(k, self.x, self.y)))
 
     def inverse(self) -> Point:

@@ -1,4 +1,5 @@
 import json
+import os
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from paytocontract.chain import (
     TxOutput,
     build_script_spend,
     build_transaction,
+    ledger_checkpoint,
     transaction_pubkeys,
     tx_preimage,
     tx_to_json,
@@ -717,8 +719,14 @@ def _seeded_ledger(rng: Random, spends: int) -> Ledger:
     return ledger
 
 
-def _signature_count(ledger: Ledger) -> int:
-    return sum(len(inp.signatures) or 1 for tx in ledger.transactions for inp in tx.inputs)
+def _signature_count(ledger: Ledger, start: int = 0) -> int:
+    """Signatures on the record from transaction ``start`` on."""
+    return sum(len(inp.signatures) or 1 for tx in ledger.transactions[start:] for inp in tx.inputs)
+
+
+def _prefix(data: bytes, lines: int) -> bytes:
+    """The first ``lines`` lines of ``data``."""
+    return b"".join(data.splitlines(keepends=True)[:lines])
 
 
 class TestVerifyCounts:
@@ -762,6 +770,176 @@ class TestVerifyCounts:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["transactions"] == 13
         assert counts == {"pure": 0, "openssl": _signature_count(ledger)}
+
+    def test_checkpointed_chain_show_verifies_nothing(self, counts, tmp_path):
+        from click.testing import CliRunner
+
+        from paytocontract.cli import CliConfig, cli
+
+        ledger = _seeded_ledger(Random(88), 6)
+        CliConfig(tmp_path, "json", None).save_ledger(ledger)
+        counts.update(pure=0, openssl=0)
+        result = CliRunner().invoke(cli, ["--state-dir", str(tmp_path), "--format", "json", "chain", "show"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["transactions"] == 13
+        assert counts == {"pure": 0, "openssl": 0}
+
+    @pytest.mark.parametrize("checkpointed", [0, 1, 7, 12, 19])
+    def test_records_past_the_checkpoint_verify_once_each_through_openssl(self, counts, checkpointed):
+        ledger = _seeded_ledger(Random(87), 9)
+        data = ledger.to_jsonl().encode()
+        counts.update(pure=0, openssl=0)
+        again = Ledger.from_jsonl(data, ledger_checkpoint(_prefix(data, checkpointed)))
+        assert counts == {"pure": 0, "openssl": _signature_count(ledger, checkpointed)}
+        assert again.to_jsonl().encode() == data
+
+    def test_failed_checkpoint_write_leaves_a_checkpoint_of_the_old_prefix(self, counts, tmp_path, monkeypatch):
+        from paytocontract.cli import CliConfig
+
+        rng = Random(89)
+        cfg = CliConfig(tmp_path, "json", None)
+        ledger = Ledger()
+        pair, funding = _funded(ledger, rng)
+        cfg.save_ledger(ledger)
+        sidecar = (tmp_path / "ledger.ckpt").read_bytes()
+        ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                           [TxOutput(pair.public, 100000)]))
+        replace = os.replace
+
+        def checkpoint_write_fails(src, dst):
+            if str(dst).endswith("ledger.ckpt"):
+                raise OSError("interrupted")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", checkpoint_write_fails)
+        with pytest.raises(ProtocolError) as exc:
+            cfg.save_ledger(ledger)
+        assert exc.value.code == "io-error"
+        monkeypatch.setattr(os, "replace", replace)
+        assert (tmp_path / "ledger.jsonl").read_text() == ledger.to_jsonl()
+        assert (tmp_path / "ledger.ckpt").read_bytes() == sidecar
+        counts.update(pure=0, openssl=0)
+        again = cfg.load_ledger()  # the new spend is past the old checkpoint: verified in full
+        assert counts == {"pure": 0, "openssl": 1}
+        assert again.to_jsonl() == ledger.to_jsonl()
+        cfg.save_ledger(again)
+        counts.update(pure=0, openssl=0)
+        assert cfg.load_ledger().to_jsonl() == ledger.to_jsonl()
+        assert counts == {"pure": 0, "openssl": 0}
+
+
+class TestCheckpoint:
+    """A checkpoint binds a validated prefix of the ledger's bytes; a reload
+    commits that prefix unverified and must rebuild the same ledger."""
+
+    @pytest.mark.parametrize("checkpointed", [0, 1, 10, 19])
+    def test_checkpointed_load_equals_full_replay(self, checkpointed):
+        ledger = _seeded_ledger(Random(90), 9)
+        data = ledger.to_jsonl().encode()
+        full = Ledger.from_jsonl(data)
+        fast = Ledger.from_jsonl(data, ledger_checkpoint(_prefix(data, checkpointed)))
+        assert fast.to_jsonl() == full.to_jsonl() == data.decode()
+        assert fast.utxo == full.utxo
+        assert fast.total_issued == full.total_issued == ledger.total_issued
+        targets = {out.payto for tx in ledger.transactions for out in tx.outputs}
+        for target in targets:
+            assert fast.scan_address(target) == full.scan_address(target)
+        for tx in ledger.transactions:
+            assert fast.get_transaction(tx.txid) == full.get_transaction(tx.txid) == tx
+        assert fast.get_transaction(b"\x00" * 32) is None
+
+    def test_text_and_bytes_load_alike(self):
+        ledger = _seeded_ledger(Random(90), 3)
+        text = ledger.to_jsonl()
+        checkpoint = ledger_checkpoint(text.encode())
+        assert Ledger.from_jsonl(text, checkpoint).to_jsonl() == text
+
+    def test_checkpoint_is_one_canonical_line(self):
+        data = _seeded_ledger(Random(90), 3).to_jsonl().encode()
+        assert ledger_checkpoint(data) == (
+            '{"length":%d,"sha256":"%s"}\n' % (len(data), sha256(data).hex())).encode()
+
+    @staticmethod
+    def _two_records():
+        ledger = Ledger()
+        pair, funding = _funded(ledger, Random(91))
+        ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                           [TxOutput(pair.public, 100000)]))
+        data = ledger.to_jsonl().encode()
+        return data, ledger_checkpoint(data)
+
+    def test_every_byte_edit_of_the_prefix_is_a_corrupt_record(self):
+        data, checkpoint = self._two_records()
+        for i in range(len(data)):
+            edited = data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(edited, checkpoint)
+            assert exc.value.code == "corrupt-record", i
+
+    def test_every_byte_edit_of_the_checkpoint_is_a_corrupt_record(self):
+        data, checkpoint = self._two_records()
+        for i in range(len(checkpoint)):
+            edited = checkpoint[:i] + bytes([checkpoint[i] ^ 1]) + checkpoint[i + 1:]
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(data, edited)
+            assert exc.value.code == "corrupt-record", i
+
+    def test_malformed_or_mismatched_checkpoints_are_corrupt_records(self):
+        data, checkpoint = self._two_records()
+        digest = sha256(data).hex()
+        first_line = len(data.splitlines(keepends=True)[0])
+        bad = [b"", b"\xff\xfe", b"not json", b"[]", b"7", b"{}", b"[" * 100000,
+               *(json.dumps({"length": length, "sha256": digest}).encode()
+                 for length in ("12", True, 1.0, None, -1, len(data) + 1, first_line - 1, first_line)),
+               b'{"length":%d}\n' % len(data),
+               b'{"length":%d,"sha256":7}\n' % len(data),
+               checkpoint.replace(digest.encode(), digest.upper().encode()),
+               checkpoint.rstrip(b"\n"),
+               json.dumps({"length": len(data), "sha256": digest}).encode() + b"\n"]  # not canonical
+        for sidecar in bad:
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(data, sidecar)
+            assert exc.value.code == "corrupt-record", sidecar[:80]
+            assert "checkpoint" in str(exc.value)
+        # the checkpoint of a prefix that stops inside a line, even one byte short of its end
+        for length in (first_line - 1, first_line + 5):
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(data, ledger_checkpoint(data[:length]))
+            assert exc.value.code == "corrupt-record"
+            assert "does not end a ledger line" in str(exc.value)
+
+    def test_edited_unspent_coinbase_amount_replays_but_fails_its_checkpoint(self):
+        ledger = _seeded_ledger(Random(92), 3)
+        data = ledger.to_jsonl().encode()
+        last = json.loads(data.splitlines()[-1])
+        assert last["coinbase"] and not ledger.is_spent(ledger.transactions[-1].txid, 0)
+        edited = data.replace(b'"amount":"3"', b'"amount":"4"')
+        assert edited.count(b'"amount":"4"') == 1
+        # without a checkpoint, the edit mints one more unit and reloads silently
+        assert Ledger.from_jsonl(edited).total_issued == ledger.total_issued + 1
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(edited, ledger_checkpoint(data))
+        assert exc.value.code == "corrupt-record"
+
+    def test_records_past_the_checkpoint_are_validated_with_file_line_numbers(self):
+        ledger = Ledger()
+        pair, funding = _funded(ledger, Random(93))
+        other = KeyPair.generate(Random(94))
+        ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                           [TxOutput(_addr(other), 100000)]))
+        good, spend = ledger.to_jsonl().encode().splitlines(keepends=True)
+        checkpoint = ledger_checkpoint(good)
+        for tail, line in ((b'{"bad json\n', 2), (b"\n" + b'{"bad json\n', 3), (spend + b"[]\n", 3)):
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(good + tail, checkpoint)
+            assert exc.value.code == "corrupt-record"
+            assert f"line {line}: " in str(exc.value)
+        record = json.loads(spend)
+        forged = ecdsa_sign(other.private, b"another message").to_bytes().hex()
+        forged_spend = json.dumps(dict(record, inputs=[dict(record["inputs"][0], signature=forged)]))
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(good + forged_spend.encode() + b"\n", checkpoint)
+        assert exc.value.code == "invalid-signature"
 
 
 class TestFileStore:

@@ -260,6 +260,71 @@ def _run_main(capsys, argv):
     return exc.value.code, out.out, out.err
 
 
+class TestCheckpointFile:
+    """``ledger.ckpt`` is a trust boundary too: any mismatch with ``ledger.jsonl``
+    is a ``corrupt-record``, and without it every record is replayed."""
+
+    @staticmethod
+    def _state(capsys, tmp_path):
+        """A state directory from two faucets and a spend, written by ``p2c``."""
+        state, key = tmp_path / "state", tmp_path / "key.json"
+        assert _run_main(capsys, ["--seed", "21", "keygen", "--out", str(key)])[0] == 0
+        own = "p2pkh:" + hash160(bytes.fromhex(json.loads(key.read_text())["public"])).hex()
+        base = ["--state-dir", str(state)]
+        code, out, _ = _run_main(capsys, base + ["chain", "faucet", "--to", own, "--amount", "700"])
+        assert code == 0
+        funding = json.loads(out)["txid"]
+        assert _run_main(capsys, base + ["chain", "send", "--key", str(key), "--outpoint", f"{funding}:0",
+                                         "--to", TestInputFaults.OWN, "--amount", "300", "--change", own])[0] == 0
+        assert _run_main(capsys, base + ["chain", "faucet", "--to", TestInputFaults.OWN, "--amount", "5"])[0] == 0
+        return state, base, own
+
+    @pytest.mark.parametrize("sidecar", [
+        b"", b"\xff\xfe", b"not json", b"[7]", b"{}", b'{"length":"0","sha256":""}\n',
+        b'{"length":-1,"sha256":""}\n', b'{"length":1,"sha256":""}\n', b'{"length":99999,"sha256":""}\n',
+        b'{"length":0,"sha256":"' + b"00" * 32 + b'"}\n',
+    ], ids=["empty", "not-utf8", "not-json", "wrong-shape", "no-length", "length-a-string", "negative-length",
+            "length-mid-line", "length-past-the-end", "hash-mismatch"])
+    def test_malformed_or_mismatched_checkpoint(self, capsys, tmp_path, sidecar):
+        state, base, _ = self._state(capsys, tmp_path)
+        (state / "ledger.ckpt").write_bytes(sidecar)
+        assert _domain_error(capsys, base + ["chain", "show"]) == "corrupt-record"
+
+    def test_edited_coinbase_amount_in_the_checkpointed_prefix(self, capsys, tmp_path):
+        state, base, _ = self._state(capsys, tmp_path)
+        ledger = state / "ledger.jsonl"
+        edited = ledger.read_bytes().replace(b'"amount":"5"', b'"amount":"6"')
+        assert edited != ledger.read_bytes()
+        ledger.write_bytes(edited)
+        assert _domain_error(capsys, base + ["chain", "show"]) == "corrupt-record"
+        # deleting the checkpoint forces a full replay, which cannot see the edit
+        (state / "ledger.ckpt").unlink()
+        code, out, _ = _run_main(capsys, base + ["chain", "show"])
+        assert code == 0 and json.loads(out)["issued"] == 706
+
+    def test_deleting_the_checkpoint_replays_to_the_same_output(self, capsys, tmp_path):
+        state, base, own = self._state(capsys, tmp_path)
+        reads = [["chain", "show"], ["chain", "scan", "--address", own],
+                 ["chain", "scan", "--address", TestInputFaults.OWN]]
+        checkpointed = [_run_main(capsys, base + args) for args in reads]
+        (state / "ledger.ckpt").unlink()
+        assert [_run_main(capsys, base + args) for args in reads] == checkpointed
+        assert checkpointed[0][0] == 0 and json.loads(checkpointed[0][1]) == {
+            "transactions": 3, "utxos": 3, "issued": 705}
+        assert not (state / "ledger.ckpt").exists()  # reads write nothing
+        assert _run_main(capsys, base + ["chain", "faucet", "--to", own, "--amount", "1"])[0] == 0
+        assert (state / "ledger.ckpt").exists()
+
+    def test_records_past_the_checkpoint_keep_file_line_numbers(self, capsys, tmp_path):
+        state, base, _ = self._state(capsys, tmp_path)
+        with open(state / "ledger.jsonl", "a") as f:
+            f.write('\n{"bad json\n')
+        code, out, _ = _run_main(capsys, base + ["chain", "show"])
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert (code, payload["error"]) == (1, "corrupt-record")
+        assert "line 5: " in payload["message"]
+
+
 class TestInputFaults:
     OWN = "p2pkh:" + "11" * 20
     OUTPOINT = "00" * 32 + ":0"
@@ -551,7 +616,8 @@ class TestCorruptFiles:
                   "--amount", "5"]
         assert _run_main(capsys, faucet)[0] == 0
         before = (state / "ledger.jsonl").read_bytes()
-        assert os.listdir(state) == ["ledger.jsonl"]  # a save leaves no temp file
+        sidecar = (state / "ledger.ckpt").read_bytes()
+        assert sorted(os.listdir(state)) == ["ledger.ckpt", "ledger.jsonl"]  # a save leaves no temp file
 
         def interrupted(src, dst):
             raise OSError("interrupted")
@@ -559,7 +625,8 @@ class TestCorruptFiles:
         monkeypatch.setattr(os, "replace", interrupted)
         assert _domain_error(capsys, faucet) == "io-error"
         assert (state / "ledger.jsonl").read_bytes() == before
-        assert os.listdir(state) == ["ledger.jsonl"]
+        assert (state / "ledger.ckpt").read_bytes() == sidecar
+        assert sorted(os.listdir(state)) == ["ledger.ckpt", "ledger.jsonl"]
 
     @pytest.mark.parametrize("price", ["abc", "-5", "+90000", "9_0000", " 90000 "])
     def test_non_canonical_price_in_signal_attach(self, capsys, tmp_path, price):
@@ -850,10 +917,23 @@ class TestColdImports:
         assert out == {"address": payment_address(redacted).render()}
         assert loaded & NO_LEDGER_SKIPS == set()
 
-    def test_chain_show_loads_the_ledger_and_openssl_but_no_contracts(self, files):
+    LEDGER_SKIPS = {"paytocontract.contract", "paytocontract.sealing", "paytocontract.protocol",
+                    "paytocontract.scenarios"}
+
+    def test_checkpointed_chain_show_loads_the_ledger_but_no_openssl_or_contracts(self, files):
         work, *_, ledger = files
+        assert (work / "state" / "ledger.ckpt").exists()
         out, loaded = self._cold(["--state-dir", str(work / "state"), "chain", "show"])
         assert out == {"transactions": 2, "utxos": len(ledger.utxo), "issued": 9000}
+        assert "paytocontract.chain" in loaded  # the checkpointed prefix verifies no signature
+        assert loaded & (self.LEDGER_SKIPS | {"cryptography"}) == set()
+
+    def test_chain_show_without_a_checkpoint_replays_through_openssl(self, files):
+        work, *_, ledger = files
+        state = work / "hand-written"
+        state.mkdir()
+        (state / "ledger.jsonl").write_text(ledger.to_jsonl())
+        out, loaded = self._cold(["--state-dir", str(state), "chain", "show"])
+        assert out == {"transactions": 2, "utxos": len(ledger.utxo), "issued": 9000}
         assert {"paytocontract.chain", "cryptography"} <= loaded  # the replay verifies through OpenSSL
-        assert loaded & {"paytocontract.contract", "paytocontract.sealing", "paytocontract.protocol",
-                         "paytocontract.scenarios"} == set()
+        assert loaded & self.LEDGER_SKIPS == set()

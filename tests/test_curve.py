@@ -270,20 +270,37 @@ class TestMultiplyEngine:
         assert (point * point.inverse()).is_identity()
         assert point * Point.identity() == point == Point.identity() * point
 
-    def test_fixed_base_table_built_on_first_use(self):
-        # a fresh interpreter: importing builds no table, the first G ** k
-        # builds it and agrees with the oracle
-        k = 0xC0FFEE << 140 | 0xBEEF
-        program = (
-            "import oracle\n"
-            "from paytocontract import curve\n"
-            "assert curve._base_table_rows is None\n"
-            f"assert oracle.as_tuple(curve.G ** {k}) == oracle.point_mul({k}, oracle.G)\n"
-            "assert curve._base_table_rows is not None\n"
-        )
+    @staticmethod
+    def _fresh(program):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         result = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_fixed_base_table_built_on_first_use(self):
+        # a fresh interpreter: importing builds no table, the first
+        # _UNTABLED_BASE_MULS G ** k do without it, the next builds it, and
+        # every one agrees with the oracle
+        k = 0xC0FFEE << 140 | 0xBEEF
+        self._fresh(
+            "import oracle\n"
+            "from paytocontract import curve\n"
+            "assert curve._base_table_rows is None and curve._UNTABLED_BASE_MULS > 0\n"
+            "for i in range(curve._UNTABLED_BASE_MULS):\n"
+            f"    assert oracle.as_tuple(curve.G ** ({k} + i)) == oracle.point_mul({k} + i, oracle.G)\n"
+            "assert curve._base_table_rows is None\n"
+            f"assert oracle.as_tuple(curve.G ** {k}) == oracle.point_mul({k}, oracle.G)\n"
+            "assert curve._base_table_rows is not None\n"
+            f"assert oracle.as_tuple(curve.G ** (-{k})) == oracle.point_mul(oracle.N - {k}, oracle.G)\n"
+        )
+
+    def test_tweak_points_builds_the_table_at_once(self):
+        self._fresh(
+            "import oracle\n"
+            "from paytocontract import curve\n"
+            "[p] = curve.tweak_points([(curve.G, 5)])\n"
+            "assert curve._base_table_rows is not None\n"
+            "assert oracle.as_tuple(p) == oracle.point_mul(6, oracle.G)\n"
+        )
 
 
 
