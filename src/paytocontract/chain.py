@@ -5,21 +5,20 @@ spends -- no blocks, mining, or consensus, because the protocol only needs
 a public record.  ``FileStore`` is a write-once filesystem keyed by 32-byte
 digest filenames.
 
-Both serialize as newline-delimited canonical JSON with integers rendered
-as big-endian hex, which keeps txids bit-stable across save/load.  A
-``ledger_checkpoint`` binds the length and hash of ledger bytes that were
+Both serialize as JSON Lines bytes, one canonical record per ``\n``, with
+integers as big-endian hex, which keeps txids bit-stable across save/load.
+A ``ledger_checkpoint`` binds the length and hash of ledger bytes that were
 validated, so that a reload commits that prefix without verifying it again.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
                     hash160, sha256)
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _load_json
 from .wallet import Address, Script, p2pkh_address
 
 # an output pays either an address or an explicit pubkey (pay-to-pubkey)
@@ -146,15 +145,15 @@ def tx_from_json(obj: dict) -> Transaction:
     return Transaction.assemble(inputs, outputs, int(tag, 16) if tag is not None else None)
 
 
-def _read_lines(data: Union[str, bytes], apply: Callable[[dict], object], first: int = 1):
-    """Hand each non-blank line's record to ``apply``; ``first`` numbers the
-    first line.  A line that is not UTF-8 or JSON, or a record with a missing
-    field, a wrong type or bad hex, is a ``corrupt record``; ``ProtocolError``s
-    of the record's own checks pass."""
-    for number, line in enumerate(data.splitlines(), first):
-        if line.strip():
+def _read_lines(data: bytes, apply: Callable[[dict], object], first: int = 1):
+    """Hand each non-blank line's record to ``apply``, numbering lines from ``first``; only
+    ``\n`` ends a line (``\r`` is JSON whitespace, so a CRLF line loads).  A line that is not
+    UTF-8 or JSON, or a record with a missing field, a wrong type or bad hex, is a
+    ``corrupt record``; ``ProtocolError``s of the record's own checks pass."""
+    for number, line in enumerate(data.split(b"\n"), first):
+        if line.strip(b" \t\r"):
             try:
-                apply(json.loads(line.decode() if isinstance(line, bytes) else line))
+                apply(_load_json(line))
             except MALFORMED as exc:
                 raise ProtocolError("corrupt record", f"line {number}: {exc!r}") from None
 
@@ -166,7 +165,7 @@ def tx_preimage(
 ) -> bytes:
     """Canonical serialization excluding signatures; hashing it yields the txid."""
     stub = Transaction(tuple(inputs), tuple(outputs), b"\x00" * 32, coinbase_tag)
-    return _dump_line(tx_to_json(stub, include_sigs=False)).encode()
+    return _dump_line(tx_to_json(stub, include_sigs=False))
 
 
 def transaction_pubkeys(tx: Transaction) -> List[Point]:
@@ -308,11 +307,12 @@ class Ledger:
 
     # -- persistence ---------------------------------------------------------
 
-    def to_jsonl(self) -> str:
-        return "".join(_dump_line(tx_to_json(tx)) + "\n" for tx in self.transactions)
+    def to_jsonl(self) -> bytes:
+        # the empty last item ends the last record with its ``\n`` too
+        return b"\n".join([*(_dump_line(tx_to_json(tx)) for tx in self.transactions), b""])
 
     @classmethod
-    def from_jsonl(cls, data: Union[str, bytes], checkpoint: Optional[bytes] = None) -> Ledger:
+    def from_jsonl(cls, data: bytes, checkpoint: Optional[bytes] = None) -> Ledger:
         """Rebuild by replaying every record through full validation; a coinbase
         record mints as written, so it needs no inputs and its position as tag.
         A replay verifies every signature on the record, so it verifies them
@@ -327,11 +327,10 @@ class Ledger:
         ledger = cls()
         first = 1
         if checkpoint is not None:
-            data = data.encode() if isinstance(data, str) else data
             prefix = data[:_checkpointed_length(data, checkpoint)]
             _read_lines(prefix, lambda obj: ledger._commit(tx_from_json(obj)))
             data = data[len(prefix):]
-            first += len(prefix.splitlines())
+            first += prefix.count(b"\n")
 
         def replay(obj: dict):
             tx = tx_from_json(obj)
@@ -349,7 +348,7 @@ class Ledger:
 def ledger_checkpoint(data: bytes) -> bytes:
     """The checkpoint of validated ledger bytes: one canonical JSON line
     binding their length and SHA-256."""
-    return (_dump_line({"length": len(data), "sha256": sha256(data).hex()}) + "\n").encode()
+    return _dump_line({"length": len(data), "sha256": sha256(data).hex()}) + b"\n"
 
 
 def _checkpointed_length(data: bytes, checkpoint: bytes) -> int:
@@ -357,10 +356,10 @@ def _checkpointed_length(data: bytes, checkpoint: bytes) -> int:
     checkpoint that is not exactly ``ledger_checkpoint`` of a prefix ending on
     a line boundary is a ``corrupt record``."""
     try:
-        length = json.loads(checkpoint.decode())["length"]
+        length = _load_json(checkpoint)["length"]
     except MALFORMED as exc:
         raise ProtocolError("corrupt record", f"checkpoint: {exc!r}") from None
-    if type(length) is not int or not 0 <= length <= len(data) or (length and data[length - 1] != 0x0A):
+    if type(length) is not int or data.rfind(b"\n", 0, length) + 1 != length:
         raise ProtocolError("corrupt record", f"checkpoint: length {length!r} does not end a ledger line")
     if ledger_checkpoint(data[:length]) != checkpoint:
         raise ProtocolError("corrupt record", "checkpoint does not match the ledger")
@@ -457,12 +456,12 @@ class FileStore:
     def get(self, name: bytes) -> Optional[bytes]:
         return self.files.get(name)
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self) -> bytes:
         records = ({"data": data.hex(), "name": name.hex()} for name, data in self.files.items())
-        return "".join(_dump_line(record) + "\n" for record in records)
+        return b"\n".join([*map(_dump_line, records), b""])
 
     @classmethod
-    def from_jsonl(cls, data: Union[str, bytes]) -> FileStore:
+    def from_jsonl(cls, data: bytes) -> FileStore:
         store = cls()
         _read_lines(data, lambda obj: store.put(bytes.fromhex(obj["name"]),
                                                 bytes.fromhex(obj["data"])))

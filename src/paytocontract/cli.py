@@ -27,7 +27,7 @@ import click
 
 from . import SCENARIOS
 from .curve import KeyPair, Point, Scalar, random_scalar
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _load_json
 from .wallet import (
     Address,
     DerivationScheme,
@@ -86,15 +86,11 @@ def _write(path: Path, data: bytes, private: bool = False):
         raise ProtocolError("io error", f"{path}: {exc}") from None
 
 
-def _json(data: bytes):
-    return json.loads(data.decode())
-
-
 def _proof(data: bytes) -> Tuple[DlegProof, Point]:
     """A ``dh prove --out`` record: the proof and its signal pubkey."""
     from .protocol import DlegProof
 
-    obj = _json(data)
+    obj = _load_json(data)
     shared, commit_g, commit_p, signal = (Point.decode(bytes.fromhex(obj[k])) for k in
                                           ("shared", "commit_g", "commit_p", "signal_pubkey"))
     return DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16))), signal
@@ -106,9 +102,9 @@ def _contract(data: bytes):
     return decode_contract(data)
 
 
-KEYFILE = ("invalid keyfile", lambda data: KeyPair.from_private(Scalar(int(_json(data)["private"], 16))))
+KEYFILE = ("invalid keyfile", lambda data: KeyPair.from_private(Scalar(int(_load_json(data)["private"], 16))))
 CONTRACT = ("invalid contract", _contract)
-SCRIPT = ("invalid script", lambda data: script_from_json(_json(data)))
+SCRIPT = ("invalid script", lambda data: script_from_json(_load_json(data)))
 PROOF = ("invalid proof", _proof)
 
 
@@ -124,12 +120,13 @@ class CliConfig:
     def _load(self, store, name: str, **options):
         path = self.state_dir / name
         decode = functools.partial(store.from_jsonl, **options)
-        return _read(path, ("corrupt record", decode)) if path.exists() else store()
+        return _read(path, ("corrupt record", decode)) if path.exists() else decode(b"")
 
     def load_ledger(self) -> Ledger:
         """The saved ledger.  The prefix its ``ledger.ckpt`` sidecar binds was
         validated when it was saved and is not verified again; without the
-        sidecar every record is replayed."""
+        sidecar every record is replayed.  An absent ledger decodes as no
+        bytes, so beside a sidecar it is a ``corrupt record``."""
         from .chain import Ledger
 
         sidecar = self.state_dir / "ledger.ckpt"
@@ -141,7 +138,7 @@ class CliConfig:
         leaves the old checkpoint, which still binds a prefix of the new file."""
         from .chain import ledger_checkpoint
 
-        data = ledger.to_jsonl().encode()
+        data = ledger.to_jsonl()
         _write(self.state_dir / "ledger.jsonl", data)
         _write(self.state_dir / "ledger.ckpt", ledger_checkpoint(data))
 
@@ -151,7 +148,7 @@ class CliConfig:
         return self._load(FileStore, "filestore.jsonl")
 
     def save_filestore(self, fs: FileStore):
-        _write(self.state_dir / "filestore.jsonl", fs.to_jsonl().encode())
+        _write(self.state_dir / "filestore.jsonl", fs.to_jsonl())
 
     def emit(self, obj: dict):
         if self.fmt == "json":
@@ -191,7 +188,7 @@ def _outpoint(text: str) -> Tuple[bytes, int]:
     txid, sep, index = text.rpartition(":")
     if not sep or not (index.isascii() and index.isdigit() and len(index) <= 20):
         raise ValueError("not txid:index")
-    return OUTPOINT_TXID(txid), int(index)
+    return bytes.fromhex(txid), int(index)
 
 
 def _field(text: str) -> Tuple[str, bytes]:
@@ -211,7 +208,6 @@ def _path(text: str) -> str:
 
 
 TXID = Arg("txid", bytes.fromhex)
-OUTPOINT_TXID = Arg("outpoint", bytes.fromhex)
 LABEL = Arg("label", str.encode)
 LABEL_HEX = Arg("label", bytes.fromhex)
 POINT = Arg("point", lambda text: Point.decode(bytes.fromhex(text)))

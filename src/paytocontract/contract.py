@@ -15,14 +15,13 @@ ciphertext, so holders may reveal cleartext, ciphertext, or digest alone.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _load_json
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_private
 
@@ -136,11 +135,7 @@ def node_from_json(obj: dict) -> ContractNode:
 
 def canonical_encode(node: ContractNode) -> bytes:
     """Deterministic JSON bytes: sorted keys, no whitespace, hex values."""
-    return _dump_line(node_to_json(node)).encode()
-
-
-def decode_node(data: bytes) -> ContractNode:
-    return node_from_json(json.loads(data))
+    return _dump_line(node_to_json(node))
 
 
 def _walk(root: ContractNode, segments: Tuple[str, ...]) -> List[ContractNode]:
@@ -445,12 +440,12 @@ def contract_from_json(obj: dict) -> Contract:
 
 def encode_contract(c: Contract) -> bytes:
     """Canonical contract file bytes (deterministic JSON)."""
-    return _dump_line(contract_to_json(c)).encode()
+    return _dump_line(contract_to_json(c))
 
 
 def decode_contract(data: bytes) -> Contract:
     """Contract from file bytes: strict UTF-8 JSON of ``contract_to_json``'s shape."""
     try:
-        return contract_from_json(json.loads(data.decode()))
+        return contract_from_json(_load_json(data))
     except MALFORMED as exc:
         raise ProtocolError("invalid contract", str(exc)) from None

@@ -624,13 +624,16 @@ def ecdsa_sign(priv: Scalar, message: bytes) -> Signature:
         return Signature(Scalar(r), Scalar(s))
 
 
+def _unverifiable(pub: Point, sig: Signature) -> bool:
+    """Both verifies' one early reject: not a ``Signature``, r or s zero, or the identity key."""
+    return not isinstance(sig, Signature) or not sig.r or not sig.s or pub.is_identity()
+
+
 def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` is valid on SHA-256(message) under ``pub``."""
-    if not isinstance(sig, Signature) or pub.is_identity():
+    if _unverifiable(pub, sig):
         return False
     r, s = sig.r.value, sig.s.value
-    if r == 0 or s == 0:
-        return False
     z = int.from_bytes(sha256(message), "big") % ORDER
     w = pow(s, -1, ORDER)
     u1 = z * w % ORDER
@@ -649,7 +652,7 @@ def ecdsa_verify_openssl(pub: Point, message: bytes, sig: Signature) -> bool:
     verifies every signature on it, uses it; a single broadcast stays with
     the pure ``ecdsa_verify``.
     """
-    if not isinstance(sig, Signature) or pub.is_identity() or not sig.r or not sig.s:
+    if _unverifiable(pub, sig):
         return False
     ec, secp256k1, ecdsa, encode_dss_signature, invalid_signature = _openssl()
     key = ec.EllipticCurvePublicNumbers(pub.x, pub.y, secp256k1).public_key()

@@ -1,5 +1,5 @@
 """Rules every stored format shares: the error type for protocol-level failures,
-what malformed input raises, the amount bound and the one canonical JSON form."""
+what malformed input raises, the amount bound and the one JSON form, as bytes."""
 
 import json
 
@@ -11,10 +11,16 @@ MALFORMED = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 MAX_AMOUNT = 2 ** 64 - 1
 
 
-def _dump_line(obj: dict) -> str:
-    """The one canonical JSON form, of records and contracts: sorted keys, no
-    whitespace, text unescaped (a record's text is all ASCII hex and kinds)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+def _dump_line(obj: dict) -> bytes:
+    """The one canonical JSON form, of records and contracts: UTF-8, sorted keys,
+    no whitespace, text unescaped (a record's text is all ASCII hex and kinds)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
+
+
+def _load_json(data: bytes):
+    """The one JSON reader of stored bytes: strict UTF-8, where ``json.loads(bytes)``
+    would also sniff UTF-16, UTF-32 and a BOM."""
+    return json.loads(data.decode())
 
 
 class ProtocolError(Exception):

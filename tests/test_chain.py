@@ -1,8 +1,11 @@
 import json
 import os
+from contextlib import suppress
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paytocontract.chain import (
     MAX_AMOUNT,
@@ -347,7 +350,7 @@ class TestValidator:
         line = json.dumps(tx_to_json(tx))
         assert '"script": ""' in line
         with pytest.raises(ProtocolError, match="^script does not match output$"):
-            Ledger.from_jsonl(ledger.to_jsonl() + line + "\n")
+            Ledger.from_jsonl(ledger.to_jsonl() + line.encode() + b"\n")
 
     def test_p2sh_output_of_non_multisig_script(self):
         rng = Random(97)
@@ -607,7 +610,7 @@ class TestPersistence:
         pair, funding = _funded(ledger, rng)
         ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
                                            [TxOutput(pair.public, 100000)]))
-        good, spend = ledger.to_jsonl().splitlines()
+        good, spend = ledger.to_jsonl().decode().splitlines()
         record = json.loads(spend)
         no_inputs = {k: v for k, v in record.items() if k != "inputs"}
         bad_hex = dict(record, inputs=[dict(record["inputs"][0], prev_txid="zz")])
@@ -615,14 +618,14 @@ class TestPersistence:
         for line in ['{"bad json', "[]", "7", json.dumps(no_inputs), json.dumps(bad_hex),
                      json.dumps(bad_type)]:
             with pytest.raises(ProtocolError) as exc:
-                Ledger.from_jsonl(good + "\n\n" + line + "\n")
+                Ledger.from_jsonl((good + "\n\n" + line + "\n").encode())
             assert exc.value.code == "corrupt-record", line
             assert "line 3" in str(exc.value)
         # a well-formed record keeps the code of the check it fails
         off_curve = dict(record, outputs=[
             {"amount": "1", "payto": {"kind": "p2pk", "pubkey": "02" + "ff" * 32}}])
         with pytest.raises(ProtocolError) as exc:
-            Ledger.from_jsonl(good + "\n" + json.dumps(off_curve) + "\n")
+            Ledger.from_jsonl((good + "\n" + json.dumps(off_curve) + "\n").encode())
         assert exc.value.code == "invalid-point"
 
     def test_out_of_range_values_are_corrupt_records(self):
@@ -635,7 +638,7 @@ class TestPersistence:
                                                  [TxOutput(p2sh_address(script), 100000)]))
         ledger.broadcast(build_script_spend(ledger, [(pay.txid, 0, [signer.private], script)],
                                             [TxOutput(_addr(signer), 100000)]))
-        lines = ledger.to_jsonl().splitlines()
+        lines = ledger.to_jsonl().decode().splitlines()
         key_spend, script_spend = json.loads(lines[1]), json.loads(lines[2])
         key_input, script_input = key_spend["inputs"][0], script_spend["inputs"][0]
         # (line the record replaces, record, what its check says)
@@ -652,7 +655,7 @@ class TestPersistence:
         for number, record, message in cases:
             text = "".join(line + "\n" for line in lines[:number - 1]) + json.dumps(record) + "\n"
             with pytest.raises(ProtocolError) as exc:
-                Ledger.from_jsonl(text)
+                Ledger.from_jsonl(text.encode())
             assert exc.value.code == "corrupt-record", record
             assert f"line {number}: " in str(exc.value) and message in str(exc.value)
 
@@ -666,13 +669,13 @@ class TestPersistence:
                                                    [TxOutput(_addr(other), 100000)]))
         ledger.broadcast(build_transaction(ledger, [(first.txid, 0, other.private)],
                                            [TxOutput(_addr(pair), 100000)]))
-        lines = ledger.to_jsonl().splitlines()
+        lines = ledger.to_jsonl().decode().splitlines()
         record = json.loads(lines[1])
         forged = ecdsa_sign(other.private, b"another message").to_bytes().hex()
         lines[1] = json.dumps(dict(record, inputs=[dict(record["inputs"][0], signature=forged)]))
         for tail in ([], lines[2:], lines[2:] + ['{"bad json'], ['{"bad json']):
             with pytest.raises(ProtocolError) as exc:
-                Ledger.from_jsonl("\n".join(lines[:2] + tail) + "\n")
+                Ledger.from_jsonl(("\n".join(lines[:2] + tail) + "\n").encode())
             assert (exc.value.code, str(exc.value)) == ("invalid-signature", "invalid signature"), tail
 
     def test_two_of_three_spend_signed_out_of_key_order_replays(self):
@@ -764,7 +767,7 @@ class TestVerifyCounts:
         from paytocontract.cli import cli
 
         ledger = _seeded_ledger(Random(88), 6)
-        (tmp_path / "ledger.jsonl").write_text(ledger.to_jsonl())
+        (tmp_path / "ledger.jsonl").write_bytes(ledger.to_jsonl())
         counts.update(pure=0, openssl=0)
         result = CliRunner().invoke(cli, ["--state-dir", str(tmp_path), "--format", "json", "chain", "show"])
         assert result.exit_code == 0, result.output
@@ -787,11 +790,11 @@ class TestVerifyCounts:
     @pytest.mark.parametrize("checkpointed", [0, 1, 7, 12, 19])
     def test_records_past_the_checkpoint_verify_once_each_through_openssl(self, counts, checkpointed):
         ledger = _seeded_ledger(Random(87), 9)
-        data = ledger.to_jsonl().encode()
+        data = ledger.to_jsonl()
         counts.update(pure=0, openssl=0)
         again = Ledger.from_jsonl(data, ledger_checkpoint(_prefix(data, checkpointed)))
         assert counts == {"pure": 0, "openssl": _signature_count(ledger, checkpointed)}
-        assert again.to_jsonl().encode() == data
+        assert again.to_jsonl() == data
 
     def test_failed_checkpoint_write_leaves_a_checkpoint_of_the_old_prefix(self, counts, tmp_path, monkeypatch):
         from paytocontract.cli import CliConfig
@@ -816,7 +819,7 @@ class TestVerifyCounts:
             cfg.save_ledger(ledger)
         assert exc.value.code == "io-error"
         monkeypatch.setattr(os, "replace", replace)
-        assert (tmp_path / "ledger.jsonl").read_text() == ledger.to_jsonl()
+        assert (tmp_path / "ledger.jsonl").read_bytes() == ledger.to_jsonl()
         assert (tmp_path / "ledger.ckpt").read_bytes() == sidecar
         counts.update(pure=0, openssl=0)
         again = cfg.load_ledger()  # the new spend is past the old checkpoint: verified in full
@@ -835,10 +838,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("checkpointed", [0, 1, 10, 19])
     def test_checkpointed_load_equals_full_replay(self, checkpointed):
         ledger = _seeded_ledger(Random(90), 9)
-        data = ledger.to_jsonl().encode()
+        data = ledger.to_jsonl()
         full = Ledger.from_jsonl(data)
         fast = Ledger.from_jsonl(data, ledger_checkpoint(_prefix(data, checkpointed)))
-        assert fast.to_jsonl() == full.to_jsonl() == data.decode()
+        assert fast.to_jsonl() == full.to_jsonl() == data
         assert fast.utxo == full.utxo
         assert fast.total_issued == full.total_issued == ledger.total_issued
         targets = {out.payto for tx in ledger.transactions for out in tx.outputs}
@@ -848,14 +851,14 @@ class TestCheckpoint:
             assert fast.get_transaction(tx.txid) == full.get_transaction(tx.txid) == tx
         assert fast.get_transaction(b"\x00" * 32) is None
 
-    def test_text_and_bytes_load_alike(self):
-        ledger = _seeded_ledger(Random(90), 3)
-        text = ledger.to_jsonl()
-        checkpoint = ledger_checkpoint(text.encode())
-        assert Ledger.from_jsonl(text, checkpoint).to_jsonl() == text
+    def test_text_is_a_type_error(self):
+        data = _seeded_ledger(Random(90), 3).to_jsonl()
+        for checkpoint in (None, ledger_checkpoint(data), ledger_checkpoint(b"")):
+            with pytest.raises(TypeError):
+                Ledger.from_jsonl(data.decode(), checkpoint)
 
     def test_checkpoint_is_one_canonical_line(self):
-        data = _seeded_ledger(Random(90), 3).to_jsonl().encode()
+        data = _seeded_ledger(Random(90), 3).to_jsonl()
         assert ledger_checkpoint(data) == (
             '{"length":%d,"sha256":"%s"}\n' % (len(data), sha256(data).hex())).encode()
 
@@ -865,7 +868,7 @@ class TestCheckpoint:
         pair, funding = _funded(ledger, Random(91))
         ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
                                            [TxOutput(pair.public, 100000)]))
-        data = ledger.to_jsonl().encode()
+        data = ledger.to_jsonl()
         return data, ledger_checkpoint(data)
 
     def test_every_byte_edit_of_the_prefix_is_a_corrupt_record(self):
@@ -910,7 +913,7 @@ class TestCheckpoint:
 
     def test_edited_unspent_coinbase_amount_replays_but_fails_its_checkpoint(self):
         ledger = _seeded_ledger(Random(92), 3)
-        data = ledger.to_jsonl().encode()
+        data = ledger.to_jsonl()
         last = json.loads(data.splitlines()[-1])
         assert last["coinbase"] and not ledger.is_spent(ledger.transactions[-1].txid, 0)
         edited = data.replace(b'"amount":"3"', b'"amount":"4"')
@@ -927,7 +930,7 @@ class TestCheckpoint:
         other = KeyPair.generate(Random(94))
         ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
                                            [TxOutput(_addr(other), 100000)]))
-        good, spend = ledger.to_jsonl().encode().splitlines(keepends=True)
+        good, spend = ledger.to_jsonl().splitlines(keepends=True)
         checkpoint = ledger_checkpoint(good)
         for tail, line in ((b'{"bad json\n', 2), (b"\n" + b'{"bad json\n', 3), (spend + b"[]\n", 3)):
             with pytest.raises(ProtocolError) as exc:
@@ -970,11 +973,11 @@ class TestFileStore:
                      json.dumps({"data": "zz", "name": sha256(b"b").hex()}),
                      json.dumps({"data": "00", "name": "abcd"})]:
             with pytest.raises(ProtocolError) as exc:
-                FileStore.from_jsonl(good + "\n" + line + "\n")
+                FileStore.from_jsonl((good + "\n" + line + "\n").encode())
             assert exc.value.code == "corrupt-record", line
             assert "line 2" in str(exc.value)
         with pytest.raises(ProtocolError, match="filename exists"):
-            FileStore.from_jsonl(good + "\n" + good + "\n")
+            FileStore.from_jsonl((good + "\n" + good + "\n").encode())
 
     def test_persistence_round_trip(self):
         fs = FileStore()
@@ -982,3 +985,93 @@ class TestFileStore:
         fs.put(sha256(b"b"), b"beta")
         again = FileStore.from_jsonl(fs.to_jsonl())
         assert again.files == fs.files
+
+
+# separators that ``str.splitlines`` breaks a line at, where JSON Lines breaks only at ``\n``
+NOT_LINE_BREAKS = [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode(), "\u2028".encode(),
+                   "\u2029".encode()]
+
+
+def _two_files() -> bytes:
+    fs = FileStore()
+    fs.put(sha256(b"a"), b"alpha")
+    fs.put(sha256(b"b"), b"beta")
+    return fs.to_jsonl()
+
+
+class TestLineRule:
+    """Only ``\\n`` ends a stored record, as JSON Lines says; a ``\\r`` before it
+    is JSON whitespace, so CRLF files load, and a lone ``\\r`` ends nothing."""
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS + [b"\r"], ids=bytes.hex)
+    def test_records_joined_by_another_separator_are_one_corrupt_line(self, sep):
+        ledger = Ledger()
+        ledger.faucet([TxOutput(Address("p2pkh", b"\x11" * 20), 1)])
+        ledger.faucet([TxOutput(Address("p2pkh", b"\x22" * 20), 2)])
+        for load, data in ((Ledger.from_jsonl, ledger.to_jsonl()), (FileStore.from_jsonl, _two_files())):
+            load(data)
+            first, second, _ = data.split(b"\n")
+            joined = first + sep + second + b"\n"
+            assert len(joined.decode().splitlines()) == 2  # what a text reader would load
+            with pytest.raises(ProtocolError) as exc:
+                load(joined)
+            assert exc.value.code == "corrupt-record" and "line 1: " in str(exc.value)
+
+    @pytest.mark.parametrize("sep", NOT_LINE_BREAKS, ids=bytes.hex)
+    def test_a_line_of_a_separator_is_not_blank(self, sep):
+        data = _two_files()
+        assert len(FileStore.from_jsonl(data + b" \t\r\n\n").files) == 2
+        with pytest.raises(ProtocolError) as exc:
+            FileStore.from_jsonl(data + sep + b"\n")
+        assert exc.value.code == "corrupt-record" and "line 3: " in str(exc.value)
+
+    def test_crlf_ledger_loads_with_the_same_line_numbers(self):
+        data = _seeded_ledger(Random(95), 3).to_jsonl()
+        crlf = data.replace(b"\n", b"\r\n")
+        assert Ledger.from_jsonl(crlf).to_jsonl() == data
+        assert Ledger.from_jsonl(crlf, ledger_checkpoint(crlf)).to_jsonl() == data
+        lines = data.split(b"\n")[:-1]
+        messages = []
+        for end in (b"\n", b"\r\n"):
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(end.join(lines[:2] + [b"", b"[]"] + lines[2:]) + end)
+            messages.append(str(exc.value))
+        assert "line 4: " in messages[0] and messages[0] == messages[1]
+        # past a checkpoint, lines still count from the file's start
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(crlf + b"[]\r\n", ledger_checkpoint(crlf))
+        assert exc.value.code == "corrupt-record" and "line 8: " in str(exc.value)
+
+
+def _edits(seed: bytes):
+    """One-byte edits, insertions and deletions of ``seed``."""
+    at, byte = st.integers(0, len(seed) - 1), st.integers(0, 255).map(lambda b: bytes([b]))
+    return st.one_of(
+        st.tuples(at, byte).map(lambda e: seed[:e[0]] + e[1] + seed[e[0] + 1:]),
+        st.tuples(st.integers(0, len(seed)), byte).map(lambda e: seed[:e[0]] + e[1] + seed[e[0]:]),
+        at.map(lambda i: seed[:i] + seed[i + 1:]),
+    )
+
+
+# a fixed example sequence and no example database, so Tier-1 stays deterministic
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+SEED_LEDGER = _seeded_ledger(Random(98), 1).to_jsonl()  # a faucet, a spend and a faucet
+DECODER_INPUTS = st.binary(max_size=400) | _edits(SEED_LEDGER)
+
+
+class TestDecoderFuzz:
+    """Whatever bytes reach a stored-record decoder, it returns a value or
+    raises ``ProtocolError``, nothing else."""
+
+    @FUZZ
+    @given(DECODER_INPUTS)
+    def test_ledger(self, data):
+        for checkpoint in (None, ledger_checkpoint(SEED_LEDGER)):
+            with suppress(ProtocolError):
+                Ledger.from_jsonl(data, checkpoint)
+
+    @FUZZ
+    @given(DECODER_INPUTS | _edits(_two_files()))
+    def test_filestore(self, data):
+        with suppress(ProtocolError):
+            FileStore.from_jsonl(data)

@@ -315,6 +315,25 @@ class TestCheckpointFile:
         assert _run_main(capsys, base + ["chain", "faucet", "--to", own, "--amount", "1"])[0] == 0
         assert (state / "ledger.ckpt").exists()
 
+    @pytest.mark.parametrize("ledger", [None, b""], ids=["absent", "empty"])
+    def test_ledger_gone_beside_its_checkpoint(self, capsys, tmp_path, ledger):
+        state, base, own = self._state(capsys, tmp_path)
+        sidecar = (state / "ledger.ckpt").read_bytes()
+        if ledger is None:
+            (state / "ledger.jsonl").unlink()
+        else:
+            (state / "ledger.jsonl").write_bytes(ledger)
+        assert _domain_error(capsys, base + ["chain", "show"]) == "corrupt-record"
+        assert _domain_error(capsys, base + ["chain", "faucet", "--to", own, "--amount", "1"]) == "corrupt-record"
+        assert (state / "ledger.ckpt").read_bytes() == sidecar
+        assert (state / "ledger.jsonl").exists() == (ledger is not None)
+
+    def test_absent_ledger_without_a_checkpoint_is_empty(self, capsys, tmp_path):
+        state = tmp_path / "state"
+        code, out, _ = _run_main(capsys, ["--state-dir", str(state), "chain", "show"])
+        assert (code, json.loads(out)) == (0, {"transactions": 0, "utxos": 0, "issued": 0})
+        assert not state.exists()  # a read creates no state directory
+
     def test_records_past_the_checkpoint_keep_file_line_numbers(self, capsys, tmp_path):
         state, base, _ = self._state(capsys, tmp_path)
         with open(state / "ledger.jsonl", "a") as f:
@@ -401,7 +420,7 @@ class TestInputFaults:
     @pytest.mark.parametrize("args, message", [
         (["chain", "show", "zz"], "bad txid 'zz'"),
         (["chain", "send", "--key", "{key}", "--outpoint", "zz:0", "--to", OWN, "--amount", "1"],
-         "bad outpoint 'zz'"),
+         "bad outpoint 'zz:0'"),
         (["chain", "send", "--key", "{key}", "--outpoint", "00" * 32, "--to", OWN, "--amount", "1"],
          "not txid:index"),
         (["chain", "send", "--key", "{key}", "--outpoint", "00" * 32 + ":x", "--to", OWN,
@@ -519,6 +538,21 @@ class TestCorruptFiles:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["error"] == "corrupt-record"
         assert f"line {len(text.splitlines())}: " in payload["message"]
+
+    @pytest.mark.parametrize("sep", [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\r", "\x85".encode(),
+                                     "\u2028".encode(), "\u2029".encode()], ids=bytes.hex)
+    def test_records_joined_by_another_separator(self, capsys, tmp_path, sep):
+        # only "\n" ends a record, so the two coinbases are one corrupt line
+        state = tmp_path / "state"
+        state.mkdir()
+        second = self.COINBASE.replace('"coinbase":"0"', '"coinbase":"1"').encode()
+        (state / "ledger.jsonl").write_bytes(self.COINBASE.encode() + second)
+        code, out, _ = _run_main(capsys, ["--state-dir", str(state), "chain", "show"])
+        assert (code, json.loads(out)["transactions"]) == (0, 2)
+        (state / "ledger.jsonl").write_bytes(self.COINBASE.encode().replace(b"\n", sep) + second)
+        code, out, _ = _run_main(capsys, ["--state-dir", str(state), "chain", "show"])
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert (code, payload["error"]) == (1, "corrupt-record") and "line 1: " in payload["message"]
 
     def test_corrupt_filestore(self, capsys, tmp_path):
         state = tmp_path / "state"
@@ -932,7 +966,7 @@ class TestColdImports:
         work, *_, ledger = files
         state = work / "hand-written"
         state.mkdir()
-        (state / "ledger.jsonl").write_text(ledger.to_jsonl())
+        (state / "ledger.jsonl").write_bytes(ledger.to_jsonl())
         out, loaded = self._cold(["--state-dir", str(state), "chain", "show"])
         assert out == {"transactions": 2, "utxos": len(ledger.utxo), "issued": 9000}
         assert {"paytocontract.chain", "cryptography"} <= loaded  # the replay verifies through OpenSSL

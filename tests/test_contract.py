@@ -17,11 +17,11 @@ from paytocontract.contract import (
     canonical_encode,
     contract_hash,
     decode_contract,
-    decode_node,
     decrypt_leaf,
     encode_contract,
     encrypt_leaf,
     node_digest,
+    node_from_json,
     order_price,
     payment_address,
     payment_private_key,
@@ -32,7 +32,7 @@ from paytocontract.contract import (
     with_leaf_value,
 )
 from paytocontract.curve import G, KeyPair, Scalar, hash160, random_scalar
-from paytocontract.errors import ProtocolError
+from paytocontract.errors import ProtocolError, _load_json
 from paytocontract.wallet import derive_address, derive_public
 
 # frozen at first implementation: canonical bytes of a leaf holding "42"
@@ -83,7 +83,7 @@ class TestCanonicalEncoding:
         for _ in range(50):
             tree = _random_tree(rng)
             encoded = canonical_encode(tree)
-            assert canonical_encode(decode_node(encoded)) == encoded
+            assert canonical_encode(node_from_json(_load_json(encoded))) == encoded
 
     def test_child_insertion_order_irrelevant(self):
         a = Branch(_salt(), {"x": Leaf(_salt(1), b"1"), "y": Leaf(_salt(2), b"2")})
