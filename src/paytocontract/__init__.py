@@ -37,11 +37,11 @@ _SUBMODULE_EXPORTS = {
                "derive_private", "derive_public", "derive_script", "multisig_script", "p2pkh_address",
                "p2sh_address"),
     "contract": ("Branch", "Contract", "Leaf", "Redacted", "build_contract", "build_template",
-                 "canonical_encode", "contract_hash", "decode_contract", "encode_contract", "encrypt_leaf",
-                 "decrypt_leaf", "node_digest", "payment_address", "payment_private_key", "redact",
-                 "sign_fields", "verify_contract"),
+                 "canonical_encode", "check_name", "contract_hash", "contract_to_json", "decode_contract",
+                 "encode_contract", "encrypt_leaf", "decrypt_leaf", "node_digest", "parse_path", "path_str",
+                 "payment_address", "payment_private_key", "redact", "sign_fields", "verify_contract"),
     "chain": ("FileStore", "Ledger", "Transaction", "TxInput", "TxOutput", "build_script_spend",
-              "build_transaction"),
+              "build_transaction", "ledger_checkpoint", "tx_to_json"),
     "protocol": ("CustomerTrustStore", "DlegProof", "MerchantIdentity", "OrderState", "OrderStatus",
                  "SignalKeyRegistry", "SignalRecord", "SignalVariant", "attach_signal", "combined_pay_and_signal",
                  "customer_approve_and_pay", "merchant_detect_payment", "merchant_retrieve",

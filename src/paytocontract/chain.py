@@ -46,7 +46,8 @@ class TxInput:
 
     Address-hash and pay-to-pubkey outputs are unlocked by ``pubkey`` +
     ``signature``; script-hash outputs by the revealed ``redeem_script``
-    plus its threshold of ``signatures``.
+    plus its threshold of ``signatures``.  An input carries exactly one of
+    the two forms, so the validator and the record read it the same way.
     """
 
     prev_txid: bytes
@@ -59,6 +60,10 @@ class TxInput:
     def __post_init__(self):
         if len(self.prev_txid) != 32 or self.index < 0:
             raise ValueError("bad outpoint")
+        if (self.pubkey is None) == (self.redeem_script is None):
+            raise ValueError("need exactly one of pubkey and redeem_script")
+        if self.signatures if self.redeem_script is None else self.signature is not None:
+            raise ValueError("a pubkey takes one signature, a redeem_script signatures")
 
 
 @dataclass(frozen=True, slots=True)

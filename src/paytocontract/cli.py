@@ -7,9 +7,9 @@ points are lowercase hex on this surface; addresses render as
 ``kind:hexdigest``.
 
 At import this module loads only ``curve``, ``wallet`` and ``errors``, which
-every argument kind needs; ``contract``, ``chain``, ``protocol`` and
-``scenarios`` are imported inside the commands and parsers that call them,
-so a command that loads no ledger does not pay for the rest.
+every argument kind needs.  Every other library name is read as ``pc.<name>``
+through the package's export table, which imports the defining submodule on
+the first read, so a command that loads no ledger does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import click
+
+import paytocontract as pc
 
 from . import SCENARIOS
 from .curve import KeyPair, Point, Scalar, random_scalar
@@ -38,10 +40,6 @@ from .wallet import (
     script_from_json,
     script_to_json,
 )
-
-if TYPE_CHECKING:
-    from .chain import FileStore, Ledger
-    from .protocol import DlegProof
 
 
 # -- file I/O: every file p2c reads or writes goes through these two --------
@@ -86,24 +84,18 @@ def _write(path: Path, data: bytes, private: bool = False):
         raise ProtocolError("io error", f"{path}: {exc}") from None
 
 
-def _proof(data: bytes) -> Tuple[DlegProof, Point]:
+def _proof(data: bytes) -> Tuple[pc.DlegProof, Point]:
     """A ``dh prove --out`` record: the proof and its signal pubkey."""
-    from .protocol import DlegProof
-
     obj = _load_json(data)
     shared, commit_g, commit_p, signal = (Point.decode(bytes.fromhex(obj[k])) for k in
                                           ("shared", "commit_g", "commit_p", "signal_pubkey"))
-    return DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16))), signal
+    return pc.DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16))), signal
 
 
-def _contract(data: bytes):
-    from .contract import decode_contract
-
-    return decode_contract(data)
-
-
+# a decoder reads its ``pc`` name when it runs: ``pc.decode_contract`` read here
+# would load ``contract`` for every command
 KEYFILE = ("invalid keyfile", lambda data: KeyPair.from_private(Scalar(int(_load_json(data)["private"], 16))))
-CONTRACT = ("invalid contract", _contract)
+CONTRACT = ("invalid contract", lambda data: pc.decode_contract(data))
 SCRIPT = ("invalid script", lambda data: script_from_json(_load_json(data)))
 PROOF = ("invalid proof", _proof)
 
@@ -122,32 +114,26 @@ class CliConfig:
         decode = functools.partial(store.from_jsonl, **options)
         return _read(path, ("corrupt record", decode)) if path.exists() else decode(b"")
 
-    def load_ledger(self) -> Ledger:
+    def load_ledger(self) -> pc.Ledger:
         """The saved ledger.  The prefix its ``ledger.ckpt`` sidecar binds was
         validated when it was saved and is not verified again; without the
         sidecar every record is replayed.  An absent ledger decodes as no
         bytes, so beside a sidecar it is a ``corrupt record``."""
-        from .chain import Ledger
-
         sidecar = self.state_dir / "ledger.ckpt"
         checkpoint = _read(sidecar, ("corrupt record", bytes)) if sidecar.exists() else None
-        return self._load(Ledger, "ledger.jsonl", checkpoint=checkpoint)
+        return self._load(pc.Ledger, "ledger.jsonl", checkpoint=checkpoint)
 
-    def save_ledger(self, ledger: Ledger):
+    def save_ledger(self, ledger: pc.Ledger):
         """Write the ledger, then its checkpoint.  A failure between the two
         leaves the old checkpoint, which still binds a prefix of the new file."""
-        from .chain import ledger_checkpoint
-
         data = ledger.to_jsonl()
         _write(self.state_dir / "ledger.jsonl", data)
-        _write(self.state_dir / "ledger.ckpt", ledger_checkpoint(data))
+        _write(self.state_dir / "ledger.ckpt", pc.ledger_checkpoint(data))
 
-    def load_filestore(self) -> FileStore:
-        from .chain import FileStore
+    def load_filestore(self) -> pc.FileStore:
+        return self._load(pc.FileStore, "filestore.jsonl")
 
-        return self._load(FileStore, "filestore.jsonl")
-
-    def save_filestore(self, fs: FileStore):
+    def save_filestore(self, fs: pc.FileStore):
         _write(self.state_dir / "filestore.jsonl", fs.to_jsonl())
 
     def emit(self, obj: dict):
@@ -192,19 +178,15 @@ def _outpoint(text: str) -> Tuple[bytes, int]:
 
 
 def _field(text: str) -> Tuple[str, bytes]:
-    from .contract import check_name
-
     name, sep, value = text.partition("=")
     if not sep:
         raise ValueError("not name=value")
-    check_name(name)
+    pc.check_name(name)
     return name, value.encode()
 
 
 def _path(text: str) -> str:
-    from .contract import parse_path, path_str
-
-    return path_str(parse_path(text))
+    return pc.path_str(pc.parse_path(text))
 
 
 TXID = Arg("txid", bytes.fromhex)
@@ -240,9 +222,7 @@ def _label(label: Optional[bytes], label_hex: Optional[bytes]) -> bytes:
 
 
 def _save_contract(cfg: CliConfig, c, out: Path, **summary):
-    from .contract import encode_contract
-
-    _write(out, encode_contract(c))
+    _write(out, pc.encode_contract(c))
     cfg.emit({"written": str(out), **summary})
 
 
@@ -324,13 +304,11 @@ def contract():
 @pass_config
 def contract_template(cfg: CliConfig, merchant_key: str, static_pairs, dynamic_key, out: Path):
     """Create a signed contract template (static fields under merchant/)."""
-    from .contract import build_template, sign_fields
-
     pair = _read(merchant_key, KEYFILE)
     static = dict(static_pairs)
-    template = build_template(pair.public, static, cfg.rng(), dynamic_signing_key=dynamic_key)
+    template = pc.build_template(pair.public, static, cfg.rng(), dynamic_signing_key=dynamic_key)
     paths = ["merchant/pubkey"] + [f"merchant/{n}" for n in static]
-    _save_contract(cfg, sign_fields(template, pair.private, paths), out, signed_paths=paths)
+    _save_contract(cfg, pc.sign_fields(template, pair.private, paths), out, signed_paths=paths)
 
 
 @contract.command("build")
@@ -340,10 +318,8 @@ def contract_template(cfg: CliConfig, merchant_key: str, static_pairs, dynamic_k
 @pass_config
 def contract_build(cfg: CliConfig, template_path: str, field_pairs, out: Path):
     """Fill order fields into a template."""
-    from .contract import build_contract, contract_hash
-
-    built = build_contract(_read(template_path, CONTRACT), dict(field_pairs), cfg.rng())
-    _save_contract(cfg, built, out, contract_hash=contract_hash(built).hex())
+    built = pc.build_contract(_read(template_path, CONTRACT), dict(field_pairs), cfg.rng())
+    _save_contract(cfg, built, out, contract_hash=pc.contract_hash(built).hex())
 
 
 @contract.command("sign")
@@ -354,9 +330,7 @@ def contract_build(cfg: CliConfig, template_path: str, field_pairs, out: Path):
 @pass_config
 def contract_sign(cfg: CliConfig, contract_path: str, key_path: str, paths, out: Path):
     """Sign subtree digests at the given field paths."""
-    from .contract import sign_fields
-
-    signed = sign_fields(_read(contract_path, CONTRACT), _read(key_path, KEYFILE).private, list(paths))
+    signed = pc.sign_fields(_read(contract_path, CONTRACT), _read(key_path, KEYFILE).private, list(paths))
     _save_contract(cfg, signed, out, signed_paths=list(paths))
 
 
@@ -365,9 +339,7 @@ def contract_sign(cfg: CliConfig, contract_path: str, key_path: str, paths, out:
 @pass_config
 def contract_verify(cfg: CliConfig, contract_path: str):
     """Check every signature; nonzero exit when any is invalid."""
-    from .contract import verify_contract
-
-    report = verify_contract(_read(contract_path, CONTRACT))
+    report = pc.verify_contract(_read(contract_path, CONTRACT))
     cfg.emit({
         "ok": report.ok,
         "static": dict(report.static),
@@ -387,12 +359,10 @@ def contract_verify(cfg: CliConfig, contract_path: str):
 @pass_config
 def contract_redact(cfg: CliConfig, contract_path: str, paths, out: Path):
     """Replace subtrees by their digests; the contract hash is unchanged."""
-    from .contract import contract_hash, redact
-
     c = _read(contract_path, CONTRACT)
     for p in paths:
-        c = redact(c, p)
-    _save_contract(cfg, c, out, redacted=list(paths), contract_hash=contract_hash(c).hex())
+        c = pc.redact(c, p)
+    _save_contract(cfg, c, out, redacted=list(paths), contract_hash=pc.contract_hash(c).hex())
 
 
 @contract.command("encrypt-leaf")
@@ -403,10 +373,8 @@ def contract_redact(cfg: CliConfig, contract_path: str, paths, out: Path):
 @pass_config
 def contract_encrypt_leaf(cfg: CliConfig, contract_path: str, path: str, recipient: Point, out: Path):
     """Encrypt one leaf to a pubkey (do this before signing/paying)."""
-    from .contract import contract_hash, encrypt_leaf
-
-    c = encrypt_leaf(_read(contract_path, CONTRACT), path, recipient, cfg.rng())
-    _save_contract(cfg, c, out, encrypted=path, contract_hash=contract_hash(c).hex())
+    c = pc.encrypt_leaf(_read(contract_path, CONTRACT), path, recipient, cfg.rng())
+    _save_contract(cfg, c, out, encrypted=path, contract_hash=pc.contract_hash(c).hex())
 
 
 @contract.command("hash")
@@ -414,9 +382,7 @@ def contract_encrypt_leaf(cfg: CliConfig, contract_path: str, path: str, recipie
 @pass_config
 def contract_hash_cmd(cfg: CliConfig, contract_path: str):
     """Root digest (stable under redaction)."""
-    from .contract import contract_hash
-
-    cfg.emit({"contract_hash": contract_hash(_read(contract_path, CONTRACT)).hex()})
+    cfg.emit({"contract_hash": pc.contract_hash(_read(contract_path, CONTRACT)).hex()})
 
 
 @contract.command("payment-address")
@@ -424,9 +390,7 @@ def contract_hash_cmd(cfg: CliConfig, contract_path: str):
 @pass_config
 def contract_payment_address(cfg: CliConfig, contract_path: str):
     """The address the contract determines."""
-    from .contract import payment_address
-
-    cfg.emit({"address": payment_address(_read(contract_path, CONTRACT)).render()})
+    cfg.emit({"address": pc.payment_address(_read(contract_path, CONTRACT)).render()})
 
 
 # -- chain ----------------------------------------------------------------------
@@ -442,10 +406,8 @@ def chain():
 @pass_config
 def chain_faucet(cfg: CliConfig, to: Address, amount: int):
     """Mint a coinbase output (test setup)."""
-    from .chain import TxOutput
-
     ledger = cfg.load_ledger()
-    tx = ledger.faucet([TxOutput(to, amount)])
+    tx = ledger.faucet([pc.TxOutput(to, amount)])
     cfg.save_ledger(ledger)
     cfg.emit({"txid": tx.txid.hex(), "index": 0, "amount": amount})
 
@@ -460,12 +422,10 @@ def chain_faucet(cfg: CliConfig, to: Address, amount: int):
 @pass_config
 def chain_send(cfg: CliConfig, key_path: str, outpoints, to: Address, amount: int, change):
     """Spend outputs owned by --key."""
-    from .chain import TxOutput, build_transaction
-
     ledger = cfg.load_ledger()
     key = _read(key_path, KEYFILE).private
     spends = [(txid, idx, key) for txid, idx in outpoints]
-    tx = ledger.broadcast(build_transaction(ledger, spends, [TxOutput(to, amount)], change))
+    tx = ledger.broadcast(pc.build_transaction(ledger, spends, [pc.TxOutput(to, amount)], change))
     cfg.save_ledger(ledger)
     cfg.emit({"txid": tx.txid.hex(), "outputs": len(tx.outputs)})
 
@@ -485,14 +445,12 @@ def chain_scan(cfg: CliConfig, addr: Address):
 @pass_config
 def chain_show(cfg: CliConfig, txid: Optional[bytes]):
     """Dump the ledger, or one transaction."""
-    from .chain import tx_to_json
-
     ledger = cfg.load_ledger()
     if txid is not None:
         tx = ledger.get_transaction(txid)
         if tx is None:
             raise ProtocolError("no such transaction", txid.hex())
-        cfg.emit({"txid": txid.hex(), "transaction": tx_to_json(tx)})
+        cfg.emit({"txid": txid.hex(), "transaction": pc.tx_to_json(tx)})
     else:
         cfg.emit({"transactions": len(ledger), "utxos": len(ledger.utxo),
                   "issued": ledger.total_issued})
@@ -521,19 +479,16 @@ def signal():
 def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints, amount: int,
                   contract_path, payment_amount, variant: str, change):
     """Broadcast a transaction carrying a signal output (optionally plus payment)."""
-    from .chain import build_transaction
-    from .protocol import SignalVariant, attach_signal, combined_pay_and_signal
-
     ledger = cfg.load_ledger()
     pair = _read(key_path, KEYFILE)
     spends = [(txid, idx, pair.private) for txid, idx in outpoints]
     if contract_path is not None:
-        txid, value = combined_pay_and_signal(_read(contract_path, CONTRACT), pair, merchant_pub,
-                                              spends, ledger, payment_amount, amount,
-                                              SignalVariant(variant), change=change)
+        txid, value = pc.combined_pay_and_signal(_read(contract_path, CONTRACT), pair, merchant_pub,
+                                                 spends, ledger, payment_amount, amount,
+                                                 pc.SignalVariant(variant), change=change)
     else:
-        outputs, value = attach_signal([], pair, merchant_pub, amount, SignalVariant(variant))
-        txid = ledger.broadcast(build_transaction(ledger, spends, outputs, change)).txid
+        outputs, value = pc.attach_signal([], pair, merchant_pub, amount, pc.SignalVariant(variant))
+        txid = ledger.broadcast(pc.build_transaction(ledger, spends, outputs, change)).txid
     cfg.save_ledger(ledger)
     cfg.emit({"txid": txid.hex(), "value": format(value.value, "064x")})
 
@@ -546,11 +501,9 @@ def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints,
 @pass_config
 def signal_scan(cfg: CliConfig, key_path: str, watermark: int, include_customer_controlled: bool):
     """Detect signals addressed to the merchant key."""
-    from .protocol import MerchantIdentity, merchant_scan_signals
-
     ledger = cfg.load_ledger()
-    identity = MerchantIdentity(_read(key_path, KEYFILE))
-    records = merchant_scan_signals(identity, ledger, watermark, include_customer_controlled)
+    identity = pc.MerchantIdentity(_read(key_path, KEYFILE))
+    records = pc.merchant_scan_signals(identity, ledger, watermark, include_customer_controlled)
     cfg.emit({"signals": [
         {"signal_pubkey": r.signal_pubkey.encode().hex(),
          "value": format(r.value.value, "064x"),
@@ -570,10 +523,8 @@ def dh():
 @pass_config
 def dh_prove(cfg: CliConfig, key_path: str, merchant: Point, out: Optional[Path]):
     """Prove the shared point for (signal key, merchant) without revealing the key."""
-    from .protocol import prove_dh
-
     pair = _read(key_path, KEYFILE)
-    proof = prove_dh(pair.private, merchant, cfg.rng())
+    proof = pc.prove_dh(pair.private, merchant, cfg.rng())
     record = {
         "shared": proof.shared.encode().hex(),
         "commit_g": proof.commit_g.encode().hex(),
@@ -591,10 +542,8 @@ def dh_prove(cfg: CliConfig, key_path: str, merchant: Point, out: Optional[Path]
 @pass_config
 def dh_verify(cfg: CliConfig, proof_path: str, signal_pub: Optional[Point], merchant: Point):
     """Check a proof; exit 0 when valid, 1 when not."""
-    from .protocol import verify_dh
-
     proof, recorded = _read(proof_path, PROOF)
-    ok = verify_dh(proof, recorded if signal_pub is None else signal_pub, merchant)
+    ok = pc.verify_dh(proof, recorded if signal_pub is None else signal_pub, merchant)
     cfg.emit({"valid": ok})
     if not ok:
         sys.exit(1)
@@ -613,12 +562,10 @@ def redeem():
 @pass_config
 def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant: Point):
     """Encrypt the contract under the signalled value and post it."""
-    from .protocol import redeem_post, signal_value
-
     fs = cfg.load_filestore()
     pair = _read(key_path, KEYFILE)
-    value = signal_value(pair.private, merchant)
-    filename = redeem_post(_read(contract_path, CONTRACT), value, fs, cfg.rng())
+    value = pc.signal_value(pair.private, merchant)
+    filename = pc.redeem_post(_read(contract_path, CONTRACT), value, fs, cfg.rng())
     cfg.save_filestore(fs)
     cfg.emit({"filename": filename.hex()})
 
@@ -630,20 +577,17 @@ def redeem_post_cmd(cfg: CliConfig, contract_path: str, key_path: str, merchant:
 @pass_config
 def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: Point):
     """Fetch and decrypt the contract behind a detected signal."""
-    from .contract import contract_hash
-    from .protocol import MerchantIdentity, merchant_retrieve, merchant_scan_signals
-
     ledger = cfg.load_ledger()
     fs = cfg.load_filestore()
-    identity = MerchantIdentity(_read(key_path, KEYFILE))
-    matches = [r for r in merchant_scan_signals(identity, ledger)
+    identity = pc.MerchantIdentity(_read(key_path, KEYFILE))
+    matches = [r for r in pc.merchant_scan_signals(identity, ledger)
                if r.signal_pubkey == signal_pub]
     if not matches:
         raise ProtocolError("no signal from that key")
-    retrieved, status = merchant_retrieve(identity, matches[0], fs, ledger)
+    retrieved, status = pc.merchant_retrieve(identity, matches[0], fs, ledger)
     result = {"state": status.state.value}
     if retrieved is not None:
-        result["contract_hash"] = contract_hash(retrieved).hex()
+        result["contract_hash"] = pc.contract_hash(retrieved).hex()
     if status.paying_txid is not None:
         result["txid"] = status.paying_txid.hex()
     cfg.emit(result)
@@ -658,19 +602,15 @@ def redeem_retrieve(cfg: CliConfig, key_path: str, signal_pub: Point):
 @pass_config
 def scenario(cfg: CliConfig, name: str, yes: bool):
     """Run a full multi-actor walkthrough against fresh state."""
-    from .scenarios import run_scenario
-
     approve = None
     if name == "basic" and not yes:
         def approve(c, alias):
-            from .contract import contract_to_json
-
             click.echo("--- contract for approval ---", err=True)
-            click.echo(json.dumps(contract_to_json(c), indent=2, sort_keys=True), err=True)
+            click.echo(json.dumps(pc.contract_to_json(c), indent=2, sort_keys=True), err=True)
             click.echo(f"--- merchant alias: {alias} ---", err=True)
             return click.confirm("approve this contract?", err=True)
 
-    for event in run_scenario(name, cfg.seed, approve):
+    for event in pc.run_scenario(name, cfg.seed, approve):
         cfg.emit(event)
 
 

@@ -424,6 +424,18 @@ def contract_to_json(c: Contract) -> dict:
     return obj
 
 
+def _signatures_from_json(obj: dict) -> Dict[str, Signature]:
+    """A signature map read from a file.  Each path is parsed here, so a key
+    that is no field path (empty, or with an empty segment) makes the file
+    malformed; ``Contract`` does not check, so contracts built in memory pay
+    nothing for it."""
+    sigs = {}
+    for path, sig in obj.items():
+        parse_path(path)
+        sigs[path] = Signature.from_bytes(bytes.fromhex(sig))
+    return sigs
+
+
 def contract_from_json(obj: dict) -> Contract:
     root = node_from_json(obj["root"])
     if not isinstance(root, Branch):
@@ -432,8 +444,8 @@ def contract_from_json(obj: dict) -> Contract:
     return Contract(
         root,
         Point.decode(bytes.fromhex(obj["merchant_pubkey"])),
-        {p: Signature.from_bytes(bytes.fromhex(s)) for p, s in obj["static_signatures"].items()},
-        {p: Signature.from_bytes(bytes.fromhex(s)) for p, s in obj.get("dynamic_signatures", {}).items()},
+        _signatures_from_json(obj["static_signatures"]),
+        _signatures_from_json(obj.get("dynamic_signatures", {})),
         Point.decode(bytes.fromhex(dyn_key)) if dyn_key else None,
     )
 

@@ -647,10 +647,11 @@ def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:
 def ecdsa_verify_openssl(pub: Point, message: bytes, sig: Signature) -> bool:
     """``ecdsa_verify`` through OpenSSL, about three times faster per signature.
 
-    The first call in a process loads OpenSSL's secp256k1 key and verify
-    state, about 2 MB of RSS, so only a replay of the whole record, which
-    verifies every signature on it, uses it; a single broadcast stays with
-    the pure ``ecdsa_verify``.
+    The first call in a process imports ``cryptography``'s EC module, which
+    raised peak RSS by about 6.5 MB on CPython 3.11 with cryptography 48,
+    and the first verify adds about 1.8 MB of key and verify state.  So only
+    a replay of the whole record, which verifies every signature on it, uses
+    it; a single broadcast stays with the pure ``ecdsa_verify``.
     """
     if _unverifiable(pub, sig):
         return False

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 from contextlib import suppress
@@ -21,6 +22,9 @@ from paytocontract.chain import (
     tx_preimage,
     tx_to_json,
 )
+from paytocontract.contract import (
+    build_contract, build_template, contract_hash, contract_to_json, decode_contract, encrypt_leaf,
+    order_price, payment_address, redact, sign_fields, verify_contract)
 from paytocontract.curve import KeyPair, Point, ecdsa_sign, hash160, sha256
 from paytocontract.errors import ProtocolError
 from paytocontract.wallet import Address, Opcode, Script, derive_script, multisig_script, p2sh_address
@@ -558,6 +562,20 @@ class TestRecords:
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
 
+    @pytest.mark.parametrize("form", [
+        "pubkey-signature-and-script", "neither", "pubkey-with-signatures", "script-with-signature"])
+    def test_an_input_carries_exactly_one_unlock_form(self, form):
+        # broadcast reads the spent output's kind and the record reads the
+        # input's form; an input with both could pass one and fail the other
+        pair = KeyPair.generate(Random(84))
+        script, sig = multisig_script(1, (pair.public,)), ecdsa_sign(pair.private, b"spend")
+        shape = {"pubkey-signature-and-script": dict(pubkey=pair.public, signature=sig, redeem_script=script),
+                 "neither": {},
+                 "pubkey-with-signatures": dict(pubkey=pair.public, signatures=(sig,)),
+                 "script-with-signature": dict(redeem_script=script, signature=sig)}[form]
+        with pytest.raises(ValueError):
+            TxInput(b"\x11" * 32, 0, **shape)
+
 
 class TestConservation:
     def test_randomized_broadcast_sequence(self):
@@ -1075,3 +1093,77 @@ class TestDecoderFuzz:
     def test_filestore(self, data):
         with suppress(ProtocolError):
             FileStore.from_jsonl(data)
+
+
+def _seeded_contract_json() -> dict:
+    """A contract file's JSON with both signature maps, an encrypted leaf and a redacted one."""
+    rng = Random(99)
+    merchant, tracker, reader = (KeyPair.generate(rng) for _ in range(3))
+    template = sign_fields(build_template(merchant.public, {"terms": "net 30"}, rng, tracker.public),
+                           merchant.private, ["merchant/terms"])
+    order = build_contract(template, {"item": "lamp", "price": 4200, "note": "gift"}, rng)
+    order = sign_fields(encrypt_leaf(order, "order/item", reader.public, rng), tracker.private, ["order/price"])
+    return contract_to_json(redact(order, "order/note"))
+
+
+def _locations(obj, at=()):
+    """Each field of a JSON tree: ``(path, False)`` to replace the value at
+    ``path``, ``(path, True)`` to rename the object key there."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield at + (key,), False
+        if isinstance(obj, dict):
+            yield at + (key,), True
+        if isinstance(value, (dict, list)):
+            yield from _locations(value, at + (key,))
+
+
+SEED_CONTRACT = _seeded_contract_json()
+LOCATIONS = list(_locations(SEED_CONTRACT))
+# half the edits land in a signature map, where a key is a field path to parse
+SIGNATURE_LOCATIONS = [(path, rename) for path, rename in LOCATIONS if path[0].endswith("_signatures")]
+# "/" and "" make keys that are, or are not, field paths
+JSON_KEYS = st.text(alphabet="ab/", max_size=4) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(alphabet="0123456789abcdef/", max_size=66)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=4)
+
+
+@st.composite
+def _contract_edits(draw):
+    """``SEED_CONTRACT`` with one field changed: a value replaced, an object key
+    renamed (signature paths among them), or one character of a string edited."""
+    obj = copy.deepcopy(SEED_CONTRACT)
+    path, rename = draw(st.sampled_from(LOCATIONS) | st.sampled_from(SIGNATURE_LOCATIONS))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    old = parent[path[-1]]
+    if rename:
+        parent[draw(JSON_KEYS)] = parent.pop(path[-1])
+    elif isinstance(old, str) and old and draw(st.booleans()):
+        at = draw(st.integers(0, len(old) - 1))
+        parent[path[-1]] = old[:at] + draw(st.sampled_from("0f/g")) + old[at + 1:]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return json.dumps(obj).encode()
+
+
+class TestContractDecoderFuzz:
+    """A contract file is a stored record too: whatever one-field change it
+    carries, decoding it and every read of the contract returns a value or
+    raises ``ProtocolError``."""
+
+    def test_the_seed_reads_cleanly(self):
+        c = decode_contract(json.dumps(SEED_CONTRACT).encode())
+        assert verify_contract(c).ok and order_price(c) == 4200
+
+    @settings(FUZZ, max_examples=150)
+    @given(_contract_edits())
+    def test_contract_file(self, data):
+        with suppress(ProtocolError):
+            c = decode_contract(data)
+            for read in (verify_contract, payment_address, contract_hash, order_price):
+                with suppress(ProtocolError):
+                    read(c)

@@ -630,6 +630,16 @@ class TestCorruptFiles:
         path.write_text(json.dumps(obj))
         assert _domain_error(capsys, argv) == code == "invalid-contract"
 
+    @pytest.mark.parametrize("path", ["", "a//b", "/x"])
+    @pytest.mark.parametrize("command", ["verify", "hash"])
+    def test_signature_path_that_is_no_field_path(self, capsys, tmp_path, command, path):
+        template = sign_fields(build_template(G ** Scalar(1), {}, Random(1)), Scalar(1), ["merchant/pubkey"])
+        obj = contract_to_json(build_contract(template, {"price": 5}, Random(2)))
+        obj["static_signatures"][path] = obj["static_signatures"]["merchant/pubkey"]
+        file = tmp_path / "contract.json"
+        file.write_text(json.dumps(obj))
+        assert _domain_error(capsys, ["contract", command, str(file)]) == "invalid-contract"
+
     @pytest.mark.parametrize("kind", list(FILES))
     def test_directory_is_usage_error(self, capsys, tmp_path, kind):
         path, argv, _ = self._file_and_argv(tmp_path, kind)

@@ -16,6 +16,7 @@ from paytocontract.contract import (
     build_template,
     canonical_encode,
     contract_hash,
+    contract_to_json,
     decode_contract,
     decrypt_leaf,
     encode_contract,
@@ -424,6 +425,16 @@ class TestContractCodec:
         with pytest.raises(ProtocolError) as exc:
             decode_contract(json.dumps({"root": root}).encode())
         assert exc.value.code == "invalid-contract"
+
+    @pytest.mark.parametrize("bucket", ["static_signatures", "dynamic_signatures"])
+    @pytest.mark.parametrize("path", ["", "a//b", "/x"])
+    def test_signature_path_that_is_no_field_path_rejected(self, bucket, path):
+        rng = Random(58)
+        obj = contract_to_json(_sample_contract(rng, KeyPair.generate(rng)))
+        obj[bucket][path] = obj["static_signatures"]["merchant/terms"]
+        with pytest.raises(ProtocolError) as exc:
+            decode_contract(json.dumps(obj).encode())
+        assert exc.value.code == "invalid-contract" and repr(path) in str(exc.value)
 
 
 class TestProperties:

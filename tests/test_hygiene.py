@@ -112,3 +112,50 @@ def test_cryptography_check_catches_a_planted_import():
     assert _imports_cryptography("def f():\n    import cryptography.hazmat\n")
     assert _imports_cryptography("from cryptography.exceptions import InvalidSignature\n")
     assert not _imports_cryptography("from .curve import ecdsa_verify_openssl\nimport cryptographyx\n")
+
+
+# ``cli`` reads every library name as ``pc.<name>`` through the package's
+# export table, which imports the defining submodule on the first read.  It
+# imports at module level only what every argument kind needs, and nothing of
+# the package inside a function, so the table alone says when a module loads.
+CLI_MODULE_IMPORTS = {"paytocontract", "paytocontract.curve", "paytocontract.wallet", "paytocontract.errors"}
+
+
+def _package_imports(source: str):
+    """``(module:line of each package import inside a function, modules the
+    package imports at module level)`` for ``source``, a module of the package."""
+    tree = ast.parse(source)
+    in_function = {id(inner) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)}
+    local, top = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [".".join(filter(None, ["paytocontract" if node.level else None, node.module]))]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] != "paytocontract":
+                continue
+            if id(node) in in_function:
+                local.append(f"{module}:{node.lineno}")
+            else:
+                top.add(module)
+    return local, top
+
+
+def test_cli_reads_library_names_through_the_package():
+    local, top = _package_imports((PACKAGE / "cli.py").read_text())
+    assert local == [] and top <= CLI_MODULE_IMPORTS
+
+
+def test_cli_import_check_catches_a_planted_import():
+    cli_source = (PACKAGE / "cli.py").read_text()
+    lines = cli_source.count("\n")
+    planted = cli_source + "\n\ndef _peek():\n    from .chain import Ledger\n    return Ledger\n"
+    assert _package_imports(planted)[0] == [f"paytocontract.chain:{lines + 4}"]
+    assert _package_imports("def f():\n    import paytocontract.protocol\n")[0] == ["paytocontract.protocol:2"]
+    assert _package_imports("def f():\n    import json\n") == ([], set())
+    _, top = _package_imports(cli_source + "\nfrom .contract import redact\n")
+    assert top - CLI_MODULE_IMPORTS == {"paytocontract.contract"}
