@@ -13,8 +13,9 @@ validated, so that a reload commits that prefix without verifying it again.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
                     hash160, sha256)
@@ -191,20 +192,54 @@ def transaction_pubkeys(tx: Transaction) -> List[Point]:
     return points
 
 
+class _UnspentView(Mapping):
+    """``Ledger.utxo``: a read-only ``(txid, index) -> TxOutput`` view of the
+    unspent set, in commit order and then output order."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: Ledger):
+        self._ledger = ledger
+
+    def __getitem__(self, outpoint: Tuple[bytes, int]) -> TxOutput:
+        txid, index = outpoint
+        if not _is_unspent(self._ledger, txid, index):
+            raise KeyError(outpoint)
+        return self._ledger._by_txid[txid].outputs[index]
+
+    def __iter__(self) -> Iterator[Tuple[bytes, int]]:
+        for txid, mask in self._ledger._unspent.items():
+            for index in range(mask.bit_length()):
+                if mask >> index & 1:
+                    yield txid, index
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self._ledger._unspent.values())
+
+
 class Ledger:
     """Append-only transaction record with an unspent-output set.
 
     Single-writer and single-threaded; reads operate on values that are
     never mutated in place.  Beside the record it keeps one index per
-    query: txid -> transaction and pay target -> paying transactions.
+    query:
+    - txid -> transaction (``_by_txid``);
+    - txid -> bit mask of its unspent output indexes (``_unspent``), with no
+      entry once every output is spent; ``utxo`` reads it as a
+      ``(txid, index) -> TxOutput`` mapping;
+    - pay target -> paying transactions (``_payers``).
     """
 
     def __init__(self):
         self.transactions: List[Transaction] = []
-        self.utxo: Dict[Tuple[bytes, int], TxOutput] = {}
         self.total_issued = 0
         self._by_txid: Dict[bytes, Transaction] = {}
+        self._unspent: Dict[bytes, int] = {}
         self._payers: Dict[PayTarget, Union[Transaction, List[Transaction]]] = {}
+
+    @property
+    def utxo(self) -> Mapping:
+        return _UnspentView(self)
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -272,9 +307,16 @@ class Ledger:
         if not tx.inputs:  # a coinbase mints its outputs
             self.total_issued += sum(o.amount for o in tx.outputs)
         for inp in tx.inputs:
-            del self.utxo[(inp.prev_txid, inp.index)]
-        for i, out in enumerate(tx.outputs):
-            self.utxo[(tx.txid, i)] = out
+            if not _is_unspent(self, inp.prev_txid, inp.index):
+                raise KeyError((inp.prev_txid, inp.index))
+            mask = self._unspent[inp.prev_txid] ^ 1 << inp.index
+            if mask:
+                self._unspent[inp.prev_txid] = mask
+            else:
+                del self._unspent[inp.prev_txid]
+        if tx.outputs:
+            self._unspent[tx.txid] = (1 << len(tx.outputs)) - 1
+        for out in tx.outputs:
             # Most targets are paid once (a fresh contract-derived address),
             # so a single payer is stored bare: a one-element list would add
             # 64 bytes per paid target to a ledger held wholly in memory.
@@ -308,7 +350,7 @@ class Ledger:
     def is_spent(self, txid: bytes, index: int) -> bool:
         """Whether output ``index`` of a recorded transaction has been spent."""
         tx = self._by_txid.get(txid)
-        return tx is not None and 0 <= index < len(tx.outputs) and (txid, index) not in self.utxo
+        return tx is not None and 0 <= index < len(tx.outputs) and not _is_unspent(self, txid, index)
 
     # -- persistence ---------------------------------------------------------
 
@@ -391,17 +433,21 @@ def _check_script_lock(script: Optional[Script], payto: PayTarget):
         raise ProtocolError("script does not match output")
 
 
+def _is_unspent(ledger: Ledger, txid: bytes, index: int) -> bool:
+    # a negative shift count is a ValueError, so the index is checked first
+    return index >= 0 and ledger._unspent.get(txid, 0) >> index & 1 == 1
+
+
 def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
-    out = ledger.utxo.get((txid, index))
-    if out is None:
+    if not _is_unspent(ledger, txid, index):
         raise ProtocolError("missing utxo", f"{txid.hex()}:{index}")
-    return out
+    return ledger._by_txid[txid].outputs[index]
 
 
 def _sign_and_assemble(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
                        outputs: Sequence[TxOutput], change: Optional[PayTarget] = None) -> Transaction:
     """The builders' shared tail: check funds, pay any remainder to ``change``, sign each input."""
-    total = sum(ledger.utxo[(inp.prev_txid, inp.index)].amount for inp, _ in drafts)
+    total = sum(ledger._by_txid[inp.prev_txid].outputs[inp.index].amount for inp, _ in drafts)
     remainder = total - sum(o.amount for o in outputs)
     if remainder < 0:
         raise ProtocolError("insufficient funds")

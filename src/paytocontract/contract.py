@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
+from .curve import (G, KeyPair, Point, Scalar, Signature, _unverifiable, ecdsa_sign, ecdsa_verify,
+                    rand_bytes, sha256)
 from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _load_json
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_private
@@ -285,6 +286,32 @@ class ContractReport:
     warnings: Tuple[str, ...]
 
 
+# Signature triples that verified in this process, keyed by the pubkey's
+# encoding, the signature's 64 bytes and then the message: the first two have
+# fixed widths, so the key is the exact triple.  A shop's template carries the
+# same static signatures into every order, so the customer's and the auditor's
+# checks repeat them (Bitcoin Core's signature cache exists for the same
+# reason).  Successes only, so a hit means "this exact triple verified";
+# insertion order makes the first key the oldest, which is evicted first.
+_VERIFIED_CAP = 256
+_verified: Dict[bytes, None] = {}
+
+
+def _verify_once(pub: Point, message: bytes, sig: Signature) -> bool:
+    """``ecdsa_verify``, skipped for a triple that ``_verified`` still holds."""
+    if _unverifiable(pub, sig):  # an identity key cannot be encoded into a key
+        return False
+    key = pub.encode() + sig.to_bytes() + message
+    if key in _verified:
+        return True
+    if not ecdsa_verify(pub, message, sig):
+        return False
+    if len(_verified) >= _VERIFIED_CAP:
+        del _verified[next(iter(_verified))]
+    _verified[key] = None
+    return True
+
+
 def _check_signatures(root: Branch, sigs: Mapping[str, Signature], pub: Optional[Point]) -> Dict[str, str]:
     results = {}
     for path, sig in sigs.items():
@@ -298,7 +325,7 @@ def _check_signatures(root: Branch, sigs: Mapping[str, Signature], pub: Optional
             # subtree hidden inside a redacted ancestor; nothing to check
             results[path] = "unverifiable"
             continue
-        ok = ecdsa_verify(pub, _signature_message(segments, digest), sig)
+        ok = _verify_once(pub, _signature_message(segments, digest), sig)
         results[path] = "valid" if ok else "invalid"
     return results
 

@@ -549,6 +549,92 @@ class TestIndexes:
         assert ledger.get_transaction(tx.txid) is tx
 
 
+
+def _churned_ledger(rng: Random, steps: int) -> Ledger:
+    """Faucets of one to four outputs and spends of one or two outputs at a time,
+    so that transactions are left wholly, partly and not at all spent."""
+    ledger = Ledger()
+    keys = [KeyPair.generate(rng) for _ in range(3)]
+    key_for = {_addr(k): k.private for k in keys}
+    for _ in range(steps):
+        spendable = list(ledger.utxo.items())
+        if len(spendable) < 2 or rng.random() < 0.3:
+            ledger.faucet([TxOutput(rng.choice(list(key_for)), rng.randint(10, 10 ** 6))
+                           for _ in range(rng.randint(1, 4))])
+            continue
+        chosen = rng.sample(spendable, rng.randint(1, 2))
+        total = sum(out.amount for _, out in chosen)
+        spends = [(txid, index, key_for[out.payto]) for (txid, index), out in chosen]
+        outputs = [TxOutput(rng.choice(list(key_for)), total // 3) for _ in range(rng.randint(1, 3))]
+        ledger.broadcast(build_transaction(ledger, spends, outputs))
+    return ledger
+
+
+def _rebuilt_utxo(ledger: Ledger) -> dict:
+    """The unspent set as a ``(txid, index)``-keyed dict built by replaying the record."""
+    unspent = {}
+    for tx in ledger.transactions:
+        for inp in tx.inputs:
+            del unspent[(inp.prev_txid, inp.index)]
+        for i, out in enumerate(tx.outputs):
+            unspent[(tx.txid, i)] = out
+    return unspent
+
+
+class TestUnspentView:
+    """``Ledger.utxo`` is a read-only ``(txid, index) -> TxOutput`` view of
+    per-transaction bit masks of unspent output indexes."""
+
+    @pytest.fixture
+    def ledger(self):
+        return _churned_ledger(Random(160), 40)
+
+    def test_items_match_a_dict_rebuilt_in_commit_order(self, ledger):
+        data = ledger.to_jsonl()
+        loaded = [Ledger.from_jsonl(data), Ledger.from_jsonl(data, ledger_checkpoint(_prefix(data, 17)))]
+        for each in [ledger, _seeded_ledger(Random(161), 9), *loaded]:
+            rebuilt = _rebuilt_utxo(each)
+            assert list(each.utxo.items()) == list(rebuilt.items())
+            assert len(each.utxo) == len(rebuilt) == sum(m.bit_count() for m in each._unspent.values())
+            assert each.utxo == rebuilt
+        # some transaction is partly spent
+        assert any(mask != (1 << len(ledger.get_transaction(txid).outputs)) - 1
+                   for txid, mask in ledger._unspent.items())
+
+    def test_a_wholly_spent_transaction_leaves_the_set(self, ledger):
+        spent = {(inp.prev_txid, inp.index) for tx in ledger.transactions for inp in tx.inputs}
+        wholly = [tx.txid for tx in ledger.transactions
+                  if all((tx.txid, i) in spent for i in range(len(tx.outputs)))]
+        assert wholly and not set(wholly) & ledger._unspent.keys()
+        assert all(ledger._unspent.values())
+
+    def test_outpoints_outside_the_set_are_key_errors(self, ledger):
+        rng = Random(162)
+        pair, funding = _funded(ledger, rng)
+        three = ledger.faucet([TxOutput(_addr(pair), amount) for amount in (10, 20, 30)])
+        ledger.broadcast(build_transaction(ledger, [(three.txid, 1, pair.private)],
+                                           [TxOutput(_addr(pair), 20)]))
+        missing = [(three.txid, -1), (three.txid, -64), (three.txid, 1), (three.txid, 3), (three.txid, 64),
+                   (three.txid, 2 ** 70), (b"\x07" * 32, 0), (b"\x07" * 32, -1), (funding.txid, 1)]
+        for txid, index in missing:
+            with pytest.raises(KeyError):
+                ledger.utxo[(txid, index)]
+            assert (txid, index) not in ledger.utxo and ledger.utxo.get((txid, index)) is None
+            with pytest.raises(ProtocolError, match="missing utxo"):
+                build_transaction(ledger, [(txid, index, pair.private)], [TxOutput(_addr(pair), 1)])
+            assert ledger.is_spent(txid, index) == ((txid, index) == (three.txid, 1))
+        assert [ledger.utxo[(three.txid, i)].amount for i in (0, 2)] == [10, 30]
+
+    def test_read_only(self, ledger):
+        outpoint, out = next(iter(ledger.utxo.items()))
+        with pytest.raises(TypeError):
+            ledger.utxo[outpoint] = out
+        with pytest.raises(TypeError):
+            del ledger.utxo[outpoint]
+        with pytest.raises(AttributeError):
+            ledger.utxo = {}
+        assert ledger.utxo[outpoint] is out
+
 class TestRecords:
     def test_ledger_records_have_no_instance_dict(self):
         # slotted records keep a ledger held in memory small
@@ -941,6 +1027,28 @@ class TestCheckpoint:
         with pytest.raises(ProtocolError) as exc:
             Ledger.from_jsonl(edited, ledger_checkpoint(data))
         assert exc.value.code == "corrupt-record"
+
+    @pytest.mark.parametrize("outpoint", ["spent", "past-end", "unknown"])
+    def test_checkpointed_spend_of_an_outpoint_outside_the_set_is_corrupt(self, outpoint):
+        # a checkpoint binds bytes, not their validity: a prefix rewritten
+        # together with its checkpoint must still not spend an output twice
+        ledger = Ledger()
+        pair = KeyPair.generate(Random(95))
+        funding = ledger.faucet([TxOutput(_addr(pair), 10), TxOutput(_addr(pair), 20)])
+        # output 1 stays unspent, so the funding transaction keeps its entry
+        ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, pair.private)],
+                                           [TxOutput(_addr(pair), 1)]))
+        prev_txid, index = {"spent": (funding.txid, 0), "past-end": (funding.txid, 2),
+                            "unknown": (b"\x07" * 32, 0)}[outpoint]
+        again = Transaction.assemble((TxInput(prev_txid, index, pubkey=pair.public),),
+                                     (TxOutput(_addr(pair), 2),))
+        data = ledger.to_jsonl() + json.dumps(tx_to_json(again)).encode() + b"\n"
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(data, ledger_checkpoint(data))
+        assert exc.value.code == "corrupt-record" and "line 3: KeyError" in str(exc.value)
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(data)
+        assert exc.value.code == ("spent-outpoint" if outpoint == "spent" else "missing-utxo")
 
     def test_records_past_the_checkpoint_are_validated_with_file_line_numbers(self):
         ledger = Ledger()

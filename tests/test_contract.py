@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 
+import oracle
+from paytocontract import contract
 from paytocontract.chain import MAX_AMOUNT
 from paytocontract.contract import (
     SALT_BYTES,
@@ -32,7 +34,7 @@ from paytocontract.contract import (
     verify_contract,
     with_leaf_value,
 )
-from paytocontract.curve import G, KeyPair, Scalar, hash160, random_scalar
+from paytocontract.curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, hash160, random_scalar
 from paytocontract.errors import ProtocolError, _load_json
 from paytocontract.wallet import derive_address, derive_public
 
@@ -467,3 +469,107 @@ class TestProperties:
             flipped = bytearray(node.value)
             flipped[0] ^= 1
             assert contract_hash(with_leaf_value(c, path, bytes(flipped))) != baseline
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 0x80 >> bit % 8
+    return bytes(flipped)
+
+
+def _decodes(encoding: bytes) -> bool:
+    try:
+        Point.decode(encoding)
+    except ProtocolError:
+        return False
+    return True
+
+
+class TestVerifyMemo:
+    """``_check_signatures`` verifies each exact (pubkey, message, signature)
+    triple once per process, and caches successes only."""
+
+    @pytest.fixture
+    def pure(self, monkeypatch):
+        """An empty memo, and the list of pure verifies ``contract`` makes."""
+        monkeypatch.setattr(contract, "_verified", {})
+        calls = []
+        verify = contract.ecdsa_verify
+        monkeypatch.setattr(contract, "ecdsa_verify", lambda *args: calls.append(args) or verify(*args))
+        return calls
+
+    @staticmethod
+    def _triple(rng: Random):
+        pair = KeyPair.generate(rng)
+        message = rng.randbytes(rng.randrange(1, 48))
+        return pair.public, message, ecdsa_sign(pair.private, message)
+
+    def test_a_hit_needs_the_exact_triple(self, pure):
+        pub, message, sig = self._triple(Random(150))
+        assert contract._verify_once(pub, message, sig) and contract._verify_once(pub, message, sig)
+        assert len(pure) == 1
+        # one bit of the pubkey's encoding: its parity prefix, and a bit of x
+        # that lands on another curve point
+        encodings = [_flip(pub.encode(), 7)]
+        encodings += [e for e in (_flip(pub.encode(), b) for b in range(8, 264)) if _decodes(e)][:2]
+        assert len(encodings) == 3
+        for encoding in encodings:
+            assert not contract._verify_once(Point.decode(encoding), message, sig)
+        for bit in range(0, len(message) * 8, 5):
+            assert not contract._verify_once(pub, _flip(message, bit), sig)
+        for bit in (255, 200, 511, 300):
+            assert not contract._verify_once(pub, message, Signature.from_bytes(_flip(sig.to_bytes(), bit)))
+        assert len(contract._verified) == 1
+
+    def test_a_tampered_signature_on_a_cached_contract_reads_invalid(self, pure):
+        rng = Random(151)
+        c = _sample_contract(rng, KeyPair.generate(rng))
+        assert verify_contract(c).ok and verify_contract(redact(c, "order/delivery_address")).ok
+        assert len(pure) == 3
+        sig = c.static_signatures["merchant/terms"]
+        flipped = Signature.from_bytes(_flip(sig.to_bytes(), 255))
+        tampered = dict(c.static_signatures, **{"merchant/terms": flipped})
+        report = verify_contract(dataclasses.replace(c, static_signatures=tampered))
+        assert report.static == {"merchant/pubkey": "valid", "merchant/terms": "invalid",
+                                 "merchant/pricelist": "valid"}
+        assert len(pure) == 4
+
+    def test_an_invalid_triple_is_never_cached(self, pure):
+        pub, message, sig = self._triple(Random(152))
+        for _ in range(2):
+            assert not contract._verify_once(pub, message + b"!", sig)
+        assert len(pure) == 2 and contract._verified == {}
+
+    def test_identity_missing_or_non_signature_reads_invalid(self, pure):
+        rng = Random(153)
+        merchant = KeyPair.generate(rng)
+        c = _sample_contract(rng, merchant)
+        sigs = c.static_signatures
+        assert set(contract._check_signatures(c.root, sigs, None).values()) == {"invalid"}
+        assert set(contract._check_signatures(c.root, sigs, Point.identity()).values()) == {"invalid"}
+        as_bytes = {path: sig.to_bytes() for path, sig in sigs.items()}
+        assert set(contract._check_signatures(c.root, as_bytes, merchant.public).values()) == {"invalid"}
+        assert pure == [] and contract._verified == {}
+
+    def test_the_cap_holds_and_evicts_the_oldest_first(self, pure, monkeypatch):
+        monkeypatch.setattr(contract, "_VERIFIED_CAP", 3)
+        rng = Random(154)
+        triples = [self._triple(rng) for _ in range(5)]
+        for triple in triples:
+            assert contract._verify_once(*triple)
+        assert len(pure) == 5
+        assert list(contract._verified) == [pub.encode() + sig.to_bytes() + message
+                                            for pub, message, sig in triples[2:]]
+        assert contract._verify_once(*triples[4]) and len(pure) == 5
+        assert contract._verify_once(*triples[0]) and len(pure) == 6  # evicted, so verified again
+        assert len(contract._verified) == 3
+
+    def test_agrees_with_the_oracle(self, pure):
+        rng = Random(155)
+        for _ in range(6):
+            pub, message, sig = self._triple(rng)
+            for candidate in (message, _flip(message, rng.randrange(len(message) * 8))):
+                expected = oracle.ecdsa_verify(oracle.as_tuple(pub), candidate, sig.r.value, sig.s.value)
+                assert contract._verify_once(pub, candidate, sig) == expected  # cold
+                assert contract._verify_once(pub, candidate, sig) == expected  # warm
+        assert len(contract._verified) == 6

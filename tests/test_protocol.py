@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 import oracle
-from paytocontract import curve, protocol
+from paytocontract import chain, contract, curve, protocol
 from paytocontract.chain import (
     FileStore,
     Ledger,
@@ -21,6 +21,7 @@ from paytocontract.contract import (
     payment_private_key,
     redact,
     sign_fields,
+    verify_contract,
     with_leaf_value,
 )
 from paytocontract.curve import G, KeyPair, Point, Scalar, hash160, random_scalar, sha256
@@ -162,6 +163,63 @@ class TestBasicFlow:
             verify_payment(malformed, ledger)
         assert exc.value.code == "invalid-price"
 
+
+
+class TestVerifyCountsPerOrder:
+    """A shop's template signatures verify once per process: from the second
+    order on, an order's only pure verifies are the two in ``broadcast``."""
+
+    @pytest.fixture
+    def verifies(self, monkeypatch):
+        """Each pure verify ``chain`` and ``contract`` make, as (module, inside a broadcast)."""
+        monkeypatch.setattr(contract, "_verified", {})
+        calls, broadcasting = [], []
+        for module in (chain, contract):
+            def counting(*args, _name=module.__name__.rpartition(".")[2], _verify=module.ecdsa_verify):
+                calls.append((_name, bool(broadcasting)))
+                return _verify(*args)
+            monkeypatch.setattr(module, "ecdsa_verify", counting)
+        broadcast = Ledger.broadcast
+
+        def tracked(ledger, tx):
+            broadcasting.append(tx)
+            try:
+                return broadcast(ledger, tx)
+            finally:
+                broadcasting.pop()
+        monkeypatch.setattr(Ledger, "broadcast", tracked)
+        return calls
+
+    def test_five_orders_against_one_signed_template(self, verifies):
+        rng = Random(170)
+        identity = MerchantIdentity(KeyPair.generate(rng))
+        merchant = identity.reputation
+        template = build_template(merchant.public, {"terms": "t", "pricelist": "widget=90000"}, rng)
+        template = sign_fields(template, merchant.private,
+                               ["merchant/pubkey", "merchant/terms", "merchant/pricelist"])
+        trust = CustomerTrustStore()
+        trust.add("acme", merchant.public)
+        ledger = Ledger()
+        customer = KeyPair.generate(rng)
+        outpoint = (ledger.faucet([TxOutput(_addr(customer), 10 ** 9)]).txid, 0)
+        treasury = derive_address(merchant.public, b"treasury")
+        per_order = []
+        for i in range(5):
+            verifies.clear()
+            price = 90000 + i
+            fields = {"item": "widget", "price": price, "delivery_address": f"{i} Pier Rd"}
+            order = build_contract(template, fields, rng)
+            txid = customer_approve_and_pay(order, trust, [(*outpoint, customer.private)], ledger, YES,
+                                            change_address=_addr(customer))
+            assert merchant_detect_payment(identity, order, ledger).paying_txid == txid
+            key = payment_private_key(order, merchant.private)
+            ledger.broadcast(build_transaction(ledger, [(txid, 0, key)], [TxOutput(treasury, price)]))
+            receipt = redact(order, "order/delivery_address")
+            assert verify_contract(receipt).ok and verify_payment(receipt, ledger) == (True, txid)
+            outpoint = (txid, 1)
+            per_order.append(list(verifies))
+        assert per_order[0] == [("contract", False)] * 3 + [("chain", True)] * 2
+        assert per_order[1:] == [[("chain", True)] * 2] * 4
 
 class TestTamper:
     def test_tampered_copy_never_pays_and_true_copy_recovers(self):
