@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from random import Random
+from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .curve import (G, KeyPair, Point, Scalar, Signature, _unverifiable, ecdsa_sign, ecdsa_verify,
@@ -55,25 +56,39 @@ def check_name(name: str):
 
 @dataclass(frozen=True)
 class Leaf:
+    """A field value.  ``digest`` is its salted Merkle digest, hashed once at
+    construction."""
+
     salt: bytes
     value: bytes
     encrypted: bool = False
+    digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_salt(self.salt)
+        object.__setattr__(self, "digest", sha256(b"\x00" + self.salt + self.value))
 
 
 @dataclass(frozen=True)
 class Branch:
+    """Named children in canonical (sorted) order, behind a read-only view so
+    that ``digest``, hashed once at construction over the children's own
+    digests, cannot go stale."""
+
     salt: bytes
     children: Mapping[str, "ContractNode"]
+    digest: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_salt(self.salt)
-        for name in self.children:
+        children = dict(sorted(self.children.items()))
+        parts = [b"\x01", self.salt]
+        for name, child in children.items():
             check_name(name)
-        # freeze child order to the canonical (sorted) one
-        object.__setattr__(self, "children", dict(sorted(self.children.items())))
+            encoded = name.encode()
+            parts += (len(encoded).to_bytes(2, "big"), encoded, child.digest)
+        object.__setattr__(self, "children", MappingProxyType(children))
+        object.__setattr__(self, "digest", sha256(b"".join(parts)))
 
 
 @dataclass(frozen=True)
@@ -89,17 +104,8 @@ ContractNode = Union[Leaf, Branch, Redacted]
 
 
 def node_digest(node: ContractNode) -> bytes:
-    """Salted Merkle digest; domain-separated so leaves and branches cannot collide."""
-    if isinstance(node, Leaf):
-        return sha256(b"\x00" + node.salt + node.value)
-    if isinstance(node, Branch):
-        parts = [b"\x01", node.salt]
-        for name, child in node.children.items():
-            encoded = name.encode()
-            parts.append(len(encoded).to_bytes(2, "big"))
-            parts.append(encoded)
-            parts.append(node_digest(child))
-        return sha256(b"".join(parts))
+    """Salted Merkle digest; domain-separated so leaves and branches cannot
+    collide.  Every node holds its own, so this is a read."""
     return node.digest
 
 
@@ -192,7 +198,7 @@ class Contract:
 
 def contract_hash(c: Contract) -> bytes:
     """Root digest; invariant under any redaction."""
-    return node_digest(c.root)
+    return c.root.digest
 
 
 def _edit(c: Contract, path: FieldPath, change: Callable[[ContractNode, str], ContractNode]) -> Contract:
@@ -217,7 +223,7 @@ def redact(c: Contract, path: FieldPath) -> Contract:
     def hide(node: ContractNode, where: str) -> Redacted:
         if isinstance(node, Redacted):
             raise ProtocolError("already redacted", where)
-        return Redacted(node_digest(node))
+        return Redacted(node.digest)
     return _edit(c, path, hide)
 
 
@@ -269,7 +275,7 @@ def sign_fields(c: Contract, key: Scalar, paths: Sequence[FieldPath]) -> Contrac
     signatures = dict(getattr(c, bucket))
     for path in paths:
         segments = parse_path(path)
-        digest = node_digest(resolve(c.root, segments))
+        digest = resolve(c.root, segments).digest
         signatures[path_str(segments)] = ecdsa_sign(key, _signature_message(segments, digest))
     return replace(c, **{bucket: signatures})
 
@@ -286,13 +292,21 @@ class ContractReport:
     warnings: Tuple[str, ...]
 
 
+def _remember(memo: dict, key, value, cap: int):
+    """Store ``value`` under ``key`` and return it.  A full ``memo`` (``cap``
+    entries) first drops its oldest: insertion order makes that the first key."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 # Signature triples that verified in this process, keyed by the pubkey's
 # encoding, the signature's 64 bytes and then the message: the first two have
 # fixed widths, so the key is the exact triple.  A shop's template carries the
 # same static signatures into every order, so the customer's and the auditor's
 # checks repeat them (Bitcoin Core's signature cache exists for the same
-# reason).  Successes only, so a hit means "this exact triple verified";
-# insertion order makes the first key the oldest, which is evicted first.
+# reason).  Successes only, so a hit means "this exact triple verified".
 _VERIFIED_CAP = 256
 _verified: Dict[bytes, None] = {}
 
@@ -306,9 +320,7 @@ def _verify_once(pub: Point, message: bytes, sig: Signature) -> bool:
         return True
     if not ecdsa_verify(pub, message, sig):
         return False
-    if len(_verified) >= _VERIFIED_CAP:
-        del _verified[next(iter(_verified))]
-    _verified[key] = None
+    _remember(_verified, key, None, _VERIFIED_CAP)
     return True
 
 
@@ -320,7 +332,7 @@ def _check_signatures(root: Branch, sigs: Mapping[str, Signature], pub: Optional
             continue
         segments = parse_path(path)
         try:
-            digest = node_digest(resolve(root, segments))
+            digest = resolve(root, segments).digest
         except ProtocolError:
             # subtree hidden inside a redacted ancestor; nothing to check
             results[path] = "unverifiable"
@@ -352,9 +364,22 @@ def verify_contract(c: Contract) -> ContractReport:
     return ContractReport(ok, static, dynamic, tuple(redacted), tuple(encrypted), tuple(warnings))
 
 
+# Payment addresses derived in this process, keyed by the exact (merchant
+# pubkey, contract hash) pair.  The customer's payment, the merchant's
+# detection and every receipt check of one order ask for the same address,
+# and redaction keeps the hash, so only the first of them pays for the
+# fixed-base multiply.  Successes only, oldest evicted first, as ``_verified``.
+_ADDRESSES_CAP = 256
+_addresses: Dict[Tuple[Point, bytes], Address] = {}
+
+
 def payment_address(c: Contract) -> Address:
     """The address the contract itself determines: derived from (P, root hash)."""
-    return derive_address(c.merchant_pubkey, contract_hash(c))
+    key = (c.merchant_pubkey, contract_hash(c))
+    address = _addresses.get(key)
+    if address is None:
+        address = _remember(_addresses, key, derive_address(*key), _ADDRESSES_CAP)
+    return address
 
 
 def payment_private_key(c: Contract, merchant_priv: Scalar) -> Scalar:

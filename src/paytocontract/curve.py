@@ -579,21 +579,48 @@ class KeyPair:
         return cls.from_private(random_scalar(rng))
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
-    """ECDSA signature; serializes as 64 bytes r || s."""
+class Signature(bytes):
+    """ECDSA signature.  The object is its own 64-byte serialization r || s, a
+    ``bytes`` with no further fields, so a ledger holds one small object per
+    signature; ``r`` and ``s`` are read out as ``Scalar``s.  It equals only
+    another ``Signature`` with the same bytes, never the plain bytes."""
 
-    r: Scalar
-    s: Scalar
+    __slots__ = ()
+
+    def __new__(cls, r: Scalar, s: Scalar):
+        return super().__new__(cls, r.to_bytes() + s.to_bytes())
+
+    def __reduce__(self):
+        # ``bytes`` would rebuild through ``cls(data)``, which takes (r, s)
+        return Signature.from_bytes, (bytes(self),)
+
+    @property
+    def r(self) -> Scalar:
+        return Scalar.from_bytes(self[:32])
+
+    @property
+    def s(self) -> Scalar:
+        return Scalar.from_bytes(self[32:])
 
     def to_bytes(self) -> bytes:
-        return self.r.to_bytes() + self.s.to_bytes()
+        return bytes(self)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> Signature:
         if len(data) != 64:
             raise ValueError(f"need 64 bytes, got {len(data)}")
         return cls(Scalar.from_bytes(data[:32]), Scalar.from_bytes(data[32:]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Signature) and bytes.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = bytes.__hash__
+
+    def __repr__(self) -> str:
+        return f"Signature(r={self.r!r}, s={self.s!r})"
 
 
 def _nonces(priv: Scalar, msg_hash: bytes) -> Iterator[int]:

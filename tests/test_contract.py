@@ -77,6 +77,26 @@ def _sample_contract(rng: Random, merchant: KeyPair):
     )
 
 
+def _reference_digest(node) -> bytes:
+    """The salted Merkle digest from scratch: SHA-256 of a domain byte and the
+    salt, then the value (leaf) or each child's 2-byte name length, name and
+    digest in name order (branch)."""
+    if isinstance(node, Redacted):
+        return node.digest
+    if isinstance(node, Leaf):
+        return hashlib.sha256(b"\x00" + node.salt + node.value).digest()
+    h = hashlib.sha256(b"\x01" + node.salt)
+    for name in sorted(node.children):
+        encoded = name.encode()
+        h.update(len(encoded).to_bytes(2, "big") + encoded + _reference_digest(node.children[name]))
+    return h.digest()
+
+
+def _assert_digests_fresh(root):
+    for _, node in contract.iter_nodes(root):
+        assert node.digest == node_digest(node) == _reference_digest(node)
+
+
 class TestCanonicalEncoding:
     def test_leaf_regression_vector(self):
         assert canonical_encode(Leaf(_salt(0xAB), b"42")) == LEAF_42_CANONICAL
@@ -127,6 +147,35 @@ class TestNodeDigest:
         leaf = Leaf(_salt(), b"")
         branch = Branch(_salt(), {})
         assert node_digest(leaf) != node_digest(branch)
+
+
+    def test_every_stored_digest_equals_a_from_scratch_hash(self):
+        rng = Random(170)
+        for _ in range(30):
+            _assert_digests_fresh(_random_tree(rng, depth=3))
+        merchant, reader = KeyPair.generate(rng), KeyPair.generate(rng)
+        c = _sample_contract(rng, merchant)
+        for changed in (c, redact(c, "order/delivery_address"), redact(c, "merchant"),
+                        encrypt_leaf(c, "order/item", reader.public, rng),
+                        with_leaf_value(c, "order/quantity", "3"),
+                        decode_contract(encode_contract(redact(c, "order/price")))):
+            _assert_digests_fresh(changed.root)
+        leaf = resolve(c.root, "order/item")
+        _assert_digests_fresh(dataclasses.replace(leaf, value=b"lamp"))
+
+    def test_equal_nodes_compare_equal_and_children_are_read_only(self):
+        rng = Random(171)
+        tree = _random_tree(rng, depth=3)
+        again = node_from_json(_load_json(canonical_encode(tree)))
+        assert again == tree and again is not tree and again.digest == tree.digest
+        assert Leaf(_salt(1), b"v") == Leaf(_salt(1), b"v") != Leaf(_salt(1), b"w")
+        name = next(iter(tree.children))
+        with pytest.raises(TypeError):
+            tree.children[name] = Leaf(_salt(), b"")
+        with pytest.raises(TypeError):
+            del tree.children[name]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.digest = bytes(32)
 
 
 class TestRedaction:
@@ -573,3 +622,80 @@ class TestVerifyMemo:
                 assert contract._verify_once(pub, candidate, sig) == expected  # cold
                 assert contract._verify_once(pub, candidate, sig) == expected  # warm
         assert len(contract._verified) == 6
+
+
+class TestAddressMemo:
+    """``payment_address`` derives each exact (merchant pubkey, contract hash)
+    pair once per process, and caches successes only."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """An empty memo, and the list of derivations ``contract`` makes."""
+        monkeypatch.setattr(contract, "_addresses", {})
+        calls = []
+        derive = contract.derive_address
+        monkeypatch.setattr(contract, "derive_address", lambda *args: calls.append(args) or derive(*args))
+        return calls
+
+    def test_the_key_is_the_exact_pair(self, derived):
+        rng = Random(160)
+        merchant, other = KeyPair.generate(rng), KeyPair.generate(rng)
+        c = _sample_contract(rng, merchant)
+        hidden = redact(c, "merchant/pubkey")
+        foreign = dataclasses.replace(hidden, merchant_pubkey=other.public)
+        assert contract_hash(foreign) == contract_hash(c)
+        original = payment_address(c)
+        assert payment_address(foreign) == derive_address(other.public, contract_hash(c)) != original
+        assert payment_address(hidden) == original
+        assert len(derived) == 2
+
+    def test_cold_and_warm_agree_with_the_oracle(self, derived):
+        rng = Random(161)
+        for _ in range(4):
+            merchant = KeyPair.generate(rng)
+            c = _sample_contract(rng, merchant)
+            h = int.from_bytes(hashlib.sha256(contract_hash(c)).digest(), "big") % oracle.N
+            x, y = oracle.point_add(oracle.as_tuple(merchant.public), oracle.point_mul(h, oracle.G))
+            expected = hash160(bytes([2 + (y & 1)]) + x.to_bytes(32, "big"))
+            assert payment_address(c).digest == expected  # cold
+            assert payment_address(c).digest == expected  # warm
+            assert payment_address(redact(c, "order")).digest == expected
+        assert len(derived) == 4
+
+    def test_a_failed_derivation_is_never_cached(self, derived):
+        rng = Random(162)
+        c = _sample_contract(rng, KeyPair.generate(rng))
+        bare = Contract(redact(c, "merchant").root, Point.identity())
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                payment_address(bare)
+        assert len(derived) == 2 and contract._addresses == {}
+
+
+# memo, its cap, what a hit skips, a fresh entry, asking for it, and its key
+MEMOS = [
+    ("_verified", "_VERIFIED_CAP", "ecdsa_verify", TestVerifyMemo._triple,
+     lambda triple: contract._verify_once(*triple),
+     lambda triple: triple[0].encode() + triple[2].to_bytes() + triple[1]),
+    ("_addresses", "_ADDRESSES_CAP", "derive_address",
+     lambda rng: _sample_contract(rng, KeyPair.generate(rng)),
+     lambda c: payment_address(c),
+     lambda c: (c.merchant_pubkey, contract_hash(c))),
+]
+
+
+@pytest.mark.parametrize("memo, cap, computes, make, ask, key", MEMOS, ids=["verified", "addresses"])
+def test_a_memo_holds_its_cap_and_evicts_the_oldest_first(monkeypatch, memo, cap, computes, make, ask, key):
+    monkeypatch.setattr(contract, memo, {})
+    monkeypatch.setattr(contract, cap, 3)
+    calls = []
+    compute = getattr(contract, computes)
+    monkeypatch.setattr(contract, computes, lambda *args: calls.append(args) or compute(*args))
+    rng = Random(163)
+    entries = [make(rng) for _ in range(5)]
+    answers = [ask(entry) for entry in entries]
+    assert len(calls) == 5
+    assert list(getattr(contract, memo)) == [key(entry) for entry in entries[2:]]
+    assert ask(entries[4]) == answers[4] and len(calls) == 5
+    assert ask(entries[0]) == answers[0] and len(calls) == 6  # evicted, so computed again
+    assert list(getattr(contract, memo)) == [key(entry) for entry in entries[3:] + entries[:1]]

@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import json
 import os
+import pickle
 import subprocess
 import sys
 from random import Random
@@ -485,6 +488,101 @@ class TestEcdsa:
     def test_identity_pubkey_rejected(self):
         sig = ecdsa_sign(Scalar(7), b"x")
         assert not ecdsa_verify(Point.identity(), b"x", sig)
+
+
+class TestSignature:
+    """A ``Signature`` holds its 64 bytes r || s, and reads as the two scalars."""
+
+    def test_to_bytes_is_the_bytes_that_went_in(self):
+        rng = Random(71)
+        for _ in range(20):
+            data = Scalar(rng.randrange(ORDER)).to_bytes() + Scalar(rng.randrange(ORDER)).to_bytes()
+            sig = Signature.from_bytes(data)
+            assert sig.to_bytes() == data and type(sig.to_bytes()) is bytes
+            assert sig == Signature(Scalar.from_bytes(data[:32]), Scalar.from_bytes(data[32:]))
+            assert (sig.r.to_bytes(), sig.s.to_bytes()) == (data[:32], data[32:])
+        assert Signature.from_bytes(bytearray(data)).to_bytes() == data
+
+    def test_from_bytes_rejects_wrong_lengths_and_out_of_range_scalars(self):
+        valid = Scalar(5).to_bytes()
+        for data in (b"", valid, valid * 2 + b"\x00", (valid * 2)[:63]):
+            with pytest.raises(ValueError):
+                Signature.from_bytes(data)
+        for high in (ORDER, 2 ** 256 - 1):
+            big = high.to_bytes(32, "big")
+            for data in (big + valid, valid + big):
+                with pytest.raises(ValueError):
+                    Signature.from_bytes(data)
+
+    def test_equality_and_hashing_go_by_value(self):
+        sig = ecdsa_sign(Scalar(7), b"x")
+        same = Signature.from_bytes(bytes(sig.to_bytes()))
+        other = ecdsa_sign(Scalar(7), b"y")
+        assert sig == same and hash(sig) == hash(same) and len({sig, same, other}) == 2
+        assert sig != other and sig != sig.to_bytes() and sig != (sig.r, sig.s)
+        for copied in (copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+            assert copied == sig and type(copied) is Signature
+
+    def test_immutable_without_a_dict(self):
+        sig = ecdsa_sign(Scalar(7), b"x")
+        for name in ("r", "s", "_bytes", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(sig, name, Scalar(1))
+        assert not hasattr(sig, "__dict__")
+        assert sig.to_bytes() == ecdsa_sign(Scalar(7), b"x").to_bytes()
+
+    def test_repr_names_both_scalars(self):
+        assert repr(Signature(Scalar(1), Scalar(0xAB))) == "Signature(r=Scalar(0x1), s=Scalar(0xab))"
+
+    def test_seeded_p2c_files_keep_their_bytes(self, tmp_path):
+        """Every contract file and ledger file of a seeded ``p2c`` sequence
+        (keys, template, order, redaction, encryption, faucet, payment), by
+        SHA-256 as first written."""
+        from click.testing import CliRunner
+        from paytocontract.cli import cli
+        from paytocontract.wallet import p2pkh_address
+
+        runner = CliRunner()
+
+        def p2c(*args, seed=None):
+            argv = ["--state-dir", str(tmp_path / "state"), "--format", "json"]
+            argv += ["--seed", str(seed)] if seed is not None else []
+            result = runner.invoke(cli, argv + list(args), catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            return json.loads(result.output.strip().splitlines()[-1])
+
+        f = {name: str(tmp_path / f"{name}.json")
+             for name in ("merchant", "payer", "template", "contract", "redacted", "sealed")}
+        p2c("keygen", "--out", f["merchant"], seed=21)
+        payer = p2c("keygen", "--out", f["payer"], seed=22)
+        p2c("contract", "template", "--merchant-key", f["merchant"], "--static", "terms=net 30",
+            "--static", "pricelist=lamp=4200", "--out", f["template"], seed=23)
+        p2c("contract", "build", "--template", f["template"], "--field", "item=lamp", "--field", "price=4200",
+            "--field", "delivery_address=9 Elm St", "--out", f["contract"], seed=24)
+        p2c("contract", "redact", f["contract"], "--path", "order/delivery_address", "--out", f["redacted"])
+        p2c("contract", "encrypt-leaf", f["contract"], "--path", "order/delivery_address",
+            "--recipient", payer["public"], "--out", f["sealed"], seed=25)
+        pay_to = p2c("contract", "payment-address", f["redacted"])["address"]
+        payer_address = p2pkh_address(Point.decode(bytes.fromhex(payer["public"]))).render()
+        funded = p2c("chain", "faucet", "--to", payer_address, "--amount", "9000")
+        p2c("chain", "send", "--key", f["payer"], "--outpoint", f"{funded['txid']}:0", "--to", pay_to,
+            "--amount", "4200", "--change", payer_address)
+        files = sorted(tmp_path.glob("*.json")) + sorted((tmp_path / "state").iterdir())
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == SEEDED_P2C_FILES
+
+
+# frozen at first implementation: SHA-256 of each file the seeded sequence in
+# TestSignature writes
+SEEDED_P2C_FILES = {
+    "contract.json": "f2c17653d8c009e1e30a23d076df6de44d1ab21f2ebfd8ae5b133487afc89541",
+    "merchant.json": "c6885a0af86af5843131fd8de60f07742855a3bc8eaeef79ea0a9d09ae4914b7",
+    "payer.json": "1cf5de29d464fe2ea9da6b448829f1ff754590503937cb75f18dd7497ce58f4a",
+    "redacted.json": "ad21062f0eb70bf4bc5f3aac3b55b8249321fa4e236c2f77738819b3ca0d35de",
+    "sealed.json": "7a377c2330d8c0d8bd39bf9477e9649fb18bcb8f598ba147708327882f69b98d",
+    "template.json": "17ca19e7ecdcbc7b96bcf33383f034373fc3f131884327b8c9a5ced0fe62a634",
+    "ledger.ckpt": "077758bfd1ccbce67326cf0f367c6b5d66a990c173f6bf2a2defd8fc1496a574",
+    "ledger.jsonl": "08cc8506dd7e25156857303c6bbc383b7a5ccddbdfd8351373023f3ded31635d",
+}
 
 
 class TestEcdsaVerifyOpenssl:
