@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, replace
 from random import Random
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .curve import (G, KeyPair, Point, Scalar, Signature, _unverifiable, ecdsa_sign, ecdsa_verify,
                     rand_bytes, sha256)
@@ -73,22 +73,44 @@ class Leaf:
 class Branch:
     """Named children in canonical (sorted) order, behind a read-only view so
     that ``digest``, hashed once at construction over the children's own
-    digests, cannot go stale."""
+    digests, cannot go stale.  ``hidden`` is the branch's inventory: the
+    ``(kind, path)`` of every redacted node and encrypted leaf below it,
+    ``kind`` being ``"redacted"`` or ``"encrypted"`` and ``path`` relative to
+    the branch, in preorder over the sorted children."""
 
     salt: bytes
     children: Mapping[str, "ContractNode"]
     digest: bytes = field(init=False, compare=False, repr=False)
+    hidden: Tuple[Tuple[str, str], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_salt(self.salt)
         children = dict(sorted(self.children.items()))
-        parts = [b"\x01", self.salt]
+        hidden = ()
         for name, child in children.items():
             check_name(name)
-            encoded = name.encode()
-            parts += (len(encoded).to_bytes(2, "big"), encoded, child.digest)
+            if not isinstance(child, Leaf) or child.encrypted:  # a plain leaf, the common child, hides nothing
+                hidden += _hidden(name, child)
         object.__setattr__(self, "children", MappingProxyType(children))
-        object.__setattr__(self, "digest", sha256(b"".join(parts)))
+        object.__setattr__(self, "digest", _branch_digest(self.salt, children))
+        object.__setattr__(self, "hidden", hidden)
+
+
+def _branch_digest(salt: bytes, children: Mapping[str, ContractNode]) -> bytes:
+    parts = [b"\x01", salt]
+    for name, child in children.items():
+        encoded = name.encode()
+        parts += (len(encoded).to_bytes(2, "big"), encoded, child.digest)
+    return sha256(b"".join(parts))
+
+
+def _hidden(path: str, node: ContractNode) -> Tuple[Tuple[str, str], ...]:
+    """The inventory entries of ``node`` placed at ``path``."""
+    if isinstance(node, Leaf):
+        return (("encrypted", path),) if node.encrypted else ()
+    if isinstance(node, Redacted):
+        return (("redacted", path),)
+    return tuple((kind, f"{path}/{below}") for kind, below in node.hidden)
 
 
 @dataclass(frozen=True)
@@ -101,12 +123,6 @@ class Redacted:
 
 
 ContractNode = Union[Leaf, Branch, Redacted]
-
-
-def node_digest(node: ContractNode) -> bytes:
-    """Salted Merkle digest; domain-separated so leaves and branches cannot
-    collide.  Every node holds its own, so this is a read."""
-    return node.digest
 
 
 def node_to_json(node: ContractNode) -> dict:
@@ -140,11 +156,6 @@ def node_from_json(obj: dict) -> ContractNode:
     raise ValueError(f"unknown node kind {kind!r}")
 
 
-def canonical_encode(node: ContractNode) -> bytes:
-    """Deterministic JSON bytes: sorted keys, no whitespace, hex values."""
-    return _dump_line(node_to_json(node))
-
-
 def _walk(root: ContractNode, segments: Tuple[str, ...]) -> List[ContractNode]:
     """The nodes from ``root`` down to the one at ``segments``, root first."""
     nodes = [root]
@@ -158,13 +169,6 @@ def _walk(root: ContractNode, segments: Tuple[str, ...]) -> List[ContractNode]:
 
 def resolve(root: ContractNode, path: FieldPath) -> ContractNode:
     return _walk(root, parse_path(path))[-1]
-
-
-def iter_nodes(root: ContractNode, prefix: Tuple[str, ...] = ()) -> Iterator[Tuple[Tuple[str, ...], ContractNode]]:
-    yield prefix, root
-    if isinstance(root, Branch):
-        for name, child in root.children.items():
-            yield from iter_nodes(child, prefix + (name,))
 
 
 @dataclass(frozen=True)
@@ -208,8 +212,28 @@ def _edit(c: Contract, path: FieldPath, change: Callable[[ContractNode, str], Co
     nodes = _walk(c.root, segments)
     node = change(nodes.pop(), path_str(segments))
     for segment, branch in zip(reversed(segments), reversed(nodes)):
-        node = Branch(branch.salt, {**branch.children, segment: node})
+        node = _with_child(branch, segment, node)
     return replace(c, root=node)
+
+
+def _with_child(branch: Branch, name: str, child: ContractNode) -> Branch:
+    """``branch`` with ``child`` in place of its child ``name``.  The other
+    children were checked when ``branch`` was built, so they are not checked
+    again; a ``child`` with the old one's digest (a redaction) keeps
+    ``branch``'s digest, and the inventory changes in ``name``'s entries only."""
+    children = branch.children.copy()
+    old = children[name]
+    children[name] = child
+    new = object.__new__(Branch)
+    object.__setattr__(new, "salt", branch.salt)
+    object.__setattr__(new, "children", MappingProxyType(children))
+    object.__setattr__(new, "digest", branch.digest if child.digest == old.digest
+                       else _branch_digest(branch.salt, children))
+    # each child's entries are contiguous, in name order
+    before = tuple(e for e in branch.hidden if e[1].partition("/")[0] < name)
+    after = tuple(e for e in branch.hidden if e[1].partition("/")[0] > name)
+    object.__setattr__(new, "hidden", before + _hidden(name, child) + after)
+    return new
 
 
 def _leaf(node: ContractNode, where: str) -> Leaf:
@@ -343,16 +367,14 @@ def _check_signatures(root: Branch, sigs: Mapping[str, Signature], pub: Optional
 
 
 def verify_contract(c: Contract) -> ContractReport:
-    """Check all present signatures and inventory redacted/encrypted fields."""
+    """Check all present signatures, and list the redacted and encrypted
+    fields from the root's inventory."""
     static = _check_signatures(c.root, c.static_signatures, c.merchant_pubkey)
     dynamic = _check_signatures(c.root, c.dynamic_signatures, c.dynamic_signing_key)
-    redacted = []
-    encrypted = []
-    for segments, node in iter_nodes(c.root):
-        if isinstance(node, Redacted):
-            redacted.append(path_str(segments))
-        elif isinstance(node, Leaf) and node.encrypted:
-            encrypted.append(path_str(segments))
+    # ``Contract`` also admits a wholly redacted root, which is its own inventory
+    hidden = c.root.hidden if isinstance(c.root, Branch) else _hidden("", c.root)
+    redacted = tuple(path for kind, path in hidden if kind == "redacted")
+    encrypted = tuple(path for kind, path in hidden if kind == "encrypted")
     warnings = []
     if not c.static_signatures:
         warnings.append("no static signatures")
@@ -361,7 +383,7 @@ def verify_contract(c: Contract) -> ContractReport:
     ok = all(v != "invalid" for v in static.values()) and all(
         v != "invalid" for v in dynamic.values()
     )
-    return ContractReport(ok, static, dynamic, tuple(redacted), tuple(encrypted), tuple(warnings))
+    return ContractReport(ok, static, dynamic, redacted, encrypted, tuple(warnings))
 
 
 # Payment addresses derived in this process, keyed by the exact (merchant

@@ -119,6 +119,10 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # the default would restore ``value`` through ``__setattr__``, which refuses
+        return Scalar, (self.value,)
+
     def __repr__(self) -> str:
         return f"Scalar(0x{self.value:x})"
 
@@ -496,6 +500,10 @@ class Point:
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slots through ``__setattr__``, which refuses
+        return Point, (self.x, self.y)
+
     def __repr__(self) -> str:
         if self.is_identity():
             return "Point(identity)"
@@ -653,7 +661,7 @@ def ecdsa_sign(priv: Scalar, message: bytes) -> Signature:
 
 def _unverifiable(pub: Point, sig: Signature) -> bool:
     """Both verifies' one early reject: not a ``Signature``, r or s zero, or the identity key."""
-    return not isinstance(sig, Signature) or not sig.r or not sig.s or pub.is_identity()
+    return not isinstance(sig, Signature) or not any(sig[:32]) or not any(sig[32:]) or pub.is_identity()
 
 
 def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:

@@ -4,6 +4,8 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from paytocontract import contract
@@ -16,15 +18,14 @@ from paytocontract.contract import (
     Redacted,
     build_contract,
     build_template,
-    canonical_encode,
     contract_hash,
     contract_to_json,
     decode_contract,
     decrypt_leaf,
     encode_contract,
     encrypt_leaf,
-    node_digest,
     node_from_json,
+    node_to_json,
     order_price,
     payment_address,
     payment_private_key,
@@ -35,7 +36,7 @@ from paytocontract.contract import (
     with_leaf_value,
 )
 from paytocontract.curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, hash160, random_scalar
-from paytocontract.errors import ProtocolError, _load_json
+from paytocontract.errors import ProtocolError, _dump_line, _load_json
 from paytocontract.wallet import derive_address, derive_public
 
 # frozen at first implementation: canonical bytes of a leaf holding "42"
@@ -92,27 +93,53 @@ def _reference_digest(node) -> bytes:
     return h.digest()
 
 
-def _assert_digests_fresh(root):
-    for _, node in contract.iter_nodes(root):
-        assert node.digest == node_digest(node) == _reference_digest(node)
+def _reference_hidden(branch, prefix: str = "") -> list:
+    """The (kind, path) of every redacted node and encrypted leaf below
+    ``branch``, walked from scratch in preorder over the sorted names."""
+    entries = []
+    for name in sorted(branch.children):
+        child, path = branch.children[name], prefix + name
+        if isinstance(child, Redacted):
+            entries.append(("redacted", path))
+        elif isinstance(child, Branch):
+            entries += _reference_hidden(child, path + "/")
+        elif child.encrypted:
+            entries.append(("encrypted", path))
+    return entries
+
+
+def _assert_fresh(node):
+    """Every digest and every branch's inventory below ``node`` equals one
+    computed from scratch."""
+    assert node.digest == _reference_digest(node)
+    if isinstance(node, Branch):
+        assert list(node.hidden) == _reference_hidden(node)
+        for child in node.children.values():
+            _assert_fresh(child)
+
+
+def _canonical(node) -> bytes:
+    """The canonical node encoding: the JSON of ``node_to_json`` with sorted
+    keys and no whitespace, as contract files hold it."""
+    return _dump_line(node_to_json(node))
 
 
 class TestCanonicalEncoding:
     def test_leaf_regression_vector(self):
-        assert canonical_encode(Leaf(_salt(0xAB), b"42")) == LEAF_42_CANONICAL
+        assert _canonical(Leaf(_salt(0xAB), b"42")) == LEAF_42_CANONICAL
 
     def test_round_trip_random_trees(self):
         rng = Random(31)
         for _ in range(50):
             tree = _random_tree(rng)
-            encoded = canonical_encode(tree)
-            assert canonical_encode(node_from_json(_load_json(encoded))) == encoded
+            encoded = _canonical(tree)
+            assert _canonical(node_from_json(_load_json(encoded))) == encoded
 
     def test_child_insertion_order_irrelevant(self):
         a = Branch(_salt(), {"x": Leaf(_salt(1), b"1"), "y": Leaf(_salt(2), b"2")})
         b = Branch(_salt(), {"y": Leaf(_salt(2), b"2"), "x": Leaf(_salt(1), b"1")})
-        assert canonical_encode(a) == canonical_encode(b)
-        assert node_digest(a) == node_digest(b)
+        assert _canonical(a) == _canonical(b)
+        assert a.digest == b.digest
 
     def test_salt_length_enforced(self):
         with pytest.raises(ValueError):
@@ -126,7 +153,7 @@ class TestCanonicalEncoding:
 class TestNodeDigest:
     def test_redacted_digest_passthrough(self):
         d = hashlib.sha256(b"anything").digest()
-        assert node_digest(Redacted(d)) == d
+        assert Redacted(d).digest == d
 
     def test_branch_digest_stable_under_child_redaction(self):
         rng = Random(32)
@@ -135,38 +162,38 @@ class TestNodeDigest:
             name = next(iter(tree.children))
             swapped = Branch(
                 tree.salt,
-                {**tree.children, name: Redacted(node_digest(tree.children[name]))},
+                {**tree.children, name: Redacted(tree.children[name].digest)},
             )
-            assert node_digest(swapped) == node_digest(tree)
+            assert swapped.digest == tree.digest
 
     def test_same_value_different_salts_differ(self):
-        assert node_digest(Leaf(_salt(1), b"v")) != node_digest(Leaf(_salt(2), b"v"))
+        assert Leaf(_salt(1), b"v").digest != Leaf(_salt(2), b"v").digest
 
     def test_leaf_branch_domain_separation(self):
         # a leaf can never collide with a branch even on equal preimage tails
         leaf = Leaf(_salt(), b"")
         branch = Branch(_salt(), {})
-        assert node_digest(leaf) != node_digest(branch)
+        assert leaf.digest != branch.digest
 
 
     def test_every_stored_digest_equals_a_from_scratch_hash(self):
         rng = Random(170)
         for _ in range(30):
-            _assert_digests_fresh(_random_tree(rng, depth=3))
+            _assert_fresh(_random_tree(rng, depth=3))
         merchant, reader = KeyPair.generate(rng), KeyPair.generate(rng)
         c = _sample_contract(rng, merchant)
         for changed in (c, redact(c, "order/delivery_address"), redact(c, "merchant"),
                         encrypt_leaf(c, "order/item", reader.public, rng),
                         with_leaf_value(c, "order/quantity", "3"),
                         decode_contract(encode_contract(redact(c, "order/price")))):
-            _assert_digests_fresh(changed.root)
+            _assert_fresh(changed.root)
         leaf = resolve(c.root, "order/item")
-        _assert_digests_fresh(dataclasses.replace(leaf, value=b"lamp"))
+        _assert_fresh(dataclasses.replace(leaf, value=b"lamp"))
 
     def test_equal_nodes_compare_equal_and_children_are_read_only(self):
         rng = Random(171)
         tree = _random_tree(rng, depth=3)
-        again = node_from_json(_load_json(canonical_encode(tree)))
+        again = node_from_json(_load_json(_canonical(tree)))
         assert again == tree and again is not tree and again.digest == tree.digest
         assert Leaf(_salt(1), b"v") == Leaf(_salt(1), b"v") != Leaf(_salt(1), b"w")
         name = next(iter(tree.children))
@@ -220,6 +247,15 @@ class TestRedaction:
                                               "unverifiable")
         assert report.ok and report.redacted_paths == ("merchant",)
 
+    def test_a_wholly_redacted_root_is_one_redacted_path(self):
+        rng = Random(40)
+        c = _sample_contract(rng, KeyPair.generate(rng))
+        hidden = Contract(Redacted(c.root.digest), c.merchant_pubkey, c.static_signatures)
+        assert contract_hash(hidden) == contract_hash(c) and payment_address(hidden) == payment_address(c)
+        report = verify_contract(hidden)
+        assert report.ok and set(report.static.values()) == {"unverifiable"}
+        assert (report.redacted_paths, report.encrypted_paths) == (("",), ())
+
     def test_merchant_pubkey_still_required_when_nothing_is_redacted(self):
         rng = Random(39)
         c = _sample_contract(rng, KeyPair.generate(rng))
@@ -261,7 +297,7 @@ class TestLeafEncryption:
         node = resolve(sealed.root, "order/delivery_address")
         assert node.encrypted
         expected = hashlib.sha256(b"\x00" + node.salt + node.value).digest()
-        assert node_digest(node) == expected
+        assert node.digest == expected
         # encryption changed the root hash: it must precede signing/payment
         assert contract_hash(sealed) != contract_hash(c)
 
@@ -520,6 +556,88 @@ class TestProperties:
             assert contract_hash(with_leaf_value(c, path, bytes(flipped))) != baseline
 
 
+# field names that sort apart from their prefixes and past ASCII
+NAMES = st.sampled_from(["a", "a0", "ab", "b", "é"])
+SALTS = st.binary(min_size=SALT_BYTES, max_size=SALT_BYTES)
+NODES = st.recursive(
+    st.builds(Leaf, SALTS, st.binary(max_size=6), st.booleans())
+    | st.builds(Redacted, st.binary(min_size=32, max_size=32)),
+    lambda children: st.builds(Branch, SALTS, st.dictionaries(NAMES, children, max_size=3)),
+    max_leaves=10,
+)
+EDITOR = KeyPair.from_private(Scalar(0xE))  # the merchant of every generated contract, and a reader
+
+
+@st.composite
+def _contracts(draw) -> Contract:
+    """A contract with nested branches, encrypted leaves and redacted nodes
+    beside (and inside) its ``merchant`` branch."""
+    merchant = dict(draw(st.dictionaries(NAMES, NODES, max_size=3)), pubkey=Leaf(draw(SALTS), EDITOR.public.encode()))
+    root = dict(draw(st.dictionaries(NAMES, NODES, max_size=3)), merchant=Branch(draw(SALTS), merchant))
+    return Contract(Branch(draw(SALTS), root), EDITOR.public)
+
+
+def _paths(node, prefix=()):
+    """The path of every node below ``node``, with the node."""
+    for name, child in node.children.items():
+        yield prefix + (name,), child
+        if isinstance(child, Branch):
+            yield from _paths(child, prefix + (name,))
+
+
+PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+class TestEditProperties:
+    """Edits rebuild only the branches on the edited path, from the old
+    branches' children and inventories; whatever the tree, the result is the
+    tree built from scratch."""
+
+    @staticmethod
+    def _check(c: Contract):
+        _assert_fresh(c.root)
+        report = verify_contract(c)
+        expected = _reference_hidden(c.root)
+        assert report.redacted_paths == tuple(path for kind, path in expected if kind == "redacted")
+        assert report.encrypted_paths == tuple(path for kind, path in expected if kind == "encrypted")
+
+    @PROPERTIES
+    @given(_contracts(), st.randoms(use_true_random=False))
+    def test_redacting_any_paths_keeps_the_hash_and_the_address(self, c, rng):
+        self._check(c)
+        paths = [segments for segments, node in _paths(c.root) if not isinstance(node, Redacted)]
+        receipts = [redact(c, segments) for segments in paths]
+        # then one after another, so later edits start from rebuilt branches
+        current = c
+        for segments in rng.sample(paths, len(paths)):
+            try:
+                current = redact(current, segments)
+            except ProtocolError:
+                continue  # under a redacted ancestor by now
+            receipts.append(current)
+        for receipt in receipts:
+            assert contract_hash(receipt) == contract_hash(c)
+            assert payment_address(receipt) == payment_address(c)
+            self._check(receipt)
+
+    @PROPERTIES
+    @given(_contracts(), st.data())
+    def test_changing_or_encrypting_any_leaf_rehashes_the_path(self, c, data):
+        # the merchant pubkey field must keep the key's encoding, so it stays as it is
+        leaves = [segments for segments, node in _paths(c.root)
+                  if isinstance(node, Leaf) and segments != ("merchant", "pubkey")]
+        for segments in leaves:
+            changed = with_leaf_value(c, segments, b"changed")
+            self._check(changed)
+            assert resolve(changed.root, segments).value == b"changed"
+        plain = [segments for segments in leaves if not resolve(c.root, segments).encrypted]
+        if plain:
+            segments = data.draw(st.sampled_from(plain))
+            sealed = encrypt_leaf(c, segments, EDITOR.public, Random(0))
+            self._check(sealed)
+            assert decrypt_leaf(sealed, segments, EDITOR.private) == resolve(c.root, segments).value
+
+
 def _flip(data: bytes, bit: int) -> bytes:
     flipped = bytearray(data)
     flipped[bit // 8] ^= 0x80 >> bit % 8
@@ -622,6 +740,33 @@ class TestVerifyMemo:
                 assert contract._verify_once(pub, candidate, sig) == expected  # cold
                 assert contract._verify_once(pub, candidate, sig) == expected  # warm
         assert len(contract._verified) == 6
+
+
+class TestReceiptCost:
+    """The auditor's receipt check costs the edited path and the signatures,
+    not the size of the contract."""
+
+    def test_redact_hashes_nothing_and_a_second_verify_verifies_and_walks_nothing(self, monkeypatch):
+        monkeypatch.setattr(contract, "_verified", {})
+        rng = Random(156)
+        c = _sample_contract(rng, KeyPair.generate(rng))
+        assert verify_contract(c).ok  # the customer's check fills the memo
+        calls = []
+        for name in ("sha256", "ecdsa_verify"):
+            original = getattr(contract, name)
+            monkeypatch.setattr(contract, name, lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        init = Scalar.__init__
+        monkeypatch.setattr(Scalar, "__init__", lambda self, value: calls.append("Scalar") or init(self, value))
+        receipt = redact(c, "order/delivery_address")
+        report = verify_contract(receipt)
+        assert calls == []
+        assert report.ok and set(report.static.values()) == {"valid"}
+        assert report.redacted_paths == ("order/delivery_address",) and report.encrypted_paths == ()
+        # the report lists the root's stored inventory: no walk of the tree overrides it
+        object.__setattr__(receipt.root, "hidden", (("encrypted", "order/item"),))
+        report = verify_contract(receipt)
+        assert (report.redacted_paths, report.encrypted_paths) == ((), ("order/item",))
 
 
 class TestAddressMemo:

@@ -426,6 +426,18 @@ class TestScalar:
             Scalar(1).value = 2
 
 
+@pytest.mark.parametrize("value", [Scalar(ORDER - 1), G ** Scalar(3), Point.identity()],
+                         ids=["scalar", "point", "identity"])
+def test_copies_and_pickles_are_equal_hash_the_same_and_stay_immutable(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(copied, type(value).__slots__[0], None)
+        assert copied == value
+
+
 class TestEcdsa:
     def test_sign_verify_round_trips(self):
         rng = Random(15)

@@ -9,15 +9,16 @@ import pytest
 
 import paytocontract
 
-# every name the package exported back when it imported each submodule eagerly
+# every name the package exported back when it imported each submodule eagerly, less those
+# since deleted from the library
 EXPORTS = {
     "curve": "G KeyPair Point Scalar Signature ecdsa_sign ecdsa_verify hash160 hash_to_scalar random_scalar",
     "errors": "ProtocolError",
     "wallet": "Address DerivationScheme Script WalletBase derive_address derive_addresses derive_private "
               "derive_public derive_script multisig_script p2pkh_address p2sh_address",
-    "contract": "Branch Contract Leaf Redacted build_contract build_template canonical_encode contract_hash "
-                "decode_contract encode_contract encrypt_leaf decrypt_leaf node_digest payment_address "
-                "payment_private_key redact sign_fields verify_contract",
+    "contract": "Branch Contract Leaf Redacted build_contract build_template contract_hash decode_contract "
+                "encode_contract encrypt_leaf decrypt_leaf payment_address payment_private_key redact "
+                "sign_fields verify_contract",
     "chain": "FileStore Ledger Transaction TxInput TxOutput build_script_spend build_transaction",
     "protocol": "CustomerTrustStore DlegProof MerchantIdentity OrderState OrderStatus SignalKeyRegistry "
                 "SignalRecord SignalVariant attach_signal combined_pay_and_signal customer_approve_and_pay "
