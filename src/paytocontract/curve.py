@@ -5,14 +5,15 @@ The group is written multiplicatively to keep exponent notation readable:
 keypair satisfies ``public == G ** private`` and key homomorphism reads
 ``G ** (a + b) == G ** a * G ** b``.  Internally the group is written
 additively; only the abstract group is exposed.  ``p ** k`` runs in
-Jacobian coordinates, while ``p * q`` and the batch path ``tweak_points``
-(many ``base * G ** k``) add in affine coordinates, a batch sharing its
-inversions.  ``shared_xs`` hands a batch of x-only Diffie-Hellman values to
+Jacobian coordinates, through a fixed-base table for ``G`` and for the keys
+``fixed_base`` marks as long-lived, while ``p * q`` and the batch path
+``tweak_points`` (many ``base * G ** k``) add in affine coordinates, a batch
+sharing its inversions.  ``shared_xs`` hands a batch of x-only Diffie-Hellman values to
 OpenSSL, and ``ecdsa_verify_openssl`` checks a signature there, for the
 ledger replay's many verifies; ``cryptography`` is imported on the first
 such call, once per process.
 
-All values are immutable and all operations are pure functions.
+All values are immutable; a power's result never depends on which route computed it.
 """
 
 from __future__ import annotations
@@ -180,6 +181,29 @@ def _madd(p, q):
     return (X3, (r * (V - X3) - 2 * Y1 * J) % FIELD_PRIME, 2 * Z1 * H % FIELD_PRIME)
 
 
+def _add(p, q):
+    # add-2007-bl: Jacobian ``p`` plus Jacobian ``q``, with Z3 = 2*Z1*Z2*H.
+    X1, Y1, Z1 = p
+    X2, Y2, Z2 = q
+    if Z1 == 0:
+        return q
+    if Z2 == 0:
+        return p
+    Z1Z1 = Z1 * Z1 % FIELD_PRIME
+    Z2Z2 = Z2 * Z2 % FIELD_PRIME
+    U1 = X1 * Z2Z2 % FIELD_PRIME
+    S1 = Y1 * Z2 * Z2Z2 % FIELD_PRIME
+    H = (X2 * Z1Z1 - U1) % FIELD_PRIME
+    r = 2 * (Y2 * Z1 * Z1Z1 - S1) % FIELD_PRIME
+    if H == 0:
+        return _dbl(p) if r == 0 else _JID
+    I = 4 * H * H % FIELD_PRIME
+    J = H * I % FIELD_PRIME
+    V = U1 * I % FIELD_PRIME
+    X3 = (r * r - J - 2 * V) % FIELD_PRIME
+    return (X3, (r * (V - X3) - 2 * S1 * J) % FIELD_PRIME, 2 * Z1 * Z2 * H % FIELD_PRIME)
+
+
 def _to_affine(p):
     X, Y, Z = p
     if Z == 0:
@@ -215,48 +239,56 @@ def _batch_to_affine(points):
 
 
 # Fixed base: k is recoded into signed digits d_i in (-2^(W-1), 2^(W-1)], so
-# k = sum d_i * 2^(W*i), and G ** k is one mixed addition per nonzero digit
-# from an affine table row[i][|d|-1] = |d| * 2^(W*i) * G, negated for d < 0.
-# The table is built on first use, so importing the package does not pay
-# for it, and a process's first few G ** k do without it (_generator_mul).
-# Short-lived processes that do more still build it, which is what fixes
-# W: 6 bits (1376 points) build in about 7 ms on a 2-core x86-64 host with
-# CPython 3.11; 7 and 8 bits multiply faster but take 2x and 3x as long.
-_BASE_WINDOW = 6
-_BASE_WINDOWS = -(-(ORDER.bit_length() + 1) // _BASE_WINDOW)  # room for the last carry
-_base_table_rows = None
+# k = sum d_i * 2^(W*i), and B ** k is one mixed addition per nonzero digit
+# from an affine table row[i][|d|-1] = |d| * 2^(W*i) * B, negated for d < 0.
+# One engine serves every long-lived base: G, and each key ``fixed_base``
+# marks (the merchant key of the signal and dispute flows).  A base's table
+# is built on its _TABLED_POWER-th power, so importing the package pays for
+# none, and a process's first powers of a base go through _var_mul.
+#
+# A table costs 7-9 ms to build in a warm process (12-14 ms as the first
+# work of a fresh one), after which a power takes about 0.26 ms against
+# 0.85 ms through _var_mul (CPython 3.11, 2-core x86-64 host): a dozen or
+# more powers to break even, while a short-lived ``p2c`` command does 1-4.
+# So the 12th power builds the table, and a process that goes on to
+# thousands pays about one more build's worth.  The same build cost fixes
+# W: 6 bits hold 1376 points, about 250 KiB by ``sys.getsizeof``; 7 and 8
+# bits multiply faster but take 2x and 3x as long to build.  At most
+# _FIXED_BASES_CAP marked keys are held besides G, oldest dropped first;
+# G is never dropped, and ``tweak_points`` builds its table at once.
+_TABLE_WINDOW = 6
+_TABLE_ROWS = -(-(ORDER.bit_length() + 1) // _TABLE_WINDOW)  # room for the last carry
+_TABLED_POWER = 12
+_FIXED_BASES_CAP = 4
 
 
-def _base_table():
+def _build_table(x, y):
     # Row i is built in affine coordinates, B, 2B, ..., (2^(W-1))B for
-    # B = 2^(W*i) * G, one column at a time: each column shares a single
-    # batched inversion across the rows.
-    global _base_table_rows
-    if _base_table_rows is None:
-        p = (_GX, _GY, 1)
-        jacobian = [p]
-        for _ in range(_BASE_WINDOWS - 1):
-            for _ in range(_BASE_WINDOW):
-                p = _dbl(p)
-            jacobian.append(p)
-        bases = _batch_to_affine(jacobian)
-        columns = [bases, _batch_to_affine([_dbl(b) for b in jacobian])]
-        for _ in range(3, (1 << (_BASE_WINDOW - 1)) + 1):
-            # jB + B is a chord for 2 <= j < 2^(W-1): jB != +-B, as the group order is prime
-            columns.append(_batch_add(list(zip(columns[-1], bases))))
-        _base_table_rows = [list(row) for row in zip(*columns)]
-    return _base_table_rows
+    # B = 2^(W*i) * (x, y), one column at a time: each column shares a
+    # single batched inversion across the rows.
+    p = (x, y, 1)
+    jacobian = [p]
+    for _ in range(_TABLE_ROWS - 1):
+        for _ in range(_TABLE_WINDOW):
+            p = _dbl(p)
+        jacobian.append(p)
+    bases = _batch_to_affine(jacobian)
+    columns = [bases, _batch_to_affine([_dbl(b) for b in jacobian])]
+    for _ in range(3, (1 << (_TABLE_WINDOW - 1)) + 1):
+        # jB + B is a chord for 2 <= j < 2^(W-1): jB != +-B, as the group order is prime
+        columns.append(_batch_add(list(zip(columns[-1], bases))))
+    return [list(row) for row in zip(*columns)]
 
 
-def _base_terms(k):
-    """Yield the affine table entries whose sum is ``G ** k``, one per row,
-    None for a zero digit."""
-    size = 1 << _BASE_WINDOW
+def _table_terms(rows, k):
+    """Yield the affine table entries whose sum is ``B ** k``, one per row of
+    B's table, None for a zero digit."""
+    size = 1 << _TABLE_WINDOW
     mask = size - 1
     half = size >> 1
-    for row in _base_table():
+    for row in rows:
         d = k & mask
-        k >>= _BASE_WINDOW
+        k >>= _TABLE_WINDOW
         if d > half:
             d -= size
             k += 1
@@ -269,33 +301,34 @@ def _base_terms(k):
             yield None
 
 
-# The table repays its build only over many G ** k: the build costs
-# 12.1-13.4 ms, after which a G ** k takes 0.36-0.40 ms, against 1.4-1.6 ms
-# through _var_mul (fresh CPython 3.11 interpreters, 2-core x86-64 host).
-# That is about 12 multiplies to break even, while a short-lived ``p2c``
-# command does 1-4.  So a process's first _UNTABLED_BASE_MULS G ** k go
-# through _var_mul, and the next one builds the table: a process that goes
-# on to thousands pays about one more build's worth.  ``tweak_points``
-# batches enough multiplies to build the table at once.
-_UNTABLED_BASE_MULS = 12
-_untabled_base_muls = 0
-
-
-def _generator_mul(k):
-    """Jacobian G ** k: through the table once it exists or the cut-over is passed."""
-    global _untabled_base_muls
-    if _base_table_rows is None and _untabled_base_muls < _UNTABLED_BASE_MULS:
-        _untabled_base_muls += 1
-        return _var_mul(k, _GX, _GY)
-    return _base_mul(k)
-
-
-def _base_mul(k):
+def _table_mul(rows, k):
     acc = _JID
-    for term in _base_terms(k):
+    for term in _table_terms(rows, k):
         if term is not None:
             acc = _madd(acc, term)
     return acc
+
+
+class _FixedBase:
+    """A long-lived base: the count of its powers, then its table."""
+
+    __slots__ = ("x", "y", "powers", "rows")
+
+    def __init__(self, x, y):
+        self.x, self.y, self.powers, self.rows = x, y, 0, None
+
+    def table(self):
+        if self.rows is None:
+            self.rows = _build_table(self.x, self.y)
+        return self.rows
+
+    def mul(self, k):
+        """Jacobian ``base ** k``: through _var_mul until the _TABLED_POWER-th power builds the table."""
+        if self.rows is None:
+            self.powers += 1
+            if self.powers < _TABLED_POWER:
+                return _var_mul(k, self.x, self.y)
+        return _table_mul(self.table(), k)
 
 
 def _batch_add(pairs):
@@ -327,11 +360,12 @@ def _batch_add(pairs):
 
 
 def _base_mul_batch(ks):
-    """Affine ``G ** k`` for each k, the whole batch walking the table rows in
+    """Affine ``G ** k`` for each k, the whole batch walking G's table rows in
     lockstep: one ``_batch_add``, so one inversion, per row.  Each k's terms
     are generated row by row, so the batch never holds them all."""
+    rows = _fixed_bases[G].table()
     sums = [None] * len(ks)
-    for column in zip(*map(_base_terms, ks)):
+    for column in zip(*(_table_terms(rows, k) for k in ks)):
         sums = _batch_add(list(zip(sums, column)))
     return sums
 
@@ -482,9 +516,8 @@ class Point:
         k = exponent.value if isinstance(exponent, Scalar) else exponent % ORDER
         if k == 0 or self.is_identity():
             return Point.identity()
-        if self.x == _GX and self.y == _GY:
-            return _from_affine(_to_affine(_generator_mul(k)))
-        return _from_affine(_to_affine(_var_mul(k, self.x, self.y)))
+        base = _fixed_bases.get(self)
+        return _from_affine(_to_affine(_var_mul(k, self.x, self.y) if base is None else base.mul(k)))
 
     def inverse(self) -> Point:
         if self.is_identity():
@@ -511,6 +544,24 @@ class Point:
 
 
 G = Point(_GX, _GY)
+
+# base point -> its _FixedBase, in marking order; G is first and never dropped
+_fixed_bases = {G: _FixedBase(_GX, _GY)}
+
+
+def fixed_base(point: Point) -> Point:
+    """Mark ``point`` as a long-lived base and return it, so that its powers
+    share one fixed-base table once there are enough of them to pay for it.
+
+    Mark only a key that a process raises many times, such as a merchant's
+    reputation key: each table holds about 250 KiB.  The registry is keyed
+    by value, so any equal point's powers take the same route.
+    """
+    if point not in _fixed_bases and not point.is_identity():
+        _fixed_bases[point] = _FixedBase(point.x, point.y)
+        if len(_fixed_bases) > _FIXED_BASES_CAP + 1:
+            del _fixed_bases[list(_fixed_bases)[1]]  # the oldest after G
+    return point
 
 
 def _from_affine(p) -> Point:
@@ -671,12 +722,13 @@ def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:
     r, s = sig.r.value, sig.s.value
     z = int.from_bytes(sha256(message), "big") % ORDER
     w = pow(s, -1, ORDER)
-    u1 = z * w % ORDER
-    u2 = r * w % ORDER
-    candidate = (G ** u1) * (pub ** u2)
-    if candidate.is_identity():
+    # R = G ** u1 * pub ** u2, added in Jacobian form: R.x mod ORDER == r
+    # holds iff X == x * Z^2 for x = r, or x = r + ORDER below the field prime
+    X, _, Z = _add(_fixed_bases[G].mul(z * w % ORDER), _var_mul(r * w % ORDER, pub.x, pub.y))
+    if Z == 0:
         return False
-    return candidate.x % ORDER == r
+    zz = Z * Z % FIELD_PRIME
+    return X == r * zz % FIELD_PRIME or (r + ORDER < FIELD_PRIME and X == (r + ORDER) * zz % FIELD_PRIME)
 
 
 def ecdsa_verify_openssl(pub: Point, message: bytes, sig: Signature) -> bool:

@@ -11,6 +11,10 @@ signalled value seeds a symmetric key and filename under which the
 contract travels through a public filestore.  A discrete-log-equality
 proof lets the customer publicly attribute a signal in a dispute without
 revealing the signing key.
+
+Every power of the merchant key goes through ``curve.fixed_base``: the
+signal values, the proofs and their checks all raise that one long-lived
+key, so a process that does many of them shares one fixed-base table.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .contract import (
     payment_private_key,
     verify_contract,
 )
-from .curve import G, KeyPair, Point, Scalar, hash_to_scalar, random_scalar, sha256, shared_xs
+from .curve import G, KeyPair, Point, Scalar, fixed_base, hash_to_scalar, random_scalar, sha256, shared_xs
 from .errors import ProtocolError
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_addresses, p2pkh_address
@@ -136,7 +140,7 @@ def _signal_address(variant: SignalVariant, merchant_pub: Point, signal_pub: Poi
 
 def signal_value(signal_priv: Scalar, merchant_pub: Point) -> Scalar:
     """x-coordinate of the Diffie-Hellman point, as a scalar label."""
-    shared = merchant_pub ** signal_priv
+    shared = fixed_base(merchant_pub) ** signal_priv
     if shared.is_identity():
         raise ValueError("degenerate shared point")
     return Scalar.reduce(shared.x)
@@ -273,22 +277,6 @@ def merchant_scan_signals(
     return records
 
 
-def signal_output_spent(
-    ledger: Ledger,
-    record: SignalRecord,
-    merchant_pub: Point,
-    variant: SignalVariant = SignalVariant.MERCHANT_CONTROLLED,
-) -> bool:
-    """Whether the signal output was redeemed -- proof the signal was received."""
-    addr = _signal_address(variant, merchant_pub, record.signal_pubkey, record.value)
-    tx = ledger.get_transaction(record.txid)
-    if tx is None:
-        return False
-    return any(
-        out.payto == addr and ledger.is_spent(record.txid, i) for i, out in enumerate(tx.outputs)
-    )
-
-
 # ---------------------------------------------------------------------------
 # discrete-log-equality proofs (dispute evidence)
 
@@ -303,10 +291,10 @@ def prove_dh(s: Scalar, merchant_pub: Point, rng: Optional[Random] = None) -> Dl
     """Prove the shared point really is merchant_pub raised to the signal key."""
     if not s:
         raise ValueError("signal key must be nonzero")
-    shared = merchant_pub ** s
+    shared = fixed_base(merchant_pub) ** s
     u = random_scalar(rng)
     commit_g = G ** u
-    commit_p = merchant_pub ** u
+    commit_p = fixed_base(merchant_pub) ** u
     v = _dleq_challenge(merchant_pub, shared, commit_g, commit_p)
     return DlegProof(shared, commit_g, commit_p, u + v * s)
 
@@ -319,7 +307,7 @@ def verify_dh(proof: DlegProof, signal_pub: Point, merchant_pub: Point) -> bool:
         v = _dleq_challenge(merchant_pub, proof.shared, proof.commit_g, proof.commit_p)
         if G ** proof.response != proof.commit_g * signal_pub ** v:
             return False
-        return merchant_pub ** proof.response == proof.commit_p * proof.shared ** v
+        return fixed_base(merchant_pub) ** proof.response == proof.commit_p * proof.shared ** v
     except (ProtocolError, ValueError, AttributeError):
         return False
 

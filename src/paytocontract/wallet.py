@@ -17,17 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .curve import (
-    G,
-    KeyPair,
-    Point,
-    Scalar,
-    Signature,
-    ecdsa_verify,
-    hash160,
-    hash_to_scalar,
-    tweak_points,
-)
+from .curve import G, Point, Scalar, hash160, hash_to_scalar, tweak_points
 from .errors import ProtocolError
 
 Label = Union[bytes, str]
@@ -107,31 +97,6 @@ def derive_addresses(pairs: Sequence[Tuple[Point, Label]]) -> List[Address]:
         _check_pubbase(pubbase)
     derived = tweak_points([(pubbase, hash_to_scalar(_label_bytes(label))) for pubbase, label in pairs])
     return [p2pkh_address(_check_derived(pub)) for pub in derived]
-
-
-@dataclass(frozen=True)
-class WalletBase:
-    """Wallet base; without ``private_base`` this is the watch-only side."""
-
-    pubbase: Point
-    private_base: Optional[Scalar] = None
-
-    def __post_init__(self):
-        if self.private_base is not None and G ** self.private_base != self.pubbase:
-            raise ValueError("pubbase does not match private base")
-
-    @classmethod
-    def from_private(cls, private: Scalar) -> WalletBase:
-        return cls(G ** private, private)
-
-    def derive_keypair(self, label: Label, scheme: DerivationScheme = DerivationScheme.ADDITIVE) -> KeyPair:
-        if self.private_base is None:
-            raise ProtocolError("watch-only wallet", "private base unavailable")
-        priv = derive_private(self.private_base, label, scheme)
-        return KeyPair(priv, G ** priv)
-
-    def derive_address(self, label: Label, scheme: DerivationScheme = DerivationScheme.ADDITIVE) -> Address:
-        return derive_address(self.pubbase, label, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +219,6 @@ def p2sh_address(script: Script) -> Address:
     if not script.ops:
         raise ValueError("empty script")
     return Address("p2sh", hash160(script.serialize()))
-
-
-def p2sh_locking_script(address: Address) -> Script:
-    """Spend-side shape of a P2SH output: HASH160 <digest> EQUAL."""
-    if address.kind != "p2sh":
-        raise ValueError("not a p2sh address")
-    return Script((Opcode.HASH160, address.digest, Opcode.EQUAL))
-
-
-def verify_script_signature(script: Script, signature: Signature, pub: Point) -> bool:
-    """Check a detached endorsement of a base script (e.g. by a reputation key)."""
-    return ecdsa_verify(pub, script.serialize(), signature)
 
 
 def script_to_json(script: Script) -> list:

@@ -981,3 +981,53 @@ class TestColdImports:
         assert out == {"transactions": 2, "utxos": len(ledger.utxo), "issued": 9000}
         assert {"paytocontract.chain", "cryptography"} <= loaded  # the replay verifies through OpenSSL
         assert loaded & self.LEDGER_SKIPS == set()
+
+
+# A fresh interpreter runs one command through ``cli.main``, then prints each
+# fixed-base registry entry, (base, powers, tabled), on stderr.
+TABLES_PROGRAM = (
+    "import json, sys\n"
+    "from paytocontract.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "finally:\n"
+    "    curve = sys.modules['paytocontract.curve']\n"
+    "    print(json.dumps([[b.encode().hex(), e.powers, e.rows is not None]\n"
+    "                      for b, e in curve._fixed_bases.items()]), file=sys.stderr)\n"
+)
+
+
+class TestColdTables:
+    """A cold ``p2c`` command raises the merchant key too few times to pay for its table, and builds none."""
+
+    @staticmethod
+    def _cold(argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        result = subprocess.run([sys.executable, "-c", TABLES_PROGRAM, *argv], env=env,
+                                capture_output=True, text=True)
+        return result.returncode, json.loads(result.stderr.strip().splitlines()[-1])
+
+    def test_dispute_and_redeem_commands_build_no_table(self, tmp_path):
+        rng = Random(32)
+        merchant, signer = KeyPair.generate(rng), KeyPair.generate(rng)
+        key = tmp_path / "signer.json"
+        key.write_text(json.dumps({"private": signer.private.to_bytes().hex(),
+                                   "public": signer.public.encode().hex()}))
+        order = build_contract(build_template(merchant.public, {"terms": "net 30"}, rng),
+                               {"item": "lamp", "price": 4200}, rng)
+        (tmp_path / "order.json").write_bytes(encode_contract(order))
+        state, m = str(tmp_path / "state"), merchant.public.encode().hex()
+        proof = str(tmp_path / "proof.json")
+        commands = [
+            (["--seed", "3", "dh", "prove", "--key", str(key), "--merchant", m, "--out", proof], 2),
+            (["dh", "verify", "--proof", proof, "--merchant", m], 1),
+            (["--seed", "4", "redeem", "post", "--contract", str(tmp_path / "order.json"), "--key", str(key),
+              "--merchant", m], 1),
+        ]
+        g = G.encode().hex()
+        for argv, merchant_powers in commands:
+            code, entries = self._cold(["--state-dir", state, *argv])
+            assert code == 0, argv
+            assert [base for base, _, _ in entries] == [g, m]
+            assert entries[1][1:] == [merchant_powers, False]
+            assert not any(tabled for _, _, tabled in entries), argv

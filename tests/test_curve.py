@@ -257,7 +257,7 @@ class TestMultiplyEngine:
         # for a reduced k (the partial sum is too small), so the mixed
         # addition's doubling and identity branches are driven directly: an
         # entry in Jacobian form with Z != 1, plus the same affine entry.
-        rows = curve._base_table()
+        rows = curve._fixed_bases[G].table()
         p = oracle.P
         for row, col in ((0, 0), (3, 17), (len(rows) - 1, len(rows[-1]) - 1)):
             x, y = rows[row][col]
@@ -266,6 +266,22 @@ class TestMultiplyEngine:
             doubled = curve._to_affine(curve._madd(jacobian, (x, y)))
             assert doubled == oracle.point_double((x, y))
             assert curve._to_affine(curve._madd(jacobian, (x, p - y))) is None
+
+    def test_jacobian_add_branches_match_oracle(self):
+        # the verify's one full addition: a chord, a doubling, a cancelling
+        # pair and the identity on either side, both sides with Z != 1
+        p, q = oracle.as_tuple(G ** 11), oracle.as_tuple(G ** 12)
+        minus_p = (p[0], oracle.P - p[1])
+
+        def jacobian(point, z):
+            if point is None:
+                return curve._JID
+            x, y = point
+            return (x * z * z % oracle.P, y * z * z * z % oracle.P, z)
+
+        for a, b in [(p, q), (q, p), (p, p), (p, minus_p), (None, q), (p, None), (None, None)]:
+            assert curve._to_affine(curve._add(jacobian(a, 0x1234567), jacobian(b, 0x89ABCDEF))) == \
+                oracle.point_add(a, b)
 
     def test_group_operation_on_equal_and_opposite_points(self):
         point = G ** Scalar(0xABCDEF)
@@ -281,18 +297,19 @@ class TestMultiplyEngine:
 
     def test_fixed_base_table_built_on_first_use(self):
         # a fresh interpreter: importing builds no table, the first
-        # _UNTABLED_BASE_MULS G ** k do without it, the next builds it, and
+        # _TABLED_POWER - 1 G ** k do without it, the next builds it, and
         # every one agrees with the oracle
         k = 0xC0FFEE << 140 | 0xBEEF
         self._fresh(
             "import oracle\n"
             "from paytocontract import curve\n"
-            "assert curve._base_table_rows is None and curve._UNTABLED_BASE_MULS > 0\n"
-            "for i in range(curve._UNTABLED_BASE_MULS):\n"
+            "generator = curve._fixed_bases[curve.G]\n"
+            "assert generator.rows is None and curve._TABLED_POWER > 1\n"
+            "for i in range(curve._TABLED_POWER - 1):\n"
             f"    assert oracle.as_tuple(curve.G ** ({k} + i)) == oracle.point_mul({k} + i, oracle.G)\n"
-            "assert curve._base_table_rows is None\n"
+            "assert generator.rows is None\n"
             f"assert oracle.as_tuple(curve.G ** {k}) == oracle.point_mul({k}, oracle.G)\n"
-            "assert curve._base_table_rows is not None\n"
+            "assert generator.rows is not None\n"
             f"assert oracle.as_tuple(curve.G ** (-{k})) == oracle.point_mul(oracle.N - {k}, oracle.G)\n"
         )
 
@@ -301,10 +318,70 @@ class TestMultiplyEngine:
             "import oracle\n"
             "from paytocontract import curve\n"
             "[p] = curve.tweak_points([(curve.G, 5)])\n"
-            "assert curve._base_table_rows is not None\n"
+            "assert curve._fixed_bases[curve.G].rows is not None\n"
             "assert oracle.as_tuple(p) == oracle.point_mul(6, oracle.G)\n"
         )
 
+
+
+class TestFixedBases:
+    """One fixed-base engine for G and for the keys ``fixed_base`` marks."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        # the registry of a new process, holding G alone (its table kept)
+        monkeypatch.setattr(curve, "_fixed_bases", {G: curve._fixed_bases[G]})
+
+    def test_a_marked_key_is_tabled_on_its_twelfth_power(self):
+        # a fresh interpreter: 11 powers of a marked key build no table, the
+        # 12th builds one, and every power agrees with the oracle
+        k = 0xFACADE << 150 | 0xD00D
+        TestMultiplyEngine._fresh(
+            "import oracle\n"
+            "from paytocontract import curve\n"
+            "key = curve.fixed_base(curve.G ** 0x5EED)\n"
+            "base, entry = oracle.as_tuple(key), curve._fixed_bases[key]\n"
+            "assert curve._TABLED_POWER == 12\n"
+            "for i in range(11):\n"
+            f"    assert oracle.as_tuple(curve.fixed_base(key) ** ({k} + i)) == oracle.point_mul({k} + i, base)\n"
+            "assert entry.rows is None and entry.powers == 11\n"
+            f"assert oracle.as_tuple(curve.fixed_base(key) ** {k}) == oracle.point_mul({k}, base)\n"
+            "assert entry.rows is not None\n"
+            f"assert oracle.as_tuple(key ** (-{k})) == oracle.point_mul(oracle.N - {k}, base)\n"
+            "assert [p for p, e in curve._fixed_bases.items() if e.rows is not None] == [key]\n"
+        )
+
+    def test_cap_holds_four_keys_besides_g(self, fresh):
+        generator = curve._fixed_bases[G]
+        keys = [G ** Scalar(0x100 + i) for i in range(curve._FIXED_BASES_CAP + 2)]
+        for key in keys:
+            for e in range(curve._TABLED_POWER):
+                curve.fixed_base(key) ** (e + 1)
+        assert list(curve._fixed_bases) == [G] + keys[2:]
+        assert curve._fixed_bases[G] is generator
+        assert all(entry.rows is not None for entry in list(curve._fixed_bases.values())[1:])
+        k = 0xDEADBEEF << 120 | 0x17
+        assert oracle.as_tuple(keys[-1] ** k) == oracle.point_mul(k, oracle.as_tuple(keys[-1]))
+        # a dropped key's powers still agree, and marking it again starts its count over
+        assert oracle.as_tuple(keys[0] ** k) == oracle.point_mul(k, oracle.as_tuple(keys[0]))
+        curve.fixed_base(keys[0])
+        assert list(curve._fixed_bases) == [G] + keys[3:] + keys[:1]
+        assert curve._fixed_bases[keys[0]].rows is None
+        assert oracle.as_tuple(keys[0] ** k) == oracle.point_mul(k, oracle.as_tuple(keys[0]))
+
+    def test_only_marked_bases_are_tabled(self, fresh):
+        point = G ** Scalar(0x77)
+        for e in range(2 * curve._TABLED_POWER):
+            point ** (e + 1)
+        assert list(curve._fixed_bases) == [G]
+        assert curve.fixed_base(Point.identity()) == Point.identity()
+        assert list(curve._fixed_bases) == [G]
+
+    def test_a_marked_key_is_found_by_value(self, fresh):
+        key = curve.fixed_base(G ** Scalar(0x99))
+        copy_of_key = Point(key.x, key.y)
+        copy_of_key ** 5
+        assert curve._fixed_bases[key].powers == 1
 
 
 class TestTweakPoints:
@@ -365,7 +442,8 @@ class TestTweakPoints:
     def test_lockstep_batch_matches_single_fixed_base(self):
         rng = Random(27)
         ks = [1, 2, ORDER - 1] + [random_scalar(rng).value for _ in range(10)]
-        assert curve._base_mul_batch(ks) == [curve._to_affine(curve._base_mul(k)) for k in ks]
+        rows = curve._fixed_bases[G].table()
+        assert curve._base_mul_batch(ks) == [curve._to_affine(curve._table_mul(rows, k)) for k in ks]
 
 
 class TestSharedXs:
@@ -500,6 +578,39 @@ class TestEcdsa:
     def test_identity_pubkey_rejected(self):
         sig = ecdsa_sign(Scalar(7), b"x")
         assert not ecdsa_verify(Point.identity(), b"x", sig)
+
+    def test_candidate_x_past_the_order_accepted_as_r_plus_order(self):
+        # a synthetic candidate R with x >= ORDER, so r = x - ORDER and the
+        # verify matches through its r + ORDER branch; the key is solved for
+        # from R, so that G ** u1 * pub ** u2 == R
+        x = ORDER + 1  # r = x - ORDER must be nonzero
+        while pow((x ** 3 + 7) % oracle.P, (oracle.P - 1) // 2, oracle.P) != 1:
+            x += 1
+        candidate = Point(x, pow((x ** 3 + 7) % oracle.P, (oracle.P + 1) // 4, oracle.P))
+        r, s = x - ORDER, 0x5EED
+        z = int.from_bytes(hashlib.sha256(b"r + n").digest(), "big") % ORDER
+        w = pow(s, -1, ORDER)
+        pub = (candidate * (G ** (z * w)).inverse()) ** pow(r * w, -1, ORDER)
+        assert (G ** (z * w)) * (pub ** (r * w)) == candidate and candidate.x != r
+        sig = Signature(Scalar(r), Scalar(s))
+        assert oracle.ecdsa_verify(oracle.as_tuple(pub), b"r + n", r, s)
+        assert ecdsa_verify(pub, b"r + n", sig) and ecdsa_verify_openssl(pub, b"r + n", sig)
+        assert not ecdsa_verify(pub, b"r + n!", sig)
+
+    def test_random_verifies_match_oracle(self):
+        rng = Random(63)
+        for _ in range(6):
+            pair = KeyPair.generate(rng)
+            message = rng.randbytes(rng.randrange(0, 48))
+            sig = ecdsa_sign(pair.private, message)
+            r, s = sig.r.value, sig.s.value
+            cases = [(pair.public, message, r, s), (pair.public, message, r, ORDER - s),
+                     (G ** random_scalar(rng), message, r, s), (pair.public, message + b"x", r, s),
+                     (pair.public, message, random_scalar(rng).value, random_scalar(rng).value)]
+            for pub, m, r_, s_ in cases:
+                expected = oracle.ecdsa_verify(oracle.as_tuple(pub), m, r_, s_)
+                assert ecdsa_verify(pub, m, Signature(Scalar(r_), Scalar(s_))) == expected
+            assert [oracle.ecdsa_verify(oracle.as_tuple(p), m, a, b) for p, m, a, b in cases[:2]] == [True, True]
 
 
 class TestSignature:

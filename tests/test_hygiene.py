@@ -159,3 +159,49 @@ def test_cli_import_check_catches_a_planted_import():
     assert _package_imports("def f():\n    import json\n") == ([], set())
     _, top = _package_imports(cli_source + "\nfrom .contract import redact\n")
     assert top - CLI_MODULE_IMPORTS == {"paytocontract.contract"}
+
+
+# Every power of the merchant key in ``protocol`` goes through
+# ``curve.fixed_base``, so that its powers share the key's fixed-base table;
+# a new flow that raised ``merchant_pub`` directly would quietly take the
+# variable-base path.
+def _merchant_powers(source: str):
+    """``(routed, unrouted)``: the line of each power whose base names
+    ``merchant_pub``, split by whether the base is ``fixed_base(merchant_pub)``.
+    A ``pow`` call and any use of ``_var_mul`` count as unrouted."""
+    routed, unrouted = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow" and node.args:
+            base = node.args[0]
+        elif (getattr(node, "id", None) or getattr(node, "attr", None)) == "_var_mul":
+            unrouted.append(node.lineno)
+            continue
+        else:
+            continue
+        if not any(isinstance(n, ast.Name) and n.id == "merchant_pub" for n in ast.walk(base)):
+            continue
+        fixed = (isinstance(node, ast.BinOp) and isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                 and base.func.id == "fixed_base" and len(base.args) == 1 and not base.keywords
+                 and isinstance(base.args[0], ast.Name) and base.args[0].id == "merchant_pub")
+        (routed if fixed else unrouted).append(node.lineno)
+    return routed, unrouted
+
+
+def test_every_merchant_key_power_takes_the_fixed_base_route():
+    routed, unrouted = _merchant_powers((PACKAGE / "protocol.py").read_text())
+    assert unrouted == []
+    assert len(routed) >= 4  # signal_value, prove_dh twice, verify_dh
+
+
+def test_fixed_base_check_catches_a_planted_power():
+    source = (PACKAGE / "protocol.py").read_text()
+    lines = source.count("\n")
+    routed, _ = _merchant_powers(source)
+    planted = source + "\n\ndef _echo(merchant_pub, k):\n    return merchant_pub ** k\n"
+    assert _merchant_powers(planted) == (routed, [lines + 4])
+    assert _merchant_powers("x = pow(merchant_pub, 3)\n") == ([], [1])
+    assert _merchant_powers("x = curve._var_mul(k, merchant_pub.x, merchant_pub.y)\n") == ([], [1])
+    assert _merchant_powers("x = fixed_base(other) ** k\ny = (merchant_pub * G) ** k\n") == ([], [2])
+    assert _merchant_powers("x = fixed_base(merchant_pub) ** k\ny = signal_pub ** k\n") == ([1], [])

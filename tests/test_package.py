@@ -14,7 +14,7 @@ import paytocontract
 EXPORTS = {
     "curve": "G KeyPair Point Scalar Signature ecdsa_sign ecdsa_verify hash160 hash_to_scalar random_scalar",
     "errors": "ProtocolError",
-    "wallet": "Address DerivationScheme Script WalletBase derive_address derive_addresses derive_private "
+    "wallet": "Address DerivationScheme Script derive_address derive_addresses derive_private "
               "derive_public derive_script multisig_script p2pkh_address p2sh_address",
     "contract": "Branch Contract Leaf Redacted build_contract build_template contract_hash decode_contract "
                 "encode_contract encrypt_leaf decrypt_leaf payment_address payment_private_key redact "

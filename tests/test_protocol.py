@@ -1,6 +1,10 @@
+import contextlib
+import dataclasses
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from paytocontract import chain, contract, curve, protocol
@@ -24,13 +28,14 @@ from paytocontract.contract import (
     verify_contract,
     with_leaf_value,
 )
-from paytocontract.curve import G, KeyPair, Point, Scalar, hash160, random_scalar, sha256
+from paytocontract.curve import G, ORDER, KeyPair, Point, Scalar, hash160, random_scalar, sha256
 from paytocontract.errors import ProtocolError
 from paytocontract.protocol import (
     CustomerTrustStore,
     DlegProof,
     MerchantIdentity,
     OrderState,
+    OrderStatus,
     SignalKeyRegistry,
     SignalRecord,
     SignalVariant,
@@ -42,7 +47,6 @@ from paytocontract.protocol import (
     merchant_scan_signals,
     prove_dh,
     redeem_post,
-    signal_output_spent,
     signal_value,
     verify_dh,
     verify_payment,
@@ -364,12 +368,13 @@ class TestSignaling:
         outputs, value = attach_signal([], signer, merchant.public, 100)
         ledger.broadcast(build_transaction(ledger, [(funding.txid, 0, signer.private)], outputs))
         record = merchant_scan_signals(identity, ledger)[0]
-        assert not signal_output_spent(ledger, record, merchant.public)
+        assert not ledger.is_spent(record.txid, 0)
+        # the merchant redeems the signal output with the key its value labels
         from paytocontract.wallet import derive_private
         key = derive_private(merchant.private, value.to_bytes())
         ledger.broadcast(build_transaction(ledger, [(record.txid, 0, key)],
                                            [TxOutput(_addr(merchant), 100)]))
-        assert signal_output_spent(ledger, record, merchant.public)
+        assert ledger.is_spent(record.txid, 0)
 
 
 def _per_transaction_scan(identity, ledger, watermark=0, include_customer_controlled=False):
@@ -503,7 +508,7 @@ class TestScanBatching:
                 counts.append((len(distinct), calls["_batch_inverse"], calls["_to_affine"]))
         assert counts[0][0] < counts[2][0]
         assert {c[1] for c in counts} == {counts[0][1]}
-        assert 0 < counts[0][1] <= curve._BASE_WINDOWS + 1
+        assert 0 < counts[0][1] <= curve._TABLE_ROWS + 1
         assert all(c[2] == 0 for c in counts)
 
 
@@ -573,6 +578,113 @@ class TestDlegProof:
         public_value = Scalar.reduce(proof.shared.x)
         hits = ledger.scan_address(derive_address(merchant.public, public_value.to_bytes()))
         assert [h[0] for h in hits] == [tx.txid]
+
+
+@contextlib.contextmanager
+def _fresh_fixed_bases():
+    """The fixed-base registry of a new process, holding G alone (its table kept)."""
+    saved = curve._fixed_bases
+    curve._fixed_bases = {G: saved[G]}
+    try:
+        yield
+    finally:
+        curve._fixed_bases = saved
+
+
+DLEQ = settings(derandomize=True, database=None, deadline=None, max_examples=20)
+
+
+class TestDlegProperties:
+    """A proof is the same whichever route raised the merchant key, it
+    verifies, and it fails with any one field changed; plus the guards."""
+
+    @DLEQ
+    @given(st.integers(1, ORDER - 1), st.integers(2, ORDER - 1), st.integers(0, 2 ** 32))  # the merchant is not G
+    def test_proof_is_the_same_with_and_without_the_merchants_table(self, signal, merchant, seed):
+        signer, merchant_pub = KeyPair.from_private(Scalar(signal)), G ** Scalar(merchant)
+        with _fresh_fixed_bases():
+            before = prove_dh(signer.private, merchant_pub, Random(seed))
+            entry = curve._fixed_bases[merchant_pub]
+            assert entry.rows is None
+            entry.table()
+            after = prove_dh(signer.private, merchant_pub, Random(seed))
+            assert after == before
+            assert verify_dh(before, signer.public, merchant_pub)
+        assert verify_dh(before, signer.public, merchant_pub)
+        for name in ("shared", "commit_g", "commit_p"):
+            mutated = dataclasses.replace(before, **{name: getattr(before, name) * G})
+            assert not verify_dh(mutated, signer.public, merchant_pub), name
+        assert not verify_dh(dataclasses.replace(before, response=before.response + Scalar(1)),
+                             signer.public, merchant_pub)
+
+    def test_zero_signal_key_rejected(self):
+        with pytest.raises(ValueError, match="signal key must be nonzero"):
+            prove_dh(Scalar(0), G ** Scalar(5), Random(1))
+
+    def test_identity_field_rejected(self):
+        rng = Random(115)
+        merchant, signer = KeyPair.generate(rng), KeyPair.generate(rng)
+        proof = prove_dh(signer.private, merchant.public, rng)
+        for name in ("shared", "commit_g", "commit_p"):
+            mutated = dataclasses.replace(proof, **{name: Point.identity()})
+            assert not verify_dh(mutated, signer.public, merchant.public), name
+
+    @pytest.mark.parametrize("state", [OrderState.PAID, OrderState.ACCEPTED])
+    def test_paid_and_accepted_status_need_a_txid(self, state):
+        with pytest.raises(ValueError, match="paid/accepted status needs a txid"):
+            OrderStatus(b"\x00" * 32, state)
+        assert OrderStatus(b"\x00" * 32, state, b"\x01" * 32).paying_txid == b"\x01" * 32
+
+
+class TestFixedBaseTables:
+    """Which keys get a fixed-base table: the merchant key of the signal and
+    dispute flows once raised often enough, and no customer or signal key."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        with _fresh_fixed_bases():
+            yield
+
+    def test_signals_and_disputes_table_the_merchant_key_on_its_twelfth_power(self):
+        rng = Random(171)
+        merchant = KeyPair.generate(rng)
+        signers = [KeyPair.generate(rng) for _ in range(8)]
+        for signer in signers:
+            attach_signal([], signer, merchant.public, 100)
+        entry = curve._fixed_bases[merchant.public]
+        assert (entry.powers, entry.rows) == (8, None)
+        proofs = [prove_dh(signer.private, merchant.public, rng) for signer in signers[:2]]
+        assert entry.rows is not None  # prove_dh raises it twice: powers 9, 10, 11, 12
+        for _ in range(2):
+            for signer in signers:
+                proof = prove_dh(signer.private, merchant.public, rng)
+                assert verify_dh(proof, signer.public, merchant.public)
+        assert all(verify_dh(proof, signer.public, merchant.public) for proof, signer in zip(proofs, signers))
+        assert list(curve._fixed_bases) == [G, merchant.public]  # no signal key is marked
+
+    def test_storefront_like_orders_table_nothing_but_g(self):
+        rng = Random(172)
+        identity = MerchantIdentity(KeyPair.generate(rng))
+        merchant = identity.reputation
+        template = sign_fields(build_template(merchant.public, {"terms": "t"}, rng), merchant.private,
+                               ["merchant/pubkey", "merchant/terms"])
+        trust = CustomerTrustStore()
+        trust.add("acme", merchant.public)
+        ledger = Ledger()
+        customers = [KeyPair.generate(rng) for _ in range(2)]
+        outpoints = [(ledger.faucet([TxOutput(_addr(c), 10 ** 9)]).txid, 0) for c in customers]
+        treasury = derive_address(merchant.public, b"treasury")
+        for i in range(2 * curve._TABLED_POWER + 2):
+            customer = customers[i % 2]
+            order = build_contract(template, {"item": "widget", "price": 1000 + i}, rng)
+            txid = customer_approve_and_pay(order, trust, [(*outpoints[i % 2], customer.private)], ledger, YES,
+                                            change_address=_addr(customer))
+            assert merchant_detect_payment(identity, order, ledger).paying_txid == txid
+            key = payment_private_key(order, merchant.private)
+            ledger.broadcast(build_transaction(ledger, [(txid, 0, key)], [TxOutput(treasury, 1000 + i)]))
+            assert verify_payment(redact(order, "order/item"), ledger) == (True, txid)
+            outpoints[i % 2] = (txid, 1)
+        assert list(curve._fixed_bases) == [G]
 
 
 class TestRedemption:

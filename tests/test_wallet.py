@@ -4,14 +4,13 @@ from random import Random
 import pytest
 
 import oracle
-from paytocontract.curve import G, ORDER, KeyPair, Scalar, ecdsa_sign, hash160, random_scalar
+from paytocontract.curve import G, ORDER, KeyPair, Scalar, hash160, random_scalar
 from paytocontract.errors import ProtocolError
 from paytocontract.wallet import (
     Address,
     DerivationScheme,
     Opcode,
     Script,
-    WalletBase,
     derive_address,
     derive_addresses,
     derive_private,
@@ -20,10 +19,8 @@ from paytocontract.wallet import (
     multisig_script,
     p2pkh_address,
     p2sh_address,
-    p2sh_locking_script,
     script_from_json,
     script_to_json,
-    verify_script_signature,
 )
 
 ADD = DerivationScheme.ADDITIVE
@@ -170,22 +167,18 @@ class TestDeriveAddresses:
 
 
 class TestWalletBase:
+    """A keypair as a labeled wallet base: the public side alone (watch-only)
+    derives the same addresses and pubkeys as the private side."""
+
     def test_watch_only_derives_addresses_not_keys(self):
         pair = KeyPair.generate(Random(27))
-        watch = WalletBase(pair.public)
-        full = WalletBase.from_private(pair.private)
-        assert watch.derive_address(b"a") == full.derive_address(b"a")
-        with pytest.raises(ProtocolError, match="watch-only"):
-            watch.derive_keypair(b"a")
-
-    def test_mismatched_base_rejected(self):
-        with pytest.raises(ValueError):
-            WalletBase(G ** Scalar(2), Scalar(3))
+        assert derive_address(pair.public, b"a") == p2pkh_address(G ** derive_private(pair.private, b"a"))
+        with pytest.raises(ValueError, match="private base must be nonzero"):
+            derive_private(Scalar(0), b"a")
 
     def test_derived_keypair_consistent(self):
-        base = WalletBase.from_private(Scalar(99))
-        pair = base.derive_keypair(b"k")
-        assert pair.public == G ** pair.private
+        pair = KeyPair.from_private(derive_private(Scalar(99), b"k"))
+        assert pair.public == G ** pair.private == derive_public(G ** Scalar(99), b"k")
 
 
 class TestScripts:
@@ -263,16 +256,3 @@ class TestScripts:
         p1, _ = self._two_keys()
         script = Script((Opcode.HASH160, b"\x22" * 20, Opcode.EQUAL, 3, p1))
         assert script_from_json(script_to_json(script)) == script
-
-    def test_locking_script_shape(self):
-        addr = p2sh_address(multisig_script(1, (G,)))
-        lock = p2sh_locking_script(addr)
-        assert lock.ops == (Opcode.HASH160, addr.digest, Opcode.EQUAL)
-
-    def test_detached_base_script_signature(self):
-        pair = KeyPair.from_private(Scalar(31))
-        script = multisig_script(1, (G ** Scalar(88),))
-        sig = ecdsa_sign(pair.private, script.serialize())
-        assert verify_script_signature(script, sig, pair.public)
-        other = multisig_script(1, (G ** Scalar(89),))
-        assert not verify_script_signature(other, sig, pair.public)
