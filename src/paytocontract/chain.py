@@ -14,7 +14,7 @@ validated, so that a reload commits that prefix without verifying it again.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
@@ -69,20 +69,16 @@ class TxInput:
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
+    """A transaction and its txid, the SHA-256 of its ``tx_preimage``.  The txid
+    is derived here, so no transaction carries a txid that is not its own."""
+
     inputs: Tuple[TxInput, ...]
     outputs: Tuple[TxOutput, ...]
-    txid: bytes
-    coinbase_tag: Optional[int] = None  # uniquifies faucet transactions
+    coinbase_tag: Optional[int] = None  # a faucet transaction's position on the record
+    txid: bytes = field(init=False)
 
-    @classmethod
-    def assemble(
-        cls,
-        inputs: Sequence[TxInput],
-        outputs: Sequence[TxOutput],
-        coinbase_tag: Optional[int] = None,
-    ) -> Transaction:
-        txid = sha256(tx_preimage(inputs, outputs, coinbase_tag))
-        return cls(tuple(inputs), tuple(outputs), txid, coinbase_tag)
+    def __post_init__(self):
+        object.__setattr__(self, "txid", sha256(tx_preimage(self.inputs, self.outputs, self.coinbase_tag)))
 
 
 def _hex_int(value: int) -> str:
@@ -101,15 +97,15 @@ def _payto_from_json(obj: dict) -> PayTarget:
     return Address(obj["kind"], bytes.fromhex(obj["digest"]))
 
 
-def _input_to_json(inp: TxInput, include_sigs: bool) -> dict:
+def _input_to_json(inp: TxInput, with_sigs: bool) -> dict:
     obj = {"index": _hex_int(inp.index), "prev_txid": inp.prev_txid.hex()}
     if inp.redeem_script is not None:
         obj["script"] = inp.redeem_script.serialize().hex()
-        if include_sigs:
+        if with_sigs:
             obj["signatures"] = [s.to_bytes().hex() for s in inp.signatures]
     else:
         obj["pubkey"] = inp.pubkey.encode().hex()
-        if include_sigs and inp.signature is not None:
+        if with_sigs and inp.signature is not None:
             obj["signature"] = inp.signature.to_bytes().hex()
     return obj
 
@@ -130,16 +126,20 @@ def _input_from_json(obj: dict) -> TxInput:
     )
 
 
-def tx_to_json(tx: Transaction, include_sigs: bool = True) -> dict:
+def _tx_json(inputs: Sequence[TxInput], outputs: Sequence[TxOutput], coinbase_tag: Optional[int],
+             with_sigs: bool) -> dict:
+    """The one serializer of a transaction: its record, or without signatures its preimage."""
     obj = {
-        "inputs": [_input_to_json(i, include_sigs) for i in tx.inputs],
-        "outputs": [
-            {"amount": _hex_int(o.amount), "payto": _payto_to_json(o.payto)} for o in tx.outputs
-        ],
+        "inputs": [_input_to_json(i, with_sigs) for i in inputs],
+        "outputs": [{"amount": _hex_int(o.amount), "payto": _payto_to_json(o.payto)} for o in outputs],
     }
-    if tx.coinbase_tag is not None:
-        obj["coinbase"] = _hex_int(tx.coinbase_tag)
+    if coinbase_tag is not None:
+        obj["coinbase"] = _hex_int(coinbase_tag)
     return obj
+
+
+def tx_to_json(tx: Transaction) -> dict:
+    return _tx_json(tx.inputs, tx.outputs, tx.coinbase_tag, with_sigs=True)
 
 
 def tx_from_json(obj: dict) -> Transaction:
@@ -148,7 +148,7 @@ def tx_from_json(obj: dict) -> Transaction:
         TxOutput(_payto_from_json(o["payto"]), int(o["amount"], 16)) for o in obj["outputs"]
     )
     tag = obj.get("coinbase")
-    return Transaction.assemble(inputs, outputs, int(tag, 16) if tag is not None else None)
+    return Transaction(inputs, outputs, int(tag, 16) if tag is not None else None)
 
 
 def _read_lines(data: bytes, apply: Callable[[dict], object], first: int = 1):
@@ -170,8 +170,7 @@ def tx_preimage(
     coinbase_tag: Optional[int] = None,
 ) -> bytes:
     """Canonical serialization excluding signatures; hashing it yields the txid."""
-    stub = Transaction(tuple(inputs), tuple(outputs), b"\x00" * 32, coinbase_tag)
-    return _dump_line(tx_to_json(stub, include_sigs=False))
+    return _dump_line(_tx_json(inputs, outputs, coinbase_tag, with_sigs=False))
 
 
 def transaction_pubkeys(tx: Transaction) -> List[Point]:
@@ -221,9 +220,8 @@ class Ledger:
     """Append-only transaction record with an unspent-output set.
 
     Single-writer and single-threaded; reads operate on values that are
-    never mutated in place.  Beside the record it keeps one index per
-    query:
-    - txid -> transaction (``_by_txid``);
+    never mutated in place.  The record is ``_by_txid``, txid -> transaction
+    in commit order; beside it the ledger keeps one index per query:
     - txid -> bit mask of its unspent output indexes (``_unspent``), with no
       entry once every output is spent; ``utxo`` reads it as a
       ``(txid, index) -> TxOutput`` mapping;
@@ -231,7 +229,6 @@ class Ledger:
     """
 
     def __init__(self):
-        self.transactions: List[Transaction] = []
         self.total_issued = 0
         self._by_txid: Dict[bytes, Transaction] = {}
         self._unspent: Dict[bytes, int] = {}
@@ -241,29 +238,28 @@ class Ledger:
     def utxo(self) -> Mapping:
         return _UnspentView(self)
 
+    @property
+    def transactions(self) -> Tuple[Transaction, ...]:
+        """The record in commit order, copied on each read."""
+        return tuple(self._by_txid.values())
+
     def __len__(self) -> int:
-        return len(self.transactions)
+        return len(self._by_txid)
 
     # -- mutation ----------------------------------------------------------
 
     def faucet(self, outputs: Sequence[TxOutput]) -> Transaction:
         """Mint a coinbase transaction (test/demo setup only)."""
-        return self._commit(Transaction.assemble((), outputs, coinbase_tag=len(self.transactions)))
+        return self._commit(Transaction((), tuple(outputs), len(self._by_txid)))
 
     def broadcast(self, tx: Transaction) -> Transaction:
         """Validate and accept; raises ProtocolError on any rule violation."""
-        return self._accept(tx, ecdsa_verify)
-
-    def _accept(self, tx: Transaction, verify: Verify) -> Transaction:
         if not tx.inputs or tx.coinbase_tag is not None:
             raise ProtocolError("coinbase only via faucet")
-        self._validate(tx, verify)
-        return self._commit(tx)
+        return self._commit(tx, ecdsa_verify)
 
     def _validate(self, tx: Transaction, verify: Verify):
         preimage = tx_preimage(tx.inputs, tx.outputs, tx.coinbase_tag)
-        if sha256(preimage) != tx.txid:
-            raise ProtocolError("invalid txid")
         seen = set()
         input_total = 0
         for inp in tx.inputs:
@@ -301,11 +297,19 @@ class Ledger:
             else:
                 raise ProtocolError("invalid signature")
 
-    def _commit(self, tx: Transaction) -> Transaction:
-        self.transactions.append(tx)
-        self._by_txid[tx.txid] = tx
-        if not tx.inputs:  # a coinbase mints its outputs
-            self.total_issued += sum(o.amount for o in tx.outputs)
+    def _commit(self, tx: Transaction, verify: Optional[Verify] = None) -> Transaction:
+        """Put ``tx`` on the record under the rules that need no signature, on every
+        path: a record has no inputs exactly when it carries a coinbase tag, which is
+        its position, and each txid is committed once (a breach is a ``ValueError``, a
+        ``corrupt record`` on load).  Given ``verify``, a spend is validated in between;
+        a checkpointed record is not, and its input outside the unspent set is a ``KeyError``."""
+        position = len(self._by_txid)
+        if tx.coinbase_tag != (None if tx.inputs else position):
+            raise ValueError(f"record {position}: coinbase tag {tx.coinbase_tag}, {len(tx.inputs)} inputs")
+        if verify is not None and tx.inputs:
+            self._validate(tx, verify)
+        if tx.txid in self._by_txid:
+            raise ValueError(f"txid {tx.txid.hex()} is already on the record")
         for inp in tx.inputs:
             if not _is_unspent(self, inp.prev_txid, inp.index):
                 raise KeyError((inp.prev_txid, inp.index))
@@ -314,6 +318,9 @@ class Ledger:
                 self._unspent[inp.prev_txid] = mask
             else:
                 del self._unspent[inp.prev_txid]
+        self._by_txid[tx.txid] = tx
+        if not tx.inputs:  # a coinbase mints its outputs
+            self.total_issued += sum(o.amount for o in tx.outputs)
         if tx.outputs:
             self._unspent[tx.txid] = (1 << len(tx.outputs)) - 1
         for out in tx.outputs:
@@ -356,20 +363,23 @@ class Ledger:
 
     def to_jsonl(self) -> bytes:
         # the empty last item ends the last record with its ``\n`` too
-        return b"\n".join([*(_dump_line(tx_to_json(tx)) for tx in self.transactions), b""])
+        return b"\n".join([*(_dump_line(tx_to_json(tx)) for tx in self._by_txid.values()), b""])
 
     @classmethod
     def from_jsonl(cls, data: bytes, checkpoint: Optional[bytes] = None) -> Ledger:
-        """Rebuild by replaying every record through full validation; a coinbase
-        record mints as written, so it needs no inputs and its position as tag.
-        A replay verifies every signature on the record, so it verifies them
-        through OpenSSL (``ecdsa_verify_openssl``), whose fixed memory cost
-        that many verifies repay.
+        """Rebuild by replaying every record through ``_commit``: a spend is
+        validated in full, and a coinbase record mints as written.  A replay
+        verifies every signature on the record, so it verifies them through
+        OpenSSL (``ecdsa_verify_openssl``), whose fixed memory cost that many
+        verifies repay.
 
         ``checkpoint`` is the ``ledger_checkpoint`` of a prefix of ``data``
-        that was validated when it was saved.  That prefix is committed as
-        written, with no signature verified, and only the records after it
-        are replayed; line numbers in errors still count from the file's start.
+        that was validated when it was saved.  That prefix is committed with
+        no spend validated, so no signature verified, and nothing else that
+        ``_commit`` enforces skipped: a txid on the record twice, or a coinbase
+        tag that is not its record's position, is a ``corrupt record`` with or
+        without the checkpoint.  Only the records after the prefix are
+        replayed; line numbers in errors still count from the file's start.
         """
         ledger = cls()
         first = 1
@@ -378,17 +388,7 @@ class Ledger:
             _read_lines(prefix, lambda obj: ledger._commit(tx_from_json(obj)))
             data = data[len(prefix):]
             first += prefix.count(b"\n")
-
-        def replay(obj: dict):
-            tx = tx_from_json(obj)
-            if tx.coinbase_tag is None:
-                ledger._accept(tx, ecdsa_verify_openssl)
-            elif tx.inputs or tx.coinbase_tag != len(ledger):
-                raise ValueError(f"coinbase record {tx.coinbase_tag} has inputs or is misplaced")
-            else:
-                ledger._commit(tx)
-
-        _read_lines(data, replay, first)
+        _read_lines(data, lambda obj: ledger._commit(tx_from_json(obj), ecdsa_verify_openssl), first)
         return ledger
 
 
@@ -444,7 +444,7 @@ def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
     return ledger._by_txid[txid].outputs[index]
 
 
-def _sign_and_assemble(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
+def _sign_and_build(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
                        outputs: Sequence[TxOutput], change: Optional[PayTarget] = None) -> Transaction:
     """The builders' shared tail: check funds, pay any remainder to ``change``, sign each input."""
     total = sum(ledger._by_txid[inp.prev_txid].outputs[inp.index].amount for inp, _ in drafts)
@@ -459,7 +459,7 @@ def _sign_and_assemble(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[
         else replace(inp, signatures=tuple(ecdsa_sign(k, preimage) for k in keys))
         for inp, keys in drafts
     ]
-    return Transaction.assemble(signed, outputs)
+    return Transaction(tuple(signed), tuple(outputs))
 
 
 def build_transaction(
@@ -475,7 +475,7 @@ def build_transaction(
         pub = G ** key
         _check_key_lock(pub, prev.payto)
         drafts.append((TxInput(txid, index, pubkey=pub), (key,)))
-    return _sign_and_assemble(ledger, drafts, outputs, change)
+    return _sign_and_build(ledger, drafts, outputs, change)
 
 
 def build_script_spend(
@@ -488,7 +488,7 @@ def build_script_spend(
     for txid, index, keys, script in spends:
         _check_script_lock(script, _resolve_spend(ledger, txid, index).payto)
         drafts.append((TxInput(txid, index, redeem_script=script), tuple(keys)))
-    return _sign_and_assemble(ledger, drafts, outputs)
+    return _sign_and_build(ledger, drafts, outputs)
 
 
 class FileStore:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 from contextlib import suppress
@@ -26,7 +27,7 @@ from paytocontract.contract import (
     build_contract, build_template, contract_hash, contract_to_json, decode_contract, encrypt_leaf,
     order_price, payment_address, redact, sign_fields, verify_contract)
 from paytocontract.curve import KeyPair, Point, ecdsa_sign, hash160, sha256
-from paytocontract.errors import ProtocolError
+from paytocontract.errors import ProtocolError, _dump_line
 from paytocontract.wallet import Address, Opcode, Script, derive_script, multisig_script, p2sh_address
 
 
@@ -149,23 +150,13 @@ class TestBroadcast:
                                [TxOutput(_addr(pair), 100000)])
         # re-assemble with a different amount: txid matches the new preimage
         # but the signatures were made over the old one
-        forged = Transaction.assemble(tx.inputs, (TxOutput(_addr(pair), 99999),))
+        forged = Transaction(tx.inputs, (TxOutput(_addr(pair), 99999),))
         with pytest.raises(ProtocolError, match="invalid signature"):
-            ledger.broadcast(forged)
-
-    def test_stale_txid_rejected(self):
-        rng = Random(69)
-        ledger = Ledger()
-        pair, funding = _funded(ledger, rng)
-        tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
-                               [TxOutput(_addr(pair), 100000)])
-        forged = Transaction(tx.inputs, (TxOutput(_addr(pair), 99999),), tx.txid)
-        with pytest.raises(ProtocolError, match="invalid txid"):
             ledger.broadcast(forged)
 
     def test_coinbase_not_broadcastable(self):
         ledger = Ledger()
-        tx = Transaction.assemble((), (TxOutput(Address("p2pkh", b"\x00" * 20), 5),), 0)
+        tx = Transaction((), (TxOutput(Address("p2pkh", b"\x00" * 20), 5),), 0)
         with pytest.raises(ProtocolError, match="coinbase only via faucet"):
             ledger.broadcast(tx)
 
@@ -175,7 +166,7 @@ class TestBroadcast:
         pair, funding = _funded(ledger, Random(69))
         tx = build_transaction(ledger, [(funding.txid, 0, pair.private)],
                                [TxOutput(_addr(pair), 100000)])
-        tagged = Transaction.assemble(tx.inputs, tx.outputs, coinbase_tag=1)
+        tagged = Transaction(tx.inputs, tx.outputs, coinbase_tag=1)
         with pytest.raises(ProtocolError, match="coinbase only via faucet"):
             ledger.broadcast(tagged)
         assert len(ledger) == 1
@@ -235,7 +226,7 @@ class TestScriptSpends:
         outputs = (TxOutput(_addr(k1), 100000),)
         preimage = tx_preimage(inputs, outputs)
         sig = ecdsa_sign(k1.private, preimage)
-        dup = Transaction.assemble(
+        dup = Transaction(
             (TxInput(pay.txid, 0, redeem_script=script, signatures=(sig, sig)),), outputs)
         with pytest.raises(ProtocolError, match="invalid signature"):
             ledger.broadcast(dup)
@@ -280,7 +271,7 @@ def _hand_signed(prev_txid: bytes, outputs, pub=None, key=None, script=None) -> 
     """One-input transaction assembled without the builders' checks."""
     unsigned = TxInput(prev_txid, 0, pubkey=pub, redeem_script=script)
     sig = ecdsa_sign(key, tx_preimage((unsigned,), outputs)) if key is not None else None
-    return Transaction.assemble(
+    return Transaction(
         (TxInput(prev_txid, 0, pubkey=pub, signature=sig, redeem_script=script),), outputs)
 
 
@@ -458,7 +449,8 @@ class TestQueries:
 
 
 def _assert_queries_match_walk(ledger: Ledger, probes):
-    """Every index-backed query agrees with a brute-force walk of the record."""
+    """Every index-backed query agrees with a brute-force walk of the record,
+    and every txid is the hash of its transaction's preimage."""
     spent = {(inp.prev_txid, inp.index) for tx in ledger.transactions for inp in tx.inputs}
     targets = {out.payto for tx in ledger.transactions for out in tx.outputs} | set(probes)
     for target in targets:
@@ -469,6 +461,7 @@ def _assert_queries_match_walk(ledger: Ledger, probes):
             if out.payto == target
         ]
     for tx in ledger.transactions:
+        assert tx.txid == sha256(tx_preimage(tx.inputs, tx.outputs, tx.coinbase_tag))
         assert ledger.get_transaction(tx.txid) is tx
         for i in range(len(tx.outputs) + 1):
             assert ledger.is_spent(tx.txid, i) == ((tx.txid, i) in spent)
@@ -535,7 +528,7 @@ class TestIndexes:
         assert not ledger.is_spent(funding.txid, 0)
         # an output index past the end was never created, so never spent
         assert not ledger.is_spent(funding.txid, 1)
-        past_end = Transaction.assemble(
+        past_end = Transaction(
             (TxInput(funding.txid, 1, pubkey=pair.public),), (TxOutput(_addr(pair), 1),))
         with pytest.raises(ProtocolError, match="missing utxo"):
             ledger.broadcast(past_end)
@@ -547,6 +540,18 @@ class TestIndexes:
         assert not ledger.is_spent(funding.txid, -1)
         assert not ledger.is_spent(tx.txid, 0)
         assert ledger.get_transaction(tx.txid) is tx
+
+    def test_transactions_are_the_record_in_commit_order(self):
+        ledger = _churned_ledger(Random(83), 30)
+        txs = ledger.transactions
+        assert type(txs) is tuple and len(txs) == len(ledger) == 30
+        assert [json.loads(line) for line in ledger.to_jsonl().splitlines()] == [tx_to_json(tx) for tx in txs]
+        assert [i for i, tx in enumerate(txs) if not tx.inputs] == [tx.coinbase_tag for tx in txs if not tx.inputs]
+        # a read is a copy: it neither changes with the ledger nor changes it
+        tx = ledger.faucet([TxOutput(Address("p2pkh", b"\x08" * 20), 1)])
+        assert ledger.transactions == (*txs, tx) and len(txs) == 30
+        with pytest.raises(AttributeError):
+            ledger.transactions = ()
 
 
 
@@ -647,6 +652,36 @@ class TestRecords:
         records = [tx, tx.inputs[0], tx.outputs[0], tx.outputs[0].payto, tx.inputs[0].signature, script]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_a_transaction_derives_its_own_txid(self):
+        outputs = (TxOutput(Address("p2pkh", b"\x01" * 20), 5),)
+        tx = Transaction((), outputs, 0)
+        assert tx.txid == sha256(tx_preimage((), outputs, 0))
+        with pytest.raises(TypeError):
+            Transaction((), outputs, 0, b"\x00" * 32)
+        with pytest.raises(TypeError):
+            Transaction((), outputs, txid=tx.txid)
+        with pytest.raises(ValueError):
+            dataclasses.replace(tx, txid=b"\x00" * 32)
+        with pytest.raises(AttributeError):
+            tx.txid = b"\x00" * 32
+
+    def test_replace_recomputes_the_txid(self):
+        ledger = Ledger()
+        pair, funding = _funded(ledger, Random(86))
+        spend = build_transaction(ledger, [(funding.txid, 0, pair.private)], [TxOutput(_addr(pair), 100000)])
+        for changes in (dict(coinbase_tag=1), dict(outputs=(TxOutput(_addr(pair), 99999),)),
+                        dict(inputs=(dataclasses.replace(spend.inputs[0], index=1),))):
+            edited = dataclasses.replace(spend, **changes)
+            assert edited.txid == sha256(tx_preimage(edited.inputs, edited.outputs, edited.coinbase_tag))
+            assert edited.txid != spend.txid
+        # signatures are not part of the preimage, so not of the txid
+        unsigned = dataclasses.replace(spend, inputs=(dataclasses.replace(spend.inputs[0], signature=None),))
+        assert unsigned.txid == spend.txid and unsigned != spend
+
+    def test_no_output_pays_the_identity_point(self):
+        with pytest.raises(ValueError, match="cannot pay to the identity point"):
+            TxOutput(Point.identity(), 1)
 
     @pytest.mark.parametrize("form", [
         "pubkey-signature-and-script", "neither", "pubkey-with-signatures", "script-with-signature"])
@@ -1040,8 +1075,7 @@ class TestCheckpoint:
                                            [TxOutput(_addr(pair), 1)]))
         prev_txid, index = {"spent": (funding.txid, 0), "past-end": (funding.txid, 2),
                             "unknown": (b"\x07" * 32, 0)}[outpoint]
-        again = Transaction.assemble((TxInput(prev_txid, index, pubkey=pair.public),),
-                                     (TxOutput(_addr(pair), 2),))
+        again = Transaction((TxInput(prev_txid, index, pubkey=pair.public),), (TxOutput(_addr(pair), 2),))
         data = ledger.to_jsonl() + json.dumps(tx_to_json(again)).encode() + b"\n"
         with pytest.raises(ProtocolError) as exc:
             Ledger.from_jsonl(data, ledger_checkpoint(data))
@@ -1072,6 +1106,11 @@ class TestCheckpoint:
 
 
 class TestFileStore:
+    @pytest.mark.parametrize("length", [0, 31, 33])
+    def test_filename_is_a_32_byte_digest(self, length):
+        with pytest.raises(ValueError, match="filename must be a 32-byte digest"):
+            FileStore().put(b"\x00" * length, b"")
+
     def test_put_get_round_trip(self):
         fs = FileStore()
         name = sha256(b"key")
@@ -1201,6 +1240,60 @@ class TestDecoderFuzz:
     def test_filestore(self, data):
         with suppress(ProtocolError):
             FileStore.from_jsonl(data)
+
+
+class TestRecordRules:
+    """``_commit``'s record rules hold on every path, so a checkpointed prefix
+    and a full replay load the same ledger or both refuse it."""
+
+    @pytest.mark.parametrize("case", ["repeated", "swapped", "untagged"])
+    def test_misplaced_coinbase_records_are_corrupt_with_or_without_a_checkpoint(self, case):
+        ledger = Ledger()
+        ledger.faucet([TxOutput(Address("p2pkh", b"\x03" * 20), 5)])
+        ledger.faucet([TxOutput(Address("p2pkh", b"\x03" * 20), 9)])
+        first, second, _ = ledger.to_jsonl().split(b"\n")
+        untagged = _dump_line({k: v for k, v in json.loads(second).items() if k != "coinbase"})
+        data = {"repeated": [first, first], "swapped": [second, first], "untagged": [first, untagged]}[case]
+        data = b"\n".join(data + [b""])
+        for checkpoint in (None, ledger_checkpoint(data)):
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(data, checkpoint)
+            assert exc.value.code == "corrupt-record", checkpoint
+
+    @FUZZ
+    @given(st.data())
+    def test_structural_edits_load_alike_with_or_without_a_checkpoint(self, data):
+        lines = RULES_LEDGER.split(b"\n")[:-1]
+        for _ in range(data.draw(st.integers(1, 2))):
+            edit = data.draw(st.sampled_from(["repeat", "swap", "drop", "retag", "untag"]))
+            i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if edit == "repeat":
+                lines.insert(j, lines[i])
+            elif edit == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            elif edit == "drop":
+                del lines[i]
+            elif b'"coinbase"' in lines[i]:
+                record = json.loads(lines[i])
+                if edit == "retag":
+                    record["coinbase"] = format(data.draw(st.integers(0, len(lines))), "x")
+                else:
+                    del record["coinbase"]
+                lines[i] = _dump_line(record)
+        edited = b"".join(line + b"\n" for line in lines)
+        loads = []
+        for checkpoint in (None, ledger_checkpoint(_prefix(edited, data.draw(st.integers(0, len(lines)))))):
+            try:
+                ledger = Ledger.from_jsonl(edited, checkpoint)
+            except ProtocolError:
+                loads.append(None)
+            else:
+                loads.append((ledger.to_jsonl(), len(ledger), ledger.total_issued, dict(ledger.utxo)))
+        assert loads[0] == loads[1]
+
+
+# faucet, spend, faucet, spend, faucet, spend, faucet
+RULES_LEDGER = _seeded_ledger(Random(96), 3).to_jsonl()
 
 
 def _seeded_contract_json() -> dict:

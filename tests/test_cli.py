@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from paytocontract import scenarios
-from paytocontract.chain import Ledger, TxOutput, build_transaction
+from paytocontract.chain import Ledger, TxOutput, build_transaction, ledger_checkpoint
 from paytocontract.cli import CliConfig, cli, main, scenario
 from paytocontract.contract import (
     build_contract, build_template, contract_to_json, decode_contract, encode_contract, encrypt_leaf,
@@ -538,6 +538,20 @@ class TestCorruptFiles:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["error"] == "corrupt-record"
         assert f"line {len(text.splitlines())}: " in payload["message"]
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(COINBASE + COINBASE, id="repeated"),
+        pytest.param(COINBASE.replace('"coinbase":"0"', '"coinbase":"1"') + COINBASE, id="swapped"),
+        pytest.param(COINBASE + COINBASE.replace('"coinbase":"0",', ""), id="untagged"),
+    ])
+    def test_misplaced_coinbase_is_corrupt_with_or_without_a_checkpoint(self, capsys, tmp_path, text):
+        # the checkpoint binds the bytes, not a licence to skip the record rules
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "ledger.jsonl").write_text(text)
+        assert _domain_error(capsys, ["--state-dir", str(state), "chain", "show"]) == "corrupt-record"
+        (state / "ledger.ckpt").write_bytes(ledger_checkpoint(text.encode()))
+        assert _domain_error(capsys, ["--state-dir", str(state), "chain", "show"]) == "corrupt-record"
 
     @pytest.mark.parametrize("sep", [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\r", "\x85".encode(),
                                      "\u2028".encode(), "\u2029".encode()], ids=bytes.hex)

@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import json
 import os
 import pickle
 import subprocess
@@ -656,56 +655,6 @@ class TestSignature:
 
     def test_repr_names_both_scalars(self):
         assert repr(Signature(Scalar(1), Scalar(0xAB))) == "Signature(r=Scalar(0x1), s=Scalar(0xab))"
-
-    def test_seeded_p2c_files_keep_their_bytes(self, tmp_path):
-        """Every contract file and ledger file of a seeded ``p2c`` sequence
-        (keys, template, order, redaction, encryption, faucet, payment), by
-        SHA-256 as first written."""
-        from click.testing import CliRunner
-        from paytocontract.cli import cli
-        from paytocontract.wallet import p2pkh_address
-
-        runner = CliRunner()
-
-        def p2c(*args, seed=None):
-            argv = ["--state-dir", str(tmp_path / "state"), "--format", "json"]
-            argv += ["--seed", str(seed)] if seed is not None else []
-            result = runner.invoke(cli, argv + list(args), catch_exceptions=False)
-            assert result.exit_code == 0, result.output
-            return json.loads(result.output.strip().splitlines()[-1])
-
-        f = {name: str(tmp_path / f"{name}.json")
-             for name in ("merchant", "payer", "template", "contract", "redacted", "sealed")}
-        p2c("keygen", "--out", f["merchant"], seed=21)
-        payer = p2c("keygen", "--out", f["payer"], seed=22)
-        p2c("contract", "template", "--merchant-key", f["merchant"], "--static", "terms=net 30",
-            "--static", "pricelist=lamp=4200", "--out", f["template"], seed=23)
-        p2c("contract", "build", "--template", f["template"], "--field", "item=lamp", "--field", "price=4200",
-            "--field", "delivery_address=9 Elm St", "--out", f["contract"], seed=24)
-        p2c("contract", "redact", f["contract"], "--path", "order/delivery_address", "--out", f["redacted"])
-        p2c("contract", "encrypt-leaf", f["contract"], "--path", "order/delivery_address",
-            "--recipient", payer["public"], "--out", f["sealed"], seed=25)
-        pay_to = p2c("contract", "payment-address", f["redacted"])["address"]
-        payer_address = p2pkh_address(Point.decode(bytes.fromhex(payer["public"]))).render()
-        funded = p2c("chain", "faucet", "--to", payer_address, "--amount", "9000")
-        p2c("chain", "send", "--key", f["payer"], "--outpoint", f"{funded['txid']}:0", "--to", pay_to,
-            "--amount", "4200", "--change", payer_address)
-        files = sorted(tmp_path.glob("*.json")) + sorted((tmp_path / "state").iterdir())
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files} == SEEDED_P2C_FILES
-
-
-# frozen at first implementation: SHA-256 of each file the seeded sequence in
-# TestSignature writes
-SEEDED_P2C_FILES = {
-    "contract.json": "f2c17653d8c009e1e30a23d076df6de44d1ab21f2ebfd8ae5b133487afc89541",
-    "merchant.json": "c6885a0af86af5843131fd8de60f07742855a3bc8eaeef79ea0a9d09ae4914b7",
-    "payer.json": "1cf5de29d464fe2ea9da6b448829f1ff754590503937cb75f18dd7497ce58f4a",
-    "redacted.json": "ad21062f0eb70bf4bc5f3aac3b55b8249321fa4e236c2f77738819b3ca0d35de",
-    "sealed.json": "7a377c2330d8c0d8bd39bf9477e9649fb18bcb8f598ba147708327882f69b98d",
-    "template.json": "17ca19e7ecdcbc7b96bcf33383f034373fc3f131884327b8c9a5ced0fe62a634",
-    "ledger.ckpt": "077758bfd1ccbce67326cf0f367c6b5d66a990c173f6bf2a2defd8fc1496a574",
-    "ledger.jsonl": "08cc8506dd7e25156857303c6bbc383b7a5ccddbdfd8351373023f3ded31635d",
-}
 
 
 class TestEcdsaVerifyOpenssl:
