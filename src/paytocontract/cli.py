@@ -92,9 +92,20 @@ def _proof(data: bytes) -> Tuple[pc.DlegProof, Point]:
     return pc.DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16))), signal
 
 
+def _keypair(data: bytes) -> KeyPair:
+    """A ``keygen --out`` record.  The keypair derives its public key from the
+    private one; a stored ``public`` other than that key's encoding makes the
+    file invalid, as it then names two keys."""
+    obj = _load_json(data)
+    pair = KeyPair(Scalar(int(obj["private"], 16)))
+    if "public" in obj and bytes.fromhex(obj["public"]) != pair.public.encode():
+        raise ValueError("public does not match private")
+    return pair
+
+
 # a decoder reads its ``pc`` name when it runs: ``pc.decode_contract`` read here
 # would load ``contract`` for every command
-KEYFILE = ("invalid keyfile", lambda data: KeyPair.from_private(Scalar(int(_load_json(data)["private"], 16))))
+KEYFILE = ("invalid keyfile", _keypair)
 CONTRACT = ("invalid contract", lambda data: pc.decode_contract(data))
 SCRIPT = ("invalid script", lambda data: script_from_json(_load_json(data)))
 PROOF = ("invalid proof", _proof)
@@ -242,7 +253,7 @@ def _save_record(cfg: CliConfig, record: dict, out: Optional[Path], summary: str
 @pass_config
 def keygen(cfg: CliConfig, out: Optional[Path]):
     """Generate a keypair (reproducible with --seed)."""
-    pair = KeyPair.from_private(random_scalar(cfg.rng()))
+    pair = KeyPair(random_scalar(cfg.rng()))
     record = {"private": format(pair.private.value, "064x"),
               "public": pair.public.encode().hex()}
     _save_record(cfg, record, out, "public", private=True)

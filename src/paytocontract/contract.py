@@ -510,6 +510,23 @@ def _signatures_from_json(obj: dict) -> Dict[str, Signature]:
     return sigs
 
 
+# Contract keys decoded in this process, keyed by their 33-byte encoding.  A
+# merchant reads many contracts that carry its own key, and the decode's
+# square root costs several times the rest of the read.  Successes only,
+# oldest evicted first, as ``_verified``.
+_KEYS_CAP = 16
+_keys: Dict[bytes, Point] = {}
+
+
+def _decode_key(text: str) -> Point:
+    """``Point.decode`` of a contract key's hex, skipped for a key ``_keys`` still holds."""
+    data = bytes.fromhex(text)
+    point = _keys.get(data)
+    if point is None:
+        point = _remember(_keys, data, Point.decode(data), _KEYS_CAP)
+    return point
+
+
 def contract_from_json(obj: dict) -> Contract:
     root = node_from_json(obj["root"])
     if not isinstance(root, Branch):
@@ -517,10 +534,10 @@ def contract_from_json(obj: dict) -> Contract:
     dyn_key = obj.get("dynamic_signing_key")
     return Contract(
         root,
-        Point.decode(bytes.fromhex(obj["merchant_pubkey"])),
+        _decode_key(obj["merchant_pubkey"]),
         _signatures_from_json(obj["static_signatures"]),
         _signatures_from_json(obj.get("dynamic_signatures", {})),
-        Point.decode(bytes.fromhex(dyn_key)) if dyn_key else None,
+        _decode_key(dyn_key) if dyn_key else None,
     )
 
 

@@ -22,7 +22,7 @@ import functools
 import hashlib
 import hmac
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -622,20 +622,21 @@ def shared_xs(priv: Scalar, points: Iterable[Point]) -> List[Optional[int]]:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Private exponent and its public point, ``public == G ** private``."""
+    """Private exponent and its public point.  ``public`` is derived here, as
+    ``G ** private``, and cannot be passed in or replaced, so no keypair holds
+    a public key that is not its private key's."""
 
     private: Scalar
-    public: Point
+    public: Point = field(init=False)
 
-    @classmethod
-    def from_private(cls, private: Scalar) -> KeyPair:
-        if not private:
+    def __post_init__(self):
+        if not self.private:
             raise ValueError("private key must be nonzero")
-        return cls(private, G ** private)
+        object.__setattr__(self, "public", G ** self.private)
 
     @classmethod
     def generate(cls, rng: Optional[Random] = None) -> KeyPair:
-        return cls.from_private(random_scalar(rng))
+        return cls(random_scalar(rng))
 
 
 class Signature(bytes):

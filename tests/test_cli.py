@@ -11,11 +11,11 @@ from click.testing import CliRunner
 
 from paytocontract import scenarios
 from paytocontract.chain import Ledger, TxOutput, build_transaction, ledger_checkpoint
-from paytocontract.cli import CliConfig, cli, main, scenario
+from paytocontract.cli import KEYFILE, CliConfig, _read, cli, main, scenario
 from paytocontract.contract import (
     build_contract, build_template, contract_to_json, decode_contract, encode_contract, encrypt_leaf,
     payment_address, redact, sign_fields, verify_contract)
-from paytocontract.curve import G, KeyPair, Scalar, hash160
+from paytocontract.curve import G, KeyPair, Point, Scalar, hash160
 from paytocontract.wallet import derive_public, p2pkh_address
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -580,6 +580,9 @@ class TestCorruptFiles:
 
     @pytest.mark.parametrize("text", [
         "", "{}", "[]", '{"private": "zz"}', '{"private": 1}', json.dumps({"private": "00" * 32}),
+        # a stored public key that is not the private key's own
+        *(json.dumps({"private": "01".rjust(64, "0"), "public": public}) for public in
+          [(G ** Scalar(2)).encode().hex(), "03" + G.encode().hex()[2:], "zz", 7, None]),
     ])
     def test_malformed_keyfile(self, capsys, tmp_path, text):
         key = tmp_path / "key.json"
@@ -587,6 +590,21 @@ class TestCorruptFiles:
         assert _domain_error(capsys, [
             "--state-dir", str(tmp_path / "state"), "dh", "prove", "--key", str(key),
             "--merchant", self.MERCHANT]) == "invalid-keyfile"
+
+    def test_reading_a_keyfile_and_keygen_each_raise_g_once(self, capsys, monkeypatch, tmp_path):
+        # a stored public key is checked by its encoding, at no extra multiply
+        key, expected = tmp_path / "key.json", KeyPair(Scalar(1))
+        powers, power = [], Point.__pow__
+        monkeypatch.setattr(Point, "__pow__", lambda base, k: powers.append(base) or power(base, k))
+        for public in (None, G.encode().hex(), G.encode().hex().upper()):
+            record = self.GOOD_KEY if public is None else dict(self.GOOD_KEY, public=public)
+            key.write_text(json.dumps(record))
+            powers.clear()
+            assert _read(key, KEYFILE) == expected
+            assert powers == [G]
+        powers.clear()
+        assert _run_main(capsys, ["--seed", "5", "keygen"])[0] == 0
+        assert powers == [G]
 
     # each file the CLI reads: where it goes, the command that reads it, its error code
     FILES = {

@@ -32,6 +32,14 @@ INPUTS = {
                    b'{"pubkey":"02f9308a019258c31049344f85f89d5229b531c845836f99b08601f113bce036f9"},'
                    b'{"push":2},{"op":"OP_CHECKMULTISIG"}]\n',
     "bad/ledger.jsonl": b'{"bad json\n',
+    # private key 1 beside the public key 2G
+    "mismatched-key.json": b'{"private":"0000000000000000000000000000000000000000000000000000000000000001",'
+                           b'"public":"02c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5"}\n',
+    "malformed-contract.json": b'[7]\n',
+    # a well-formed contract whose merchant key has x = 5, which no point on the curve has
+    "off-curve-contract.json": b'{"merchant_pubkey":"020000000000000000000000000000000000000000000000000000000000000005",'
+                               b'"root":{"children":{},"kind":"branch","salt":"00000000000000000000000000000000"},'
+                               b'"static_signatures":{}}\n',
 }
 
 # frozen at first implementation: SHA-256 of each file the session's first nine
@@ -48,7 +56,7 @@ SEEDED_P2C_FILES = {
 }
 
 EXIT_1_CODES = {"missing-utxo", "spent-outpoint", "insufficient-funds", "key-does-not-match-output",
-                "no-such-transaction", "corrupt-record"}
+                "no-such-transaction", "corrupt-record", "invalid-keyfile", "invalid-contract", "invalid-point"}
 
 
 class _Entry:
@@ -135,6 +143,10 @@ def _session(runner: CliRunner) -> list:
     # argument kinds exit 2 with a usage error
     p2c("chain", "show", "zz")
     p2c(*send, "--outpoint", "zz:0")
+    # files that are not what they claim: each exits 1 with its code
+    p2c("dh", "prove", "--key", "mismatched-key.json", "--merchant", merchant)
+    p2c("contract", "hash", "malformed-contract.json")
+    p2c("contract", "hash", "off-curve-contract.json")
     return lines
 
 

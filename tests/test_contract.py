@@ -318,6 +318,15 @@ class TestLeafEncryption:
         with pytest.raises(ProtocolError, match="already encrypted"):
             encrypt_leaf(sealed, "order/item", merchant.public, rng)
 
+    @pytest.mark.parametrize("path", ["order/item", "order"], ids=["plain-leaf", "branch"])
+    def test_only_an_encrypted_leaf_decrypts(self, path):
+        rng = Random(43)
+        merchant = KeyPair.generate(rng)
+        c = _sample_contract(rng, merchant)
+        with pytest.raises(ProtocolError) as exc:
+            decrypt_leaf(c, path, merchant.private)
+        assert (exc.value.code, str(exc.value)) == ("not-an-encrypted-leaf", f"not an encrypted leaf: {path}")
+
     def test_branch_not_encryptable(self):
         rng = Random(42)
         c = _sample_contract(rng, KeyPair.generate(rng))
@@ -438,7 +447,7 @@ class TestBuild:
         assert payment_address(a) != payment_address(b)
 
     def test_deterministic_salt_seed_reproduces(self):
-        merchant = KeyPair.from_private(Scalar(64))
+        merchant = KeyPair(Scalar(64))
         def make():
             rng = Random(99)
             template = build_template(merchant.public, {"terms": "t"}, rng)
@@ -565,7 +574,7 @@ NODES = st.recursive(
     lambda children: st.builds(Branch, SALTS, st.dictionaries(NAMES, children, max_size=3)),
     max_leaves=10,
 )
-EDITOR = KeyPair.from_private(Scalar(0xE))  # the merchant of every generated contract, and a reader
+EDITOR = KeyPair(Scalar(0xE))  # the merchant of every generated contract, and a reader
 
 
 @st.composite
@@ -817,25 +826,68 @@ class TestAddressMemo:
         assert len(derived) == 2 and contract._addresses == {}
 
 
-# memo, its cap, what a hit skips, a fresh entry, asking for it, and its key
+class TestKeyMemo:
+    """``contract_from_json`` decodes each contract key once per process, and
+    caches successes only."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """An empty memo, and the encodings ``Point.decode`` is asked for."""
+        monkeypatch.setattr(contract, "_keys", {})
+        calls, decode = [], Point.decode
+        monkeypatch.setattr(Point, "decode", lambda data: calls.append(data) or decode(data))
+        return calls
+
+    def test_one_merchants_contracts_decode_its_key_once(self, decoded):
+        rng = Random(164)
+        merchant, tracker = KeyPair.generate(rng), KeyPair.generate(rng)
+        template = build_template(merchant.public, {"terms": "t"}, rng, dynamic_signing_key=tracker.public)
+        files = [encode_contract(build_contract(template, {"price": i}, rng)) for i in range(20)]
+        for data in files:
+            c = decode_contract(data)
+            assert encode_contract(c) == data
+            assert (c.merchant_pubkey, c.dynamic_signing_key) == (merchant.public, tracker.public)
+        assert decoded == [merchant.public.encode(), tracker.public.encode()]
+
+    def test_an_off_curve_key_is_refused_on_every_read(self, decoded):
+        rng = Random(165)
+        good = contract_to_json(_sample_contract(rng, KeyPair.generate(rng)))
+        off_curve = "02" + "00" * 31 + "05"  # no y satisfies y^2 = 5^3 + 7
+        bad = [json.dumps(dict(good, merchant_pubkey=off_curve)).encode(),
+               json.dumps(dict(good, dynamic_signing_key=off_curve)).encode()]
+        for _ in range(2):  # before and after a good decode fills the memo
+            for data in bad:
+                with pytest.raises(ProtocolError) as exc:
+                    decode_contract(data)
+                assert exc.value.code == "invalid-point"
+            decode_contract(json.dumps(good).encode())
+        assert list(contract._keys) == [bytes.fromhex(good["merchant_pubkey"])]
+        assert decoded.count(bytes.fromhex(off_curve)) == 4
+
+
+# memo, its cap, what a hit skips (and where it lives), a fresh entry, asking for it, and its key
 MEMOS = [
-    ("_verified", "_VERIFIED_CAP", "ecdsa_verify", TestVerifyMemo._triple,
+    ("_verified", "_VERIFIED_CAP", (contract, "ecdsa_verify"), TestVerifyMemo._triple,
      lambda triple: contract._verify_once(*triple),
      lambda triple: triple[0].encode() + triple[2].to_bytes() + triple[1]),
-    ("_addresses", "_ADDRESSES_CAP", "derive_address",
+    ("_addresses", "_ADDRESSES_CAP", (contract, "derive_address"),
      lambda rng: _sample_contract(rng, KeyPair.generate(rng)),
      lambda c: payment_address(c),
      lambda c: (c.merchant_pubkey, contract_hash(c))),
+    ("_keys", "_KEYS_CAP", (Point, "decode"),
+     lambda rng: KeyPair.generate(rng).public.encode().hex(),
+     lambda text: contract._decode_key(text),
+     lambda text: bytes.fromhex(text)),
 ]
 
 
-@pytest.mark.parametrize("memo, cap, computes, make, ask, key", MEMOS, ids=["verified", "addresses"])
+@pytest.mark.parametrize("memo, cap, computes, make, ask, key", MEMOS, ids=["verified", "addresses", "keys"])
 def test_a_memo_holds_its_cap_and_evicts_the_oldest_first(monkeypatch, memo, cap, computes, make, ask, key):
     monkeypatch.setattr(contract, memo, {})
     monkeypatch.setattr(contract, cap, 3)
     calls = []
-    compute = getattr(contract, computes)
-    monkeypatch.setattr(contract, computes, lambda *args: calls.append(args) or compute(*args))
+    compute = getattr(*computes)
+    monkeypatch.setattr(*computes, lambda *args: calls.append(args) or compute(*args))
     rng = Random(163)
     entries = [make(rng) for _ in range(5)]
     answers = [ask(entry) for entry in entries]

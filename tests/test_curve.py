@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -525,11 +526,11 @@ class TestEcdsa:
             assert ecdsa_verify(pair.public, message, sig)
 
     def test_deterministic_signatures(self):
-        pair = KeyPair.from_private(Scalar(42))
+        pair = KeyPair(Scalar(42))
         assert ecdsa_sign(pair.private, b"msg") == ecdsa_sign(pair.private, b"msg")
 
     def test_bit_flip_rejected(self):
-        pair = KeyPair.from_private(Scalar(42))
+        pair = KeyPair(Scalar(42))
         sig = ecdsa_sign(pair.private, b"payment")
         for byte_index in range(len(b"payment")):
             for bit in range(8):
@@ -538,7 +539,7 @@ class TestEcdsa:
                 assert not ecdsa_verify(pair.public, bytes(tampered), sig)
 
     def test_wrong_key_rejected(self):
-        pair = KeyPair.from_private(Scalar(42))
+        pair = KeyPair(Scalar(42))
         sig = ecdsa_sign(pair.private, b"payment")
         other = G ** Scalar(43)
         assert not ecdsa_verify(other, b"payment", sig)
@@ -554,7 +555,7 @@ class TestEcdsa:
             )
 
     def test_zero_component_rejected(self):
-        pair = KeyPair.from_private(Scalar(42))
+        pair = KeyPair(Scalar(42))
         assert not ecdsa_verify(pair.public, b"m", Signature(Scalar(0), Scalar(1)))
         assert not ecdsa_verify(pair.public, b"m", Signature(Scalar(1), Scalar(0)))
 
@@ -682,7 +683,7 @@ class TestEcdsaVerifyOpenssl:
             assert not self._agree(pair.public, message, s, r)
 
     def test_degenerate_inputs_rejected(self):
-        pair = KeyPair.from_private(Scalar(42))
+        pair = KeyPair(Scalar(42))
         sig = ecdsa_sign(pair.private, b"m")
         assert not ecdsa_verify_openssl(Point.identity(), b"m", sig)
         assert not ecdsa_verify_openssl(pair.public, b"m", sig.to_bytes())
@@ -700,10 +701,26 @@ class TestKeyPair:
     def test_public_matches_private(self):
         pair = KeyPair.generate(Random(17))
         assert pair.public == G ** pair.private
+        assert oracle.as_tuple(pair.public) == oracle.point_mul(pair.private.value, oracle.G)
 
     def test_zero_private_rejected(self):
+        with pytest.raises(ValueError, match="private key must be nonzero"):
+            KeyPair(Scalar(0))
+
+    def test_public_cannot_be_given_or_replaced(self):
+        # every keypair's public key is derived, so none can disagree with its private key
+        pair = KeyPair(Scalar(42))
+        with pytest.raises(TypeError):
+            KeyPair(Scalar(42), G ** Scalar(43))
+        with pytest.raises(TypeError):
+            KeyPair(Scalar(42), public=G ** Scalar(43))
         with pytest.raises(ValueError):
-            KeyPair.from_private(Scalar(0))
+            dataclasses.replace(pair, public=G ** Scalar(43))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.public = G ** Scalar(43)
+        moved = dataclasses.replace(pair, private=Scalar(43))
+        assert moved.public == G ** Scalar(43)
+        assert copy.deepcopy(pair) == pickle.loads(pickle.dumps(pair)) == pair
 
     def test_generation_reproducible_under_seed(self):
         assert KeyPair.generate(Random(5)) == KeyPair.generate(Random(5))

@@ -205,3 +205,49 @@ def test_fixed_base_check_catches_a_planted_power():
     assert _merchant_powers("x = curve._var_mul(k, merchant_pub.x, merchant_pub.y)\n") == ([], [1])
     assert _merchant_powers("x = fixed_base(other) ** k\ny = (merchant_pub * G) ** k\n") == ([], [2])
     assert _merchant_powers("x = fixed_base(merchant_pub) ** k\ny = signal_pub ** k\n") == ([1], [])
+
+
+# ``KeyPair(private)`` derives its public key itself, so that no keypair can
+# carry a public key other than ``G ** private``; the ``from_private`` alias
+# it replaced stays gone, under any spelling that names it.
+RETIRED_NAMES = {"from_private"}
+
+
+def _retired_names(source: str):
+    """The line of each mention of a retired name in ``source``: read or bound,
+    as an attribute, a definition, an import, an argument or a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = (node.name,)
+        elif isinstance(node, ast.alias):
+            names = (node.name.rpartition(".")[2], node.asname)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names = (node.arg,)
+        elif isinstance(node, ast.Constant):
+            names = (node.value,)
+        else:
+            continue
+        if RETIRED_NAMES.intersection(names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_package_names_no_retired_alias():
+    found = {path.name: _retired_names(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_retired_name_check_catches_a_planted_alias():
+    source = (PACKAGE / "curve.py").read_text()
+    lines = source.count("\n")
+    planted = source + "\n\ndef _key(k):\n    return KeyPair.from_private(k)\n"
+    assert _retired_names(planted) == [lines + 4]
+    assert _retired_names("from .curve import from_private\n") == [1]
+    assert _retired_names("class K:\n    @classmethod\n    def from_private(cls, k):\n        pass\n") == [3]
+    assert _retired_names("make = getattr(KeyPair, 'from_private')\n") == [1]
+    assert _retired_names("pair = KeyPair(k)\nfrom_private_key = 1\n") == []

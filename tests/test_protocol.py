@@ -52,7 +52,15 @@ from paytocontract.protocol import (
     verify_payment,
 )
 from paytocontract.sealing import NONCE_BYTES, open_sealed, seal
-from paytocontract.wallet import Address, derive_address, multisig_script, p2sh_address
+from paytocontract.wallet import (
+    Address,
+    DerivationScheme,
+    derive_address,
+    derive_private,
+    multisig_script,
+    p2pkh_address,
+    p2sh_address,
+)
 
 YES = lambda contract, alias: True
 
@@ -130,14 +138,6 @@ class TestBasicFlow:
         with pytest.raises(ProtocolError, match="foreign contract"):
             merchant_detect_payment(other, contract, ledger)
 
-    def test_derived_key_off_address_raises(self, monkeypatch):
-        # an explicit check, so that python -O cannot strip it
-        rng = Random(99)
-        identity, contract, _, ledger, _, _ = _setup(rng)
-        monkeypatch.setattr(protocol, "payment_private_key", lambda contract, private: Scalar(1))
-        with pytest.raises(ProtocolError, match="key derivation mismatch"):
-            merchant_detect_payment(identity, contract, ledger)
-
     def test_underpayment_not_detected_as_paid(self):
         rng = Random(97)
         identity, contract, _, ledger, customer, funds = _setup(rng)
@@ -167,6 +167,67 @@ class TestBasicFlow:
             verify_payment(malformed, ledger)
         assert exc.value.code == "invalid-price"
 
+
+
+def _multiplies(monkeypatch) -> list:
+    """The EC multiplies made from here on, by route: every ``p ** k``, the
+    variable-base engine, the fixed-base table and its batch."""
+    calls = []
+    for owner, name in ((curve.Point, "__pow__"), (curve, "_var_mul"), (curve._FixedBase, "mul"),
+                        (curve, "_base_mul_batch")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
+    return calls
+
+
+class TestDetectionByConstruction:
+    """Detection does not re-derive the merchant's spending key: the algebra
+    makes it own the payment address, and the ledger refuses any other key."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(st.integers(1, ORDER - 1), st.integers(0, 2 ** 32))
+    def test_the_derived_key_owns_the_payment_address(self, merchant, seed):
+        rng = Random(seed)
+        pair = KeyPair(Scalar(merchant))
+        template = build_template(pair.public, {"terms": "t"}, rng)
+        c = build_contract(template, {"item": "widget", "price": rng.randrange(1, 10 ** 8)}, rng)
+        key = payment_private_key(c, pair.private)
+        x, y = oracle.point_mul(key.value, oracle.G)
+        owner = Address("p2pkh", hash160(bytes([2 + (y & 1)]) + x.to_bytes(32, "big")))
+        assert p2pkh_address(G ** key) == payment_address(c) == owner
+
+    def test_a_sweep_signed_with_a_wrongly_derived_key_is_refused(self):
+        rng = Random(99)
+        identity, c, trust, ledger, customer, funds = _setup(rng)
+        txid = customer_approve_and_pay(c, trust, funds, ledger, YES, change_address=_addr(customer))
+        merchant = identity.reputation.private
+        right = payment_private_key(c, merchant)
+        payout = (TxOutput(_addr(identity.reputation), 90000),)
+        wrong = [right + Scalar(1), derive_private(merchant, contract_hash(c), DerivationScheme.MULTIPLICATIVE),
+                 payment_private_key(c, customer.private), merchant]
+        for key in wrong:
+            # signed without the builder's lock check, so the ledger alone refuses it
+            unsigned = chain.TxInput(txid, 0, pubkey=G ** key)
+            sig = curve.ecdsa_sign(key, chain.tx_preimage((unsigned,), payout))
+            forged = chain.Transaction((dataclasses.replace(unsigned, signature=sig),), payout)
+            with pytest.raises(ProtocolError) as exc:
+                ledger.broadcast(forged)
+            assert exc.value.code == "key-does-not-match-output"
+        ledger.broadcast(build_transaction(ledger, [(txid, 0, right)], payout))
+
+    def test_detection_does_no_ec_multiply(self, monkeypatch):
+        rng = Random(100)
+        identity, c, trust, ledger, customer, funds = _setup(rng)
+        txid = customer_approve_and_pay(c, trust, funds, ledger, YES)  # derives the payment address
+        calls = _multiplies(monkeypatch)
+        paid = OrderStatus(contract_hash(c), OrderState.PAID, txid)
+        assert merchant_detect_payment(identity, c, ledger) == paid
+        assert calls == []
+        # where nothing derived the address yet, that derivation is the one multiply
+        monkeypatch.setattr(contract, "_addresses", {})
+        assert merchant_detect_payment(identity, c, ledger) == paid
+        assert calls == ["__pow__", "mul"]
 
 
 class TestVerifyCountsPerOrder:
@@ -293,7 +354,6 @@ class TestSignaling:
         records = merchant_scan_signals(identity, ledger, include_customer_controlled=True)
         assert len(records) == 1 and records[0].value == value
         # ... but cannot spend it: the customer can
-        from paytocontract.wallet import derive_private
         merchant_guess = derive_private(merchant.private, value.to_bytes())
         with pytest.raises(ProtocolError, match="key does not match output"):
             build_transaction(ledger, [(tx.txid, 0, merchant_guess)],
@@ -370,7 +430,6 @@ class TestSignaling:
         record = merchant_scan_signals(identity, ledger)[0]
         assert not ledger.is_spent(record.txid, 0)
         # the merchant redeems the signal output with the key its value labels
-        from paytocontract.wallet import derive_private
         key = derive_private(merchant.private, value.to_bytes())
         ledger.broadcast(build_transaction(ledger, [(record.txid, 0, key)],
                                            [TxOutput(_addr(merchant), 100)]))
@@ -601,7 +660,7 @@ class TestDlegProperties:
     @DLEQ
     @given(st.integers(1, ORDER - 1), st.integers(2, ORDER - 1), st.integers(0, 2 ** 32))  # the merchant is not G
     def test_proof_is_the_same_with_and_without_the_merchants_table(self, signal, merchant, seed):
-        signer, merchant_pub = KeyPair.from_private(Scalar(signal)), G ** Scalar(merchant)
+        signer, merchant_pub = KeyPair(Scalar(signal)), G ** Scalar(merchant)
         with _fresh_fixed_bases():
             before = prove_dh(signer.private, merchant_pub, Random(seed))
             entry = curve._fixed_bases[merchant_pub]
@@ -718,6 +777,23 @@ class TestRedemption:
         assert fs.get(filename) != posted
         assert open_sealed(sha256(value.to_bytes()), fs.get(filename)) == posted
 
+    def test_a_redeem_raises_no_point_and_decodes_the_merchant_key_once(self, monkeypatch):
+        rng = Random(120)
+        identity, c, ledger, fs, customer, funds = self._anon_setup(rng)
+        txid, value = combined_pay_and_signal(c, customer, identity.reputation.public, funds, ledger,
+                                              payment_amount=90000, signal_amount=10000)
+        redeem_post(c, value, fs, rng)
+        record = merchant_scan_signals(identity, ledger)[0]
+        monkeypatch.setattr(contract, "_keys", {})
+        decodes, decode = [], Point.decode
+        monkeypatch.setattr(Point, "decode", lambda data: decodes.append(data) or decode(data))
+        calls = _multiplies(monkeypatch)
+        for _ in range(3):
+            _, status = merchant_retrieve(identity, record, fs, ledger)
+            assert status == OrderStatus(contract_hash(c), OrderState.ACCEPTED, txid)
+        assert calls == []
+        assert decodes == [identity.reputation.public.encode()]
+
     def test_split_is_arbitrary(self):
         rng = Random(115)
         identity, contract, ledger, fs, customer, funds = self._anon_setup(rng)
@@ -800,6 +876,13 @@ class TestRedemption:
             open_sealed(key, sealed[:-1])
         assert (exc.value.code, str(exc.value)) == (
             "authentication-failure", "authentication failure: sealed blob too short")
+
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_a_sealing_key_is_32_bytes(self, size):
+        sealed = seal(sha256(b"key"), b"x", Random(124))
+        for call in (lambda key: seal(key, b"x", Random(124)), lambda key: open_sealed(key, sealed)):
+            with pytest.raises(ValueError, match="sealing key must be 32 bytes"):
+                call(bytes(size))
 
     def test_foreign_contract_behind_signal(self):
         rng = Random(121)

@@ -2,6 +2,8 @@ import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from paytocontract.curve import G, ORDER, KeyPair, Scalar, hash160, random_scalar
@@ -92,13 +94,16 @@ class TestDerivePublic:
 
 
 class TestHomomorphism:
-    def test_private_and_public_derivations_agree(self):
-        rng = Random(24)
-        for _ in range(100):
-            s = random_scalar(rng)
-            label = rng.randbytes(16)
-            for scheme in (ADD, MUL):
-                assert G ** derive_private(s, label, scheme) == derive_public(G ** s, label, scheme)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(1, ORDER - 1), st.binary(max_size=40))
+    def test_private_and_public_derivations_agree(self, base, label):
+        # the paper's key homomorphism, G ** derive_private(a, l) == derive_public(G ** a, l),
+        # with the public side also recomputed by the oracle's textbook multiply
+        for scheme in (ADD, MUL):
+            derived = derive_private(Scalar(base), label, scheme)
+            public = derive_public(G ** Scalar(base), label, scheme)
+            assert G ** derived == public
+            assert oracle.as_tuple(public) == oracle.point_mul(derived.value, oracle.G)
 
     def test_type2_base_reconstruction(self):
         # knowing one derived private key and the label recovers the base
@@ -177,7 +182,7 @@ class TestWalletBase:
             derive_private(Scalar(0), b"a")
 
     def test_derived_keypair_consistent(self):
-        pair = KeyPair.from_private(derive_private(Scalar(99), b"k"))
+        pair = KeyPair(derive_private(Scalar(99), b"k"))
         assert pair.public == G ** pair.private == derive_public(G ** Scalar(99), b"k")
 
 
