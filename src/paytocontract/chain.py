@@ -25,7 +25,7 @@ from .wallet import Address, Script, p2pkh_address
 # an output pays either an address or an explicit pubkey (pay-to-pubkey)
 PayTarget = Union[Address, Point]
 
-# a signature check, (pubkey, message, signature) -> valid
+# a signature check, (pubkey, 32-byte digest, signature) -> valid
 Verify = Callable[[Point, bytes, Signature], bool]
 
 
@@ -259,7 +259,6 @@ class Ledger:
         return self._commit(tx, ecdsa_verify)
 
     def _validate(self, tx: Transaction, verify: Verify):
-        preimage = tx_preimage(tx.inputs, tx.outputs, tx.coinbase_tag)
         seen = set()
         input_total = 0
         for inp in tx.inputs:
@@ -268,16 +267,17 @@ class Ledger:
                 raise ProtocolError("spent outpoint", f"{inp.prev_txid.hex()}:{inp.index}")
             prev = _resolve_spend(self, inp.prev_txid, inp.index)
             seen.add(outpoint)
-            self._check_authorization(inp, prev.payto, preimage, verify)
+            self._check_authorization(inp, prev.payto, tx.txid, verify)
             input_total += prev.amount
         if input_total < sum(o.amount for o in tx.outputs):
             raise ProtocolError("insufficient funds")
 
     @staticmethod
-    def _check_authorization(inp: TxInput, payto: PayTarget, preimage: bytes, verify: Verify):
+    def _check_authorization(inp: TxInput, payto: PayTarget, txid: bytes, verify: Verify):
+        """Every input signs its transaction's txid, the SHA-256 of the preimage."""
         if isinstance(payto, Point) or payto.kind == "p2pkh":
             _check_key_lock(inp.pubkey, payto)
-            if inp.signature is None or not verify(inp.pubkey, preimage, inp.signature):
+            if inp.signature is None or not verify(inp.pubkey, txid, inp.signature):
                 raise ProtocolError("invalid signature")
             return
         # p2sh: reveal the script, then satisfy its multisig threshold
@@ -291,7 +291,7 @@ class Ledger:
         unused = list(pubkeys)
         for sig in inp.signatures:
             for candidate in unused:
-                if verify(candidate, preimage, sig):
+                if verify(candidate, txid, sig):
                     unused.remove(candidate)
                     break
             else:
@@ -446,17 +446,19 @@ def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
 
 def _sign_and_build(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
                        outputs: Sequence[TxOutput], change: Optional[PayTarget] = None) -> Transaction:
-    """The builders' shared tail: check funds, pay any remainder to ``change``, sign each input."""
+    """The builders' shared tail: check funds, pay any remainder to ``change``, and sign
+    the txid with each input's keys; signatures are not in the preimage, so the txid
+    of the unsigned transaction is the signed one's."""
     total = sum(ledger._by_txid[inp.prev_txid].outputs[inp.index].amount for inp, _ in drafts)
     remainder = total - sum(o.amount for o in outputs)
     if remainder < 0:
         raise ProtocolError("insufficient funds")
     if change is not None and remainder:
         outputs = [*outputs, TxOutput(change, remainder)]
-    preimage = tx_preimage([inp for inp, _ in drafts], outputs)
+    txid = Transaction(tuple(inp for inp, _ in drafts), tuple(outputs)).txid
     signed = [
-        replace(inp, signature=ecdsa_sign(keys[0], preimage)) if inp.redeem_script is None
-        else replace(inp, signatures=tuple(ecdsa_sign(k, preimage) for k in keys))
+        replace(inp, signature=ecdsa_sign(keys[0], txid)) if inp.redeem_script is None
+        else replace(inp, signatures=tuple(ecdsa_sign(k, txid) for k in keys))
         for inp, keys in drafts
     ]
     return Transaction(tuple(signed), tuple(outputs))

@@ -47,8 +47,9 @@ from .wallet import (
 def _read(path, fmt: tuple):
     """The one reader.  ``fmt`` is a file format: an error code and a decoder
     from bytes.  A file it cannot decode is a ``ProtocolError`` with that code,
-    as the file, not the command line, is at fault; a directory is a usage error,
-    and any other failure to read is an ``io error``."""
+    as the file, not the command line, is at fault, and a decoder's own
+    ``ProtocolError`` keeps its code; either names the file.  A directory is a
+    usage error, and any other failure to read is an ``io error``."""
     code, decode = fmt
     try:
         data = Path(path).read_bytes()
@@ -60,6 +61,9 @@ def _read(path, fmt: tuple):
         return decode(data)
     except MALFORMED as exc:
         raise ProtocolError(code, f"{path}: {exc!r}") from None
+    except ProtocolError as exc:
+        message, _, detail = str(exc).partition(": ")
+        raise ProtocolError(message, f"{path}: {detail}" if detail else str(path)) from None
 
 
 def _write(path: Path, data: bytes, private: bool = False):
@@ -121,9 +125,10 @@ class CliConfig:
         return Random(self.seed) if self.seed is not None else None
 
     def _load(self, store, name: str, **options):
+        """A state file's records name their own line, so ``from_jsonl`` runs
+        past ``_read`` and its errors stay as it raises them."""
         path = self.state_dir / name
-        decode = functools.partial(store.from_jsonl, **options)
-        return _read(path, ("corrupt record", decode)) if path.exists() else decode(b"")
+        return store.from_jsonl(_read(path, ("corrupt record", bytes)) if path.exists() else b"", **options)
 
     def load_ledger(self) -> pc.Ledger:
         """The saved ledger.  The prefix its ``ledger.ckpt`` sidecar binds was

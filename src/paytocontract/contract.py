@@ -15,14 +15,14 @@ ciphertext, so holders may reveal cleartext, ciphertext, or digest alone.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from random import Random
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .curve import (G, KeyPair, Point, Scalar, Signature, _unverifiable, ecdsa_sign, ecdsa_verify,
-                    rand_bytes, sha256)
+from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
 from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _load_json
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_private
@@ -175,7 +175,7 @@ def resolve(root: ContractNode, path: FieldPath) -> ContractNode:
 class Contract:
     """Merkle-tree document naming its merchant key and carrying field signatures.
 
-    Signatures cover ``path || subtree digest``, so a signature stays valid
+    Signatures cover ``sha256(path || subtree digest)``, so a signature stays valid
     under any redaction that leaves its subtree intact -- including
     redaction of the signed subtree itself, whose digest is preserved.
     """
@@ -300,7 +300,7 @@ def sign_fields(c: Contract, key: Scalar, paths: Sequence[FieldPath]) -> Contrac
     for path in paths:
         segments = parse_path(path)
         digest = resolve(c.root, segments).digest
-        signatures[path_str(segments)] = ecdsa_sign(key, _signature_message(segments, digest))
+        signatures[path_str(segments)] = ecdsa_sign(key, sha256(_signature_message(segments, digest)))
     return replace(c, **{bucket: signatures})
 
 
@@ -316,36 +316,20 @@ class ContractReport:
     warnings: Tuple[str, ...]
 
 
-def _remember(memo: dict, key, value, cap: int):
-    """Store ``value`` under ``key`` and return it.  A full ``memo`` (``cap``
-    entries) first drops its oldest: insertion order makes that the first key."""
-    if len(memo) >= cap:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-# Signature triples that verified in this process, keyed by the pubkey's
-# encoding, the signature's 64 bytes and then the message: the first two have
-# fixed widths, so the key is the exact triple.  A shop's template carries the
-# same static signatures into every order, so the customer's and the auditor's
-# checks repeat them (Bitcoin Core's signature cache exists for the same
-# reason).  Successes only, so a hit means "this exact triple verified".
-_VERIFIED_CAP = 256
-_verified: Dict[bytes, None] = {}
-
-
-def _verify_once(pub: Point, message: bytes, sig: Signature) -> bool:
-    """``ecdsa_verify``, skipped for a triple that ``_verified`` still holds."""
-    if _unverifiable(pub, sig):  # an identity key cannot be encoded into a key
-        return False
-    key = pub.encode() + sig.to_bytes() + message
-    if key in _verified:
-        return True
-    if not ecdsa_verify(pub, message, sig):
-        return False
-    _remember(_verified, key, None, _VERIFIED_CAP)
-    return True
+# The three memos below are LRU caches of successes: a failure raises, and
+# ``functools.lru_cache`` keeps no exception.  Each calls the function it
+# memoizes through the module's binding when it runs, so a wrapper put there
+# sees every miss.
+#
+# A shop's template carries the same static signatures into every order, so
+# the customer's and the auditor's checks repeat them (Bitcoin Core's signature
+# cache exists for the same reason).  The key is the exact triple, and the
+# message is hashed only on a miss.
+@functools.lru_cache(maxsize=256)
+def _verified(pub: Point, message: bytes, sig: Signature) -> None:
+    """Return if ``sig`` is valid on SHA-256(message) under ``pub``, else raise ``ValueError``."""
+    if not ecdsa_verify(pub, sha256(message), sig):
+        raise ValueError("invalid signature")
 
 
 def _check_signatures(root: Branch, sigs: Mapping[str, Signature], pub: Optional[Point]) -> Dict[str, str]:
@@ -361,8 +345,12 @@ def _check_signatures(root: Branch, sigs: Mapping[str, Signature], pub: Optional
             # subtree hidden inside a redacted ancestor; nothing to check
             results[path] = "unverifiable"
             continue
-        ok = _verify_once(pub, _signature_message(segments, digest), sig)
-        results[path] = "valid" if ok else "invalid"
+        try:
+            _verified(pub, _signature_message(segments, digest), sig)
+        except ValueError:
+            results[path] = "invalid"
+        else:
+            results[path] = "valid"
     return results
 
 
@@ -386,22 +374,17 @@ def verify_contract(c: Contract) -> ContractReport:
     return ContractReport(ok, static, dynamic, redacted, encrypted, tuple(warnings))
 
 
-# Payment addresses derived in this process, keyed by the exact (merchant
-# pubkey, contract hash) pair.  The customer's payment, the merchant's
-# detection and every receipt check of one order ask for the same address,
-# and redaction keeps the hash, so only the first of them pays for the
-# fixed-base multiply.  Successes only, oldest evicted first, as ``_verified``.
-_ADDRESSES_CAP = 256
-_addresses: Dict[Tuple[Point, bytes], Address] = {}
+# The customer's payment, the merchant's detection and every receipt check of
+# one order ask for the same address, and redaction keeps the hash, so only the
+# first of them pays for the fixed-base multiply.
+@functools.lru_cache(maxsize=256)
+def _address(merchant_pubkey: Point, label: bytes) -> Address:
+    return derive_address(merchant_pubkey, label)
 
 
 def payment_address(c: Contract) -> Address:
     """The address the contract itself determines: derived from (P, root hash)."""
-    key = (c.merchant_pubkey, contract_hash(c))
-    address = _addresses.get(key)
-    if address is None:
-        address = _remember(_addresses, key, derive_address(*key), _ADDRESSES_CAP)
-    return address
+    return _address(c.merchant_pubkey, contract_hash(c))
 
 
 def payment_private_key(c: Contract, merchant_priv: Scalar) -> Scalar:
@@ -510,21 +493,12 @@ def _signatures_from_json(obj: dict) -> Dict[str, Signature]:
     return sigs
 
 
-# Contract keys decoded in this process, keyed by their 33-byte encoding.  A
-# merchant reads many contracts that carry its own key, and the decode's
-# square root costs several times the rest of the read.  Successes only,
-# oldest evicted first, as ``_verified``.
-_KEYS_CAP = 16
-_keys: Dict[bytes, Point] = {}
-
-
+# A merchant reads many contracts that carry its own key, and the decode's
+# square root costs several times the rest of the read.
+@functools.lru_cache(maxsize=16)
 def _decode_key(text: str) -> Point:
-    """``Point.decode`` of a contract key's hex, skipped for a key ``_keys`` still holds."""
-    data = bytes.fromhex(text)
-    point = _keys.get(data)
-    if point is None:
-        point = _remember(_keys, data, Point.decode(data), _KEYS_CAP)
-    return point
+    """``Point.decode`` of a contract key's hex."""
+    return Point.decode(bytes.fromhex(text))
 
 
 def contract_from_json(obj: dict) -> Contract:

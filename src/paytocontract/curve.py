@@ -588,14 +588,14 @@ def tweak_points(pairs: Iterable[Tuple[Point, Union[Scalar, int]]]) -> List[Poin
 @functools.cache
 def _openssl():
     """OpenSSL's secp256k1 through ``cryptography``, loaded on the first call:
-    ``(ec, curve, ECDSA-over-SHA-256, encode_dss_signature, InvalidSignature)``.
+    ``(ec, curve, ECDSA-over-a-SHA-256-digest, encode_dss_signature, InvalidSignature)``.
     A process that stays in the pure engine never imports it."""
     from cryptography.exceptions import InvalidSignature
     from cryptography.hazmat.primitives.asymmetric import ec
-    from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
+    from cryptography.hazmat.primitives.asymmetric.utils import Prehashed, encode_dss_signature
     from cryptography.hazmat.primitives.hashes import SHA256
 
-    return ec, ec.SECP256K1(), ec.ECDSA(SHA256()), encode_dss_signature, InvalidSignature
+    return ec, ec.SECP256K1(), ec.ECDSA(Prehashed(SHA256())), encode_dss_signature, InvalidSignature
 
 
 def shared_xs(priv: Scalar, points: Iterable[Point]) -> List[Optional[int]]:
@@ -683,23 +683,30 @@ class Signature(bytes):
         return f"Signature(r={self.r!r}, s={self.s!r})"
 
 
-def _nonces(priv: Scalar, msg_hash: bytes) -> Iterator[int]:
-    # Deterministic nonce stream: keyed hash of (private key, message digest,
-    # retry counter).  Reproducible signing, no RNG failure class.
+def _nonces(priv: Scalar, digest: bytes) -> Iterator[int]:
+    # Deterministic nonce stream: keyed hash of (private key, digest, retry
+    # counter).  Reproducible signing, no RNG failure class.
     counter = 0
     while True:
-        mac = hmac.new(priv.to_bytes(), msg_hash + counter.to_bytes(4, "big"), hashlib.sha256)
+        mac = hmac.new(priv.to_bytes(), digest + counter.to_bytes(4, "big"), hashlib.sha256)
         yield int.from_bytes(mac.digest(), "big") % ORDER
         counter += 1
 
 
-def ecdsa_sign(priv: Scalar, message: bytes) -> Signature:
-    """Sign SHA-256(message); deterministic in (priv, message)."""
+def _digest_int(digest: bytes) -> int:
+    """ECDSA's z: the 32-byte digest a signature covers, read mod the order.
+    Any other length is a ``ValueError``, so no caller signs a message unhashed."""
+    if len(digest) != 32:
+        raise ValueError(f"need a 32-byte digest, got {len(digest)} bytes")
+    return int.from_bytes(digest, "big") % ORDER
+
+
+def ecdsa_sign(priv: Scalar, digest: bytes) -> Signature:
+    """Sign a 32-byte digest, such as a txid; deterministic in (priv, digest)."""
     if not priv:
         raise ValueError("private key must be nonzero")
-    msg_hash = sha256(message)
-    z = int.from_bytes(msg_hash, "big") % ORDER
-    for k in _nonces(priv, msg_hash):
+    z = _digest_int(digest)
+    for k in _nonces(priv, digest):
         if k == 0:
             continue
         r = (G ** k).x % ORDER
@@ -716,12 +723,12 @@ def _unverifiable(pub: Point, sig: Signature) -> bool:
     return not isinstance(sig, Signature) or not any(sig[:32]) or not any(sig[32:]) or pub.is_identity()
 
 
-def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:
-    """True iff ``sig`` is valid on SHA-256(message) under ``pub``."""
+def ecdsa_verify(pub: Point, digest: bytes, sig: Signature) -> bool:
+    """True iff ``sig`` is valid on the 32-byte ``digest`` under ``pub``."""
+    z = _digest_int(digest)
     if _unverifiable(pub, sig):
         return False
     r, s = sig.r.value, sig.s.value
-    z = int.from_bytes(sha256(message), "big") % ORDER
     w = pow(s, -1, ORDER)
     # R = G ** u1 * pub ** u2, added in Jacobian form: R.x mod ORDER == r
     # holds iff X == x * Z^2 for x = r, or x = r + ORDER below the field prime
@@ -732,21 +739,24 @@ def ecdsa_verify(pub: Point, message: bytes, sig: Signature) -> bool:
     return X == r * zz % FIELD_PRIME or (r + ORDER < FIELD_PRIME and X == (r + ORDER) * zz % FIELD_PRIME)
 
 
-def ecdsa_verify_openssl(pub: Point, message: bytes, sig: Signature) -> bool:
+def ecdsa_verify_openssl(pub: Point, digest: bytes, sig: Signature) -> bool:
     """``ecdsa_verify`` through OpenSSL, about three times faster per signature.
+    OpenSSL takes the digest as already hashed (``Prehashed(SHA256())``).
 
     The first call in a process imports ``cryptography``'s EC module, which
     raised peak RSS by about 6.5 MB on CPython 3.11 with cryptography 48,
     and the first verify adds about 1.8 MB of key and verify state.  So only
     a replay of the whole record, which verifies every signature on it, uses
-    it; a single broadcast stays with the pure ``ecdsa_verify``.
+    it; a single broadcast and a contract's signatures stay with the pure
+    ``ecdsa_verify``.
     """
+    _digest_int(digest)
     if _unverifiable(pub, sig):
         return False
     ec, secp256k1, ecdsa, encode_dss_signature, invalid_signature = _openssl()
     key = ec.EllipticCurvePublicNumbers(pub.x, pub.y, secp256k1).public_key()
     try:
-        key.verify(encode_dss_signature(sig.r.value, sig.s.value), message, ecdsa)
+        key.verify(encode_dss_signature(sig.r.value, sig.s.value), digest, ecdsa)
     except invalid_signature:
         return False
     return True

@@ -4,8 +4,9 @@ what malformed input raises, the amount bound and the one JSON form, as bytes.""
 import json
 
 # What decoding untrusted bytes raises: bad UTF-8, JSON, hex or numbers, a missing
-# or mistyped field, or nesting too deep.  Each reader maps it to its own code.
-MALFORMED = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+# or mistyped field, an infinite number (JSON's ``1e999``) made an int, or nesting
+# too deep.  Each reader maps it to its own code.
+MALFORMED = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 
 # the largest amount an output, an order price or a CLI argument may carry
 MAX_AMOUNT = 2 ** 64 - 1

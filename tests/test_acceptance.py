@@ -36,6 +36,7 @@ from paytocontract.curve import (
     ecdsa_verify,
     hash160,
     random_scalar,
+    sha256,
 )
 from paytocontract.errors import ProtocolError
 from paytocontract.protocol import (
@@ -345,11 +346,12 @@ def test_criterion_9_ecdsa_cross_check():
         for _ in range(100):
             pair = KeyPair.generate(rng)
             message = rng.randbytes(rng.randrange(1, 80))
-            assert ecdsa_verify(pair.public, message, ecdsa_sign(pair.private, message))
+            digest = sha256(message)
+            assert ecdsa_verify(pair.public, digest, ecdsa_sign(pair.private, digest))
         for _ in range(10):
             pair = KeyPair.generate(rng)
             message = rng.randbytes(48)
-            sig = ecdsa_sign(pair.private, message)
+            sig = ecdsa_sign(pair.private, sha256(message))
             assert oracle.ecdsa_verify(oracle.as_tuple(pair.public), message,
                                        sig.r.value, sig.s.value)
 

@@ -224,8 +224,7 @@ class TestScriptSpends:
         # two signatures by the same key are not two distinct signers
         inputs = (TxInput(pay.txid, 0, redeem_script=script),)
         outputs = (TxOutput(_addr(k1), 100000),)
-        preimage = tx_preimage(inputs, outputs)
-        sig = ecdsa_sign(k1.private, preimage)
+        sig = ecdsa_sign(k1.private, sha256(tx_preimage(inputs, outputs)))
         dup = Transaction(
             (TxInput(pay.txid, 0, redeem_script=script, signatures=(sig, sig)),), outputs)
         with pytest.raises(ProtocolError, match="invalid signature"):
@@ -270,7 +269,7 @@ class TestScriptSpends:
 def _hand_signed(prev_txid: bytes, outputs, pub=None, key=None, script=None) -> Transaction:
     """One-input transaction assembled without the builders' checks."""
     unsigned = TxInput(prev_txid, 0, pubkey=pub, redeem_script=script)
-    sig = ecdsa_sign(key, tx_preimage((unsigned,), outputs)) if key is not None else None
+    sig = ecdsa_sign(key, sha256(tx_preimage((unsigned,), outputs))) if key is not None else None
     return Transaction(
         (TxInput(prev_txid, 0, pubkey=pub, signature=sig, redeem_script=script),), outputs)
 
@@ -689,7 +688,7 @@ class TestRecords:
         # broadcast reads the spent output's kind and the record reads the
         # input's form; an input with both could pass one and fail the other
         pair = KeyPair.generate(Random(84))
-        script, sig = multisig_script(1, (pair.public,)), ecdsa_sign(pair.private, b"spend")
+        script, sig = multisig_script(1, (pair.public,)), ecdsa_sign(pair.private, sha256(b"spend"))
         shape = {"pubkey-signature-and-script": dict(pubkey=pair.public, signature=sig, redeem_script=script),
                  "neither": {},
                  "pubkey-with-signatures": dict(pubkey=pair.public, signatures=(sig,)),
@@ -810,7 +809,7 @@ class TestPersistence:
                                            [TxOutput(_addr(pair), 100000)]))
         lines = ledger.to_jsonl().decode().splitlines()
         record = json.loads(lines[1])
-        forged = ecdsa_sign(other.private, b"another message").to_bytes().hex()
+        forged = ecdsa_sign(other.private, sha256(b"another message")).to_bytes().hex()
         lines[1] = json.dumps(dict(record, inputs=[dict(record["inputs"][0], signature=forged)]))
         for tail in ([], lines[2:], lines[2:] + ['{"bad json'], ['{"bad json']):
             with pytest.raises(ProtocolError) as exc:
@@ -970,6 +969,50 @@ class TestVerifyCounts:
         assert counts == {"pure": 0, "openssl": 0}
 
 
+
+class TestPreimageCounts:
+    """A spend signs its own txid, so a transaction's preimage is serialized
+    once per ``Transaction`` made: twice for a built and broadcast spend (the
+    unsigned draft, whose txid the inputs sign, then the signed transaction),
+    and once for each record a load reads, checkpointed or replayed."""
+
+    @pytest.fixture
+    def preimages(self, monkeypatch):
+        import paytocontract.chain as chain
+
+        calls, preimage = [], chain.tx_preimage
+        monkeypatch.setattr(chain, "tx_preimage", lambda *args: calls.append(args) or preimage(*args))
+        return calls
+
+    def test_a_built_and_broadcast_spend_serializes_twice_and_verifies_its_txid(self, preimages, monkeypatch):
+        import paytocontract.chain as chain
+
+        digests, verify = [], chain.ecdsa_verify
+        monkeypatch.setattr(chain, "ecdsa_verify", lambda pub, digest, sig: digests.append(digest)
+                            or verify(pub, digest, sig))
+        ledger = _seeded_ledger(Random(90), 9)  # 10 faucets, 9 spends, 3 of them 2-of-3 scripts
+        assert len(preimages) == 10 + 2 * 9
+        spends = [tx for tx in ledger.transactions if tx.inputs]
+        assert digests == [tx.txid for tx in spends for inp in tx.inputs for _ in inp.signatures or (1,)]
+        # two inputs and a change output are still one draft and one transaction
+        owner, first = _funded(ledger, Random(91))
+        second = ledger.faucet([TxOutput(_addr(owner), 5000)])
+        del preimages[:]
+        spend = build_transaction(ledger, [(first.txid, 0, owner.private), (second.txid, 0, owner.private)],
+                                  [TxOutput(_addr(owner), 1000)], change=owner.public)
+        ledger.broadcast(spend)
+        assert len(preimages) == 2 and len(spend.outputs) == 2
+        assert digests[-2:] == [spend.txid] * 2
+
+    @pytest.mark.parametrize("checkpointed", [None, 7, 19])
+    def test_a_load_serializes_each_record_once(self, preimages, checkpointed):
+        ledger = _seeded_ledger(Random(87), 9)
+        data = ledger.to_jsonl()
+        del preimages[:]
+        checkpoint = None if checkpointed is None else ledger_checkpoint(_prefix(data, checkpointed))
+        again = Ledger.from_jsonl(data, checkpoint)
+        assert len(preimages) == len(ledger) == 19 and again.to_jsonl() == data
+
 class TestCheckpoint:
     """A checkpoint binds a validated prefix of the ledger's bytes; a reload
     commits that prefix unverified and must rebuild the same ledger."""
@@ -1098,7 +1141,7 @@ class TestCheckpoint:
             assert exc.value.code == "corrupt-record"
             assert f"line {line}: " in str(exc.value)
         record = json.loads(spend)
-        forged = ecdsa_sign(other.private, b"another message").to_bytes().hex()
+        forged = ecdsa_sign(other.private, sha256(b"another message")).to_bytes().hex()
         forged_spend = json.dumps(dict(record, inputs=[dict(record["inputs"][0], signature=forged)]))
         with pytest.raises(ProtocolError) as exc:
             Ledger.from_jsonl(good + forged_spend.encode() + b"\n", checkpoint)

@@ -6,17 +6,22 @@ import sys
 from pathlib import Path
 from random import Random
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paytocontract import scenarios
 from paytocontract.chain import Ledger, TxOutput, build_transaction, ledger_checkpoint
-from paytocontract.cli import KEYFILE, CliConfig, _read, cli, main, scenario
+import paytocontract.cli as p2c_module
+from paytocontract.cli import KEYFILE, PROOF, SCRIPT, Arg, CliConfig, _read, cli, main, scenario
 from paytocontract.contract import (
     build_contract, build_template, contract_to_json, decode_contract, encode_contract, encrypt_leaf,
     payment_address, redact, sign_fields, verify_contract)
-from paytocontract.curve import G, KeyPair, Point, Scalar, hash160
-from paytocontract.wallet import derive_public, p2pkh_address
+from paytocontract.curve import G, ORDER, KeyPair, Point, Scalar, hash160
+from paytocontract.errors import ProtocolError
+from paytocontract.wallet import Opcode, derive_public, p2pkh_address
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -639,7 +644,7 @@ class TestCorruptFiles:
         assert _domain_error(capsys, argv) == code
 
     @pytest.mark.parametrize("text", ['[{"push": 1}, "zz"]', '[{"pubkey": "zz"}]', "[]", "{}",
-                                      '[{"push": 17}]'])
+                                      '[{"push": 17}]', '[{"push": 1e999}]'])
     def test_malformed_script_element(self, capsys, tmp_path, text):
         path, argv, _ = self._file_and_argv(tmp_path, "script")
         path.write_text(text)
@@ -764,6 +769,27 @@ class TestCorruptFiles:
         assert _domain_error(capsys, [
             "--state-dir", str(tmp_path / "state"), "dh", "verify", "--proof", str(proof),
             "--merchant", self.MERCHANT]) == "invalid-point"
+
+    def test_a_decoders_own_error_keeps_its_code_and_names_the_file(self, capsys, tmp_path):
+        off_curve = "02" + "00" * 31 + "05"
+        contract = tmp_path / "contract.json"
+        template = build_template(G ** Scalar(1), {}, Random(1))
+        obj = contract_to_json(build_contract(template, {"price": 5}, Random(2)))
+        cases = [(dict(obj, merchant_pubkey=off_curve), "invalid point: {path}: x not on curve"),
+                 (dict(obj, root={"kind": "branch", "salt": "00" * 16, "children": {}}),
+                  "invalid contract: {path}: merchant pubkey field missing")]
+        for record, message in cases:
+            contract.write_text(json.dumps(record))
+            code, out, _ = _run_main(capsys, ["--state-dir", str(tmp_path / "state"), "contract", "hash",
+                                              str(contract)])
+            assert code == 1
+            assert json.loads(out)["message"] == message.format(path=contract)
+        # a state file's records name their line, not the file
+        (tmp_path / "state").mkdir()
+        (tmp_path / "state" / "ledger.jsonl").write_text("[]\n")
+        code, out, _ = _run_main(capsys, ["--state-dir", str(tmp_path / "state"), "chain", "show"])
+        assert (code, json.loads(out)["message"]) == (1, "corrupt record: line 1: TypeError("
+                                                         "'list indices must be integers or slices, not str')")
 
 
 class TestSignalDhRedeemCommands:
@@ -1063,3 +1089,85 @@ class TestColdTables:
             assert [base for base, _, _ in entries] == [g, m]
             assert entries[1][1:] == [merchant_powers, False]
             assert not any(tabled for _, _, tabled in entries), argv
+
+
+# a fixed example sequence and no example database, so Tier-1 stays deterministic
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# hex that decodes and hex that does not, points on and off the curve, keys in and out of range
+HEXISH = st.one_of(
+    st.text("0123456789abcdefABCDEF", max_size=70),
+    st.text("0123456789abcdef xzX-+_:", max_size=70),
+    st.sampled_from([G.encode().hex(), (G ** 3).encode().hex(), "04" + G.encode().hex()[2:],
+                     "02" + "00" * 31 + "05", "01".rjust(64, "0"), "00" * 32, format(ORDER, "x"),
+                     "0x1", "1_0", "f" * 65]))
+JSON_KEYS = ["private", "public", "shared", "commit_g", "commit_p", "response", "signal_pubkey",
+             "push", "pubkey", "op", "digest"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | HEXISH | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=6),
+                                                                inner, max_size=5),
+    max_leaves=10)
+PROOF_FIELDS = {key: HEXISH | JSON for key in ("shared", "commit_g", "commit_p", "response", "signal_pubkey")}
+SCRIPT_ITEM = st.one_of(
+    # JSON reads 1e999 as an infinite float
+    st.fixed_dictionaries({"push": st.integers(-2, 20) | st.floats() | st.sampled_from([1e999, -1e999])
+                           | HEXISH}),
+    st.fixed_dictionaries({"pubkey": HEXISH}),
+    st.fixed_dictionaries({"op": st.sampled_from([o.value for o in Opcode]) | st.text(max_size=12)}),
+    st.fixed_dictionaries({"digest": HEXISH}),
+    JSON)
+FILE_CONTENTS = {
+    "keyfile": (KEYFILE, st.fixed_dictionaries({"private": HEXISH | JSON}, optional={"public": HEXISH | JSON})),
+    "script": (SCRIPT, st.lists(SCRIPT_ITEM, max_size=5)),
+    "proof": (PROOF, st.fixed_dictionaries({}, optional=PROOF_FIELDS)),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+class TestTrustBoundaryFuzz:
+    """Whatever a keyfile, script or proof file holds, ``cli._read`` returns its
+    value or raises ``ProtocolError`` or ``click.UsageError``, nothing else; so
+    does each ``cli.Arg`` on any argument text."""
+
+    @staticmethod
+    def _holds(call):
+        try:
+            call()
+        except (ProtocolError, click.UsageError):
+            pass
+
+    @pytest.mark.parametrize("kind", list(FILE_CONTENTS))
+    def test_read_a_file_of_any_bytes_or_json(self, fuzz_file, kind):
+        fmt, near_valid = FILE_CONTENTS[kind]
+
+        @FUZZ
+        @given(st.binary(max_size=200) | (near_valid | JSON).map(lambda obj: json.dumps(obj).encode()))
+        def check(data):
+            fuzz_file.write_bytes(data)
+            self._holds(lambda: _read(fuzz_file, fmt))
+
+        check()
+
+    @pytest.mark.parametrize("name", [name for name, value in vars(p2c_module).items() if isinstance(value, Arg)])
+    def test_an_argument_of_any_text(self, name):
+        arg = getattr(p2c_module, name)
+        # argv bytes that are not UTF-8 reach click as lone surrogates
+        any_text = st.text(st.characters(exclude_categories=()), max_size=80)
+        pieces = any_text | HEXISH
+
+        @FUZZ
+        @given(st.one_of(
+            pieces,
+            st.builds(lambda a, b: f"{a}:{b}", pieces | st.sampled_from(["p2pkh", "p2sh", "p2pk"]),
+                      pieces | st.text("0123456789", max_size=25)),
+            st.builds(lambda a, b: f"{a}={b}", pieces, pieces),
+            st.lists(st.text("ab/", max_size=3), max_size=4).map("/".join)))
+        def check(text):
+            self._holds(lambda: arg.convert(text, None, None))
+
+        check()

@@ -1,8 +1,8 @@
 """The golden ``p2c`` session: one seeded run of every leaf command of ``p2c``
-(``scenario`` aside, which the scenario goldens cover) and of the exit-1 and
-exit-2 errors, each line holding a command's argv, exit code, stdout, stderr
-and the SHA-256 of every file in its state directory and of its ``--out``
-file after it.  The test runs the session in-process and compares it with
+(``scenario`` aside, which the scenario goldens cover), of the exit-1 and
+exit-2 errors and of every ``--help``, each line holding a command's argv,
+exit code, stdout, stderr and the SHA-256 of every file in its state
+directory and of its ``--out`` file after it.  The test runs the session in-process and compares it with
 ``golden/cli_session.jsonl`` line by line.
 
 A changed line needs a ``CHANGES.md`` entry that says why; a new command
@@ -13,6 +13,7 @@ appends its own lines.  To rewrite the file, run
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -40,6 +41,12 @@ INPUTS = {
     "off-curve-contract.json": b'{"merchant_pubkey":"020000000000000000000000000000000000000000000000000000000000000005",'
                                b'"root":{"children":{},"kind":"branch","salt":"00000000000000000000000000000000"},'
                                b'"static_signatures":{}}\n',
+    "malformed-script.json": b'[{"push":1},"zz"]\n',
+    "malformed-proof.json": b'{"shared":"zz"}\n',
+    # a contract for the merchant key 2G, its merchant branch redacted
+    "foreign-contract.json": b'{"merchant_pubkey":"02c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5",'
+                             b'"root":{"children":{"merchant":{"digest":"' + b"00" * 32 + b'","kind":"redacted"}},'
+                             b'"kind":"branch","salt":"00000000000000000000000000000000"},"static_signatures":{}}\n',
 }
 
 # frozen at first implementation: SHA-256 of each file the session's first nine
@@ -56,7 +63,9 @@ SEEDED_P2C_FILES = {
 }
 
 EXIT_1_CODES = {"missing-utxo", "spent-outpoint", "insufficient-funds", "key-does-not-match-output",
-                "no-such-transaction", "corrupt-record", "invalid-keyfile", "invalid-contract", "invalid-point"}
+                "no-such-transaction", "corrupt-record", "invalid-keyfile", "invalid-contract", "invalid-point",
+                "invalid-script", "invalid-proof", "no-signal-from-that-key", "bad-ciphertext",
+                "foreign-contract"}
 
 
 class _Entry:
@@ -76,7 +85,7 @@ def _sha256(path: Path) -> str:
 
 def _run(runner: CliRunner, argv: list) -> dict:
     """One command in the current directory, as its golden line."""
-    result = runner.invoke(_Entry, argv)
+    result = runner.invoke(_Entry, argv, env={"COLUMNS": "80"})  # help text wraps at the terminal width
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     state = Path(argv[argv.index("--state-dir") + 1])
     written = list(state.iterdir()) if state.is_dir() else []
@@ -127,7 +136,8 @@ def _session(runner: CliRunner) -> list:
     p2c("signal", "scan", "--key", "merchant.json")
     p2c("dh", "prove", "--key", "payer.json", "--merchant", merchant, "--out", "proof.json", seed=27)
     p2c("dh", "verify", "--proof", "proof.json", "--merchant", merchant)
-    p2c("redeem", "post", "--contract", "contract.json", "--key", "payer.json", "--merchant", merchant, seed=28)
+    filename = p2c("redeem", "post", "--contract", "contract.json", "--key", "payer.json", "--merchant", merchant,
+                   seed=28)["filename"]
     p2c("redeem", "retrieve", "--key", "merchant.json", "--signal-pub", payer)
     p2c("chain", "show", fmt="text")
 
@@ -147,15 +157,34 @@ def _session(runner: CliRunner) -> list:
     p2c("dh", "prove", "--key", "mismatched-key.json", "--merchant", merchant)
     p2c("contract", "hash", "malformed-contract.json")
     p2c("contract", "hash", "off-curve-contract.json")
+    p2c("address", "p2sh", "--script", "malformed-script.json")
+    p2c("dh", "verify", "--proof", "malformed-proof.json", "--merchant", merchant)
+    p2c("redeem", "retrieve", "--key", "merchant.json", "--signal-pub", merchant)
+    # the same ledger beside a filestore whose record under the signalled name
+    # is not the sealed contract: hand-written, then posted for another merchant
+    for state in ("forged", "foreign"):
+        Path(state).mkdir()
+        for name in ("ledger.jsonl", "ledger.ckpt"):
+            shutil.copyfile(Path("state", name), Path(state, name))
+    Path("forged", "filestore.jsonl").write_text(json.dumps({"data": "00" * 40, "name": filename}) + "\n")
+    p2c("redeem", "retrieve", "--key", "merchant.json", "--signal-pub", payer, state="forged")
+    p2c("redeem", "post", "--contract", "foreign-contract.json", "--key", "payer.json", "--merchant", merchant,
+        state="foreign", seed=29)
+    p2c("redeem", "retrieve", "--key", "merchant.json", "--signal-pub", payer, state="foreign")
+    # the help of p2c, of each group and of each command
+    for path, _ in _commands(cli):
+        lines.append(_run(runner, ["--state-dir", "state", "--format", "json", *path, "--help"]))
     return lines
 
 
-def _leaf_commands(group, prefix=()):
+def _commands(group, prefix=()):
+    """(path, command) of ``group`` and of each group and command below it, in preorder."""
+    yield prefix, group
     for name, command in group.commands.items():
         if hasattr(command, "commands"):
-            yield from _leaf_commands(command, prefix + (name,))
+            yield from _commands(command, prefix + (name,))
         else:
-            yield prefix + (name,)
+            yield prefix + (name,), command
 
 
 def _command_of(argv: list) -> tuple:
@@ -177,13 +206,18 @@ def test_session_matches_its_golden(tmp_path, monkeypatch):
         assert line == expected, f"line {number}: {' '.join(expected['argv'])}"
 
     # every leaf command succeeds once, and every listed error code and usage error shows
-    leaves = set(_leaf_commands(cli)) - {("scenario",)}
-    covered = {_command_of(line["argv"]) for line in golden if line["exit"] == 0}
+    helps = [line for line in golden if line["argv"][-1] == "--help"]
+    runs = [line for line in golden if line not in helps]
+    leaves = {path for path, command in _commands(cli) if not hasattr(command, "commands")} - {("scenario",)}
+    covered = {_command_of(line["argv"]) for line in runs if line["exit"] == 0}
     assert leaves <= covered, leaves - covered
     codes = {json.loads(line["stdout"])["error"] for line in golden if line["exit"] == 1}
     assert codes == EXIT_1_CODES
     usage = [line for line in golden if line["exit"] == 2]
     assert len(usage) == 2 and all("Error: Invalid value" in line["stderr"] for line in usage)
+    # and every group and command shows its help, once
+    assert [tuple(line["argv"][4:-1]) for line in helps] == [path for path, _ in _commands(cli)]
+    assert all(line["exit"] == 0 and line["stdout"].startswith("Usage: p2c ") for line in helps)
 
     # the first nine commands write the files frozen when the session was a byte check of its own
     seeded = {}

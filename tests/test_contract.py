@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from paytocontract import contract
+from paytocontract import contract, curve
 from paytocontract.chain import MAX_AMOUNT
 from paytocontract.contract import (
     SALT_BYTES,
@@ -35,7 +35,7 @@ from paytocontract.contract import (
     verify_contract,
     with_leaf_value,
 )
-from paytocontract.curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, hash160, random_scalar
+from paytocontract.curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, hash160, random_scalar, sha256
 from paytocontract.errors import ProtocolError, _dump_line, _load_json
 from paytocontract.wallet import derive_address, derive_public
 
@@ -661,14 +661,34 @@ def _decodes(encoding: bytes) -> bool:
     return True
 
 
+def _valid(pub, message, sig) -> bool:
+    """Whether ``contract._verified`` accepts the triple: it returns on a valid one and raises on any other."""
+    try:
+        contract._verified(pub, message, sig)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture
+def fresh_memos():
+    """The three memos emptied before the test and after it, so that no test
+    sees another's entries."""
+    memos = (contract._verified, contract._address, contract._decode_key)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 class TestVerifyMemo:
     """``_check_signatures`` verifies each exact (pubkey, message, signature)
     triple once per process, and caches successes only."""
 
     @pytest.fixture
-    def pure(self, monkeypatch):
+    def pure(self, monkeypatch, fresh_memos):
         """An empty memo, and the list of pure verifies ``contract`` makes."""
-        monkeypatch.setattr(contract, "_verified", {})
         calls = []
         verify = contract.ecdsa_verify
         monkeypatch.setattr(contract, "ecdsa_verify", lambda *args: calls.append(args) or verify(*args))
@@ -678,11 +698,11 @@ class TestVerifyMemo:
     def _triple(rng: Random):
         pair = KeyPair.generate(rng)
         message = rng.randbytes(rng.randrange(1, 48))
-        return pair.public, message, ecdsa_sign(pair.private, message)
+        return pair.public, message, ecdsa_sign(pair.private, sha256(message))
 
     def test_a_hit_needs_the_exact_triple(self, pure):
         pub, message, sig = self._triple(Random(150))
-        assert contract._verify_once(pub, message, sig) and contract._verify_once(pub, message, sig)
+        assert _valid(pub, message, sig) and _valid(pub, message, sig)
         assert len(pure) == 1
         # one bit of the pubkey's encoding: its parity prefix, and a bit of x
         # that lands on another curve point
@@ -690,12 +710,12 @@ class TestVerifyMemo:
         encodings += [e for e in (_flip(pub.encode(), b) for b in range(8, 264)) if _decodes(e)][:2]
         assert len(encodings) == 3
         for encoding in encodings:
-            assert not contract._verify_once(Point.decode(encoding), message, sig)
+            assert not _valid(Point.decode(encoding), message, sig)
         for bit in range(0, len(message) * 8, 5):
-            assert not contract._verify_once(pub, _flip(message, bit), sig)
+            assert not _valid(pub, _flip(message, bit), sig)
         for bit in (255, 200, 511, 300):
-            assert not contract._verify_once(pub, message, Signature.from_bytes(_flip(sig.to_bytes(), bit)))
-        assert len(contract._verified) == 1
+            assert not _valid(pub, message, Signature.from_bytes(_flip(sig.to_bytes(), bit)))
+        assert contract._verified.cache_info().currsize == 1
 
     def test_a_tampered_signature_on_a_cached_contract_reads_invalid(self, pure):
         rng = Random(151)
@@ -713,32 +733,38 @@ class TestVerifyMemo:
     def test_an_invalid_triple_is_never_cached(self, pure):
         pub, message, sig = self._triple(Random(152))
         for _ in range(2):
-            assert not contract._verify_once(pub, message + b"!", sig)
-        assert len(pure) == 2 and contract._verified == {}
+            assert not _valid(pub, message + b"!", sig)
+        assert len(pure) == 2 and contract._verified.cache_info().currsize == 0
 
-    def test_identity_missing_or_non_signature_reads_invalid(self, pure):
+    def test_identity_missing_or_non_signature_reads_invalid(self, pure, monkeypatch):
         rng = Random(153)
         merchant = KeyPair.generate(rng)
         c = _sample_contract(rng, merchant)
+        multiplies, var_mul = [], curve._var_mul
+        monkeypatch.setattr(curve, "_var_mul", lambda *args: multiplies.append(args) or var_mul(*args))
         sigs = c.static_signatures
         assert set(contract._check_signatures(c.root, sigs, None).values()) == {"invalid"}
         assert set(contract._check_signatures(c.root, sigs, Point.identity()).values()) == {"invalid"}
         as_bytes = {path: sig.to_bytes() for path, sig in sigs.items()}
         assert set(contract._check_signatures(c.root, as_bytes, merchant.public).values()) == {"invalid"}
-        assert pure == [] and contract._verified == {}
+        # a missing key verifies nothing; the identity key and the bare bytes
+        # reach ``ecdsa_verify``, whose early reject does no curve arithmetic
+        assert len(pure) == 6 and multiplies == [] and contract._verified.cache_info().currsize == 0
 
     def test_the_cap_holds_and_evicts_the_oldest_first(self, pure, monkeypatch):
-        monkeypatch.setattr(contract, "_VERIFIED_CAP", 3)
-        rng = Random(154)
-        triples = [self._triple(rng) for _ in range(5)]
+        """256 triples; "oldest" counts from a triple's last use."""
+        monkeypatch.setattr(contract, "ecdsa_verify", lambda *args: pure.append(args) or True)
+        pub, message, sig = self._triple(Random(154))
+        triples = [(pub, message + i.to_bytes(2, "big"), sig) for i in range(258)]
         for triple in triples:
-            assert contract._verify_once(*triple)
-        assert len(pure) == 5
-        assert list(contract._verified) == [pub.encode() + sig.to_bytes() + message
-                                            for pub, message, sig in triples[2:]]
-        assert contract._verify_once(*triples[4]) and len(pure) == 5
-        assert contract._verify_once(*triples[0]) and len(pure) == 6  # evicted, so verified again
-        assert len(contract._verified) == 3
+            assert _valid(*triple)
+        assert len(pure) == 258
+        assert contract._verified.cache_info().currsize == contract._verified.cache_info().maxsize == 256
+        assert _valid(*triples[257]) and len(pure) == 258
+        assert _valid(*triples[0]) and len(pure) == 259  # evicted, so verified again
+        assert _valid(*triples[3]) and len(pure) == 259  # kept
+        assert _valid(*triples[2]) and len(pure) == 260  # the oldest when triples[0] came back
+        assert contract._verified.cache_info().currsize == 256
 
     def test_agrees_with_the_oracle(self, pure):
         rng = Random(155)
@@ -746,17 +772,17 @@ class TestVerifyMemo:
             pub, message, sig = self._triple(rng)
             for candidate in (message, _flip(message, rng.randrange(len(message) * 8))):
                 expected = oracle.ecdsa_verify(oracle.as_tuple(pub), candidate, sig.r.value, sig.s.value)
-                assert contract._verify_once(pub, candidate, sig) == expected  # cold
-                assert contract._verify_once(pub, candidate, sig) == expected  # warm
-        assert len(contract._verified) == 6
+                assert _valid(pub, candidate, sig) == expected  # cold
+                assert _valid(pub, candidate, sig) == expected  # warm
+        assert contract._verified.cache_info().currsize == 6
 
 
 class TestReceiptCost:
     """The auditor's receipt check costs the edited path and the signatures,
     not the size of the contract."""
 
-    def test_redact_hashes_nothing_and_a_second_verify_verifies_and_walks_nothing(self, monkeypatch):
-        monkeypatch.setattr(contract, "_verified", {})
+    def test_redact_hashes_nothing_and_a_second_verify_verifies_and_walks_nothing(self, monkeypatch,
+                                                                                  fresh_memos):
         rng = Random(156)
         c = _sample_contract(rng, KeyPair.generate(rng))
         assert verify_contract(c).ok  # the customer's check fills the memo
@@ -783,9 +809,8 @@ class TestAddressMemo:
     pair once per process, and caches successes only."""
 
     @pytest.fixture
-    def derived(self, monkeypatch):
+    def derived(self, monkeypatch, fresh_memos):
         """An empty memo, and the list of derivations ``contract`` makes."""
-        monkeypatch.setattr(contract, "_addresses", {})
         calls = []
         derive = contract.derive_address
         monkeypatch.setattr(contract, "derive_address", lambda *args: calls.append(args) or derive(*args))
@@ -823,7 +848,7 @@ class TestAddressMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 payment_address(bare)
-        assert len(derived) == 2 and contract._addresses == {}
+        assert len(derived) == 2 and contract._address.cache_info().currsize == 0
 
 
 class TestKeyMemo:
@@ -831,9 +856,8 @@ class TestKeyMemo:
     caches successes only."""
 
     @pytest.fixture
-    def decoded(self, monkeypatch):
+    def decoded(self, monkeypatch, fresh_memos):
         """An empty memo, and the encodings ``Point.decode`` is asked for."""
-        monkeypatch.setattr(contract, "_keys", {})
         calls, decode = [], Point.decode
         monkeypatch.setattr(Point, "decode", lambda data: calls.append(data) or decode(data))
         return calls
@@ -848,6 +872,8 @@ class TestKeyMemo:
             assert encode_contract(c) == data
             assert (c.merchant_pubkey, c.dynamic_signing_key) == (merchant.public, tracker.public)
         assert decoded == [merchant.public.encode(), tracker.public.encode()]
+        info = contract._decode_key.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (38, 2, 2)
 
     def test_an_off_curve_key_is_refused_on_every_read(self, decoded):
         rng = Random(165)
@@ -861,38 +887,35 @@ class TestKeyMemo:
                     decode_contract(data)
                 assert exc.value.code == "invalid-point"
             decode_contract(json.dumps(good).encode())
-        assert list(contract._keys) == [bytes.fromhex(good["merchant_pubkey"])]
+        # the memo holds the good key alone: decoded once, and a hit the second time
+        assert contract._decode_key.cache_info().currsize == 1
+        assert decoded.count(bytes.fromhex(good["merchant_pubkey"])) == 1
         assert decoded.count(bytes.fromhex(off_curve)) == 4
 
 
-# memo, its cap, what a hit skips (and where it lives), a fresh entry, asking for it, and its key
+# memo, its size, what a miss computes (and where it lives), and the arguments of its i-th entry
 MEMOS = [
-    ("_verified", "_VERIFIED_CAP", (contract, "ecdsa_verify"), TestVerifyMemo._triple,
-     lambda triple: contract._verify_once(*triple),
-     lambda triple: triple[0].encode() + triple[2].to_bytes() + triple[1]),
-    ("_addresses", "_ADDRESSES_CAP", (contract, "derive_address"),
-     lambda rng: _sample_contract(rng, KeyPair.generate(rng)),
-     lambda c: payment_address(c),
-     lambda c: (c.merchant_pubkey, contract_hash(c))),
-    ("_keys", "_KEYS_CAP", (Point, "decode"),
-     lambda rng: KeyPair.generate(rng).public.encode().hex(),
-     lambda text: contract._decode_key(text),
-     lambda text: bytes.fromhex(text)),
+    (contract._verified, 256, (contract, "ecdsa_verify"), lambda i: (G, i.to_bytes(4, "big"), SIGNATURE)),
+    (contract._address, 256, (contract, "derive_address"), lambda i: (G, i.to_bytes(32, "big"))),
+    (contract._decode_key, 16, (Point, "decode"), lambda i: (format(i, "066x"),)),
 ]
+SIGNATURE = ecdsa_sign(Scalar(7), sha256(b"x"))
 
 
-@pytest.mark.parametrize("memo, cap, computes, make, ask, key", MEMOS, ids=["verified", "addresses", "keys"])
-def test_a_memo_holds_its_cap_and_evicts_the_oldest_first(monkeypatch, memo, cap, computes, make, ask, key):
-    monkeypatch.setattr(contract, memo, {})
-    monkeypatch.setattr(contract, cap, 3)
+@pytest.mark.parametrize("memo, size, computes, entry", MEMOS, ids=["verified", "addresses", "keys"])
+def test_a_memo_holds_its_cap_and_evicts_the_oldest_first(monkeypatch, fresh_memos, memo, size, computes, entry):
+    """Each memo is least-recently-used: "oldest" counts from an entry's last use."""
     calls = []
-    compute = getattr(*computes)
-    monkeypatch.setattr(*computes, lambda *args: calls.append(args) or compute(*args))
-    rng = Random(163)
-    entries = [make(rng) for _ in range(5)]
-    answers = [ask(entry) for entry in entries]
-    assert len(calls) == 5
-    assert list(getattr(contract, memo)) == [key(entry) for entry in entries[2:]]
-    assert ask(entries[4]) == answers[4] and len(calls) == 5
-    assert ask(entries[0]) == answers[0] and len(calls) == 6  # evicted, so computed again
-    assert list(getattr(contract, memo)) == [key(entry) for entry in entries[3:] + entries[:1]]
+    monkeypatch.setattr(*computes, lambda *args: calls.append(args) or True)
+    assert memo.cache_info().maxsize == size
+    entries = [entry(i) for i in range(size + 2)]
+    answers = [memo(*args) for args in entries]
+    assert len(calls) == size + 2 and memo.cache_info().currsize == size
+    assert memo(*entries[-1]) == answers[-1] and len(calls) == size + 2
+    assert memo(*entries[2]) == answers[2] and len(calls) == size + 2  # the oldest kept, now the newest
+    assert memo(*entries[0]) == answers[0] and len(calls) == size + 3  # evicted, so computed again
+    for args in entries[4:] + [entries[2], entries[0]]:  # every entry kept is a hit
+        memo(*args)
+    assert len(calls) == size + 3 and memo.cache_info().currsize == size
+    memo(*entries[3])  # evicted when entries[0] came back, since entries[2] was used after it
+    assert len(calls) == size + 4

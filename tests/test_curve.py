@@ -24,6 +24,7 @@ from paytocontract.curve import (
     hash160,
     hash_to_scalar,
     random_scalar,
+    sha256,
     shared_xs,
     tweak_points,
 )
@@ -521,46 +522,46 @@ class TestEcdsa:
         rng = Random(15)
         for _ in range(100):
             pair = KeyPair.generate(rng)
-            message = rng.randbytes(rng.randrange(1, 64))
-            sig = ecdsa_sign(pair.private, message)
-            assert ecdsa_verify(pair.public, message, sig)
+            digest = sha256(rng.randbytes(rng.randrange(1, 64)))
+            sig = ecdsa_sign(pair.private, digest)
+            assert ecdsa_verify(pair.public, digest, sig)
 
     def test_deterministic_signatures(self):
         pair = KeyPair(Scalar(42))
-        assert ecdsa_sign(pair.private, b"msg") == ecdsa_sign(pair.private, b"msg")
+        assert ecdsa_sign(pair.private, sha256(b"msg")) == ecdsa_sign(pair.private, sha256(b"msg"))
 
     def test_bit_flip_rejected(self):
         pair = KeyPair(Scalar(42))
-        sig = ecdsa_sign(pair.private, b"payment")
+        sig = ecdsa_sign(pair.private, sha256(b"payment"))
         for byte_index in range(len(b"payment")):
             for bit in range(8):
                 tampered = bytearray(b"payment")
                 tampered[byte_index] ^= 1 << bit
-                assert not ecdsa_verify(pair.public, bytes(tampered), sig)
+                assert not ecdsa_verify(pair.public, sha256(bytes(tampered)), sig)
 
     def test_wrong_key_rejected(self):
         pair = KeyPair(Scalar(42))
-        sig = ecdsa_sign(pair.private, b"payment")
+        sig = ecdsa_sign(pair.private, sha256(b"payment"))
         other = G ** Scalar(43)
-        assert not ecdsa_verify(other, b"payment", sig)
+        assert not ecdsa_verify(other, sha256(b"payment"), sig)
 
     def test_independent_verifier_agrees(self):
         rng = Random(16)
         for _ in range(10):
             pair = KeyPair.generate(rng)
             message = rng.randbytes(32)
-            sig = ecdsa_sign(pair.private, message)
+            sig = ecdsa_sign(pair.private, sha256(message))
             assert oracle.ecdsa_verify(
                 oracle.as_tuple(pair.public), message, sig.r.value, sig.s.value
             )
 
     def test_zero_component_rejected(self):
         pair = KeyPair(Scalar(42))
-        assert not ecdsa_verify(pair.public, b"m", Signature(Scalar(0), Scalar(1)))
-        assert not ecdsa_verify(pair.public, b"m", Signature(Scalar(1), Scalar(0)))
+        assert not ecdsa_verify(pair.public, sha256(b"m"), Signature(Scalar(0), Scalar(1)))
+        assert not ecdsa_verify(pair.public, sha256(b"m"), Signature(Scalar(1), Scalar(0)))
 
     def test_signature_bytes_round_trip(self):
-        sig = ecdsa_sign(Scalar(7), b"x")
+        sig = ecdsa_sign(Scalar(7), sha256(b"x"))
         assert Signature.from_bytes(sig.to_bytes()) == sig
         assert len(sig.to_bytes()) == 64
 
@@ -573,11 +574,11 @@ class TestEcdsa:
         candidate = oracle.point_add(oracle.point_mul(z, oracle.G), oracle.point_mul(r, oracle.as_tuple(pub)))
         assert candidate is None
         assert not oracle.ecdsa_verify(oracle.as_tuple(pub), b"m", r, 1)
-        assert not ecdsa_verify(pub, b"m", Signature(Scalar(r), Scalar(1)))
+        assert not ecdsa_verify(pub, sha256(b"m"), Signature(Scalar(r), Scalar(1)))
 
     def test_identity_pubkey_rejected(self):
-        sig = ecdsa_sign(Scalar(7), b"x")
-        assert not ecdsa_verify(Point.identity(), b"x", sig)
+        sig = ecdsa_sign(Scalar(7), sha256(b"x"))
+        assert not ecdsa_verify(Point.identity(), sha256(b"x"), sig)
 
     def test_candidate_x_past_the_order_accepted_as_r_plus_order(self):
         # a synthetic candidate R with x >= ORDER, so r = x - ORDER and the
@@ -594,22 +595,22 @@ class TestEcdsa:
         assert (G ** (z * w)) * (pub ** (r * w)) == candidate and candidate.x != r
         sig = Signature(Scalar(r), Scalar(s))
         assert oracle.ecdsa_verify(oracle.as_tuple(pub), b"r + n", r, s)
-        assert ecdsa_verify(pub, b"r + n", sig) and ecdsa_verify_openssl(pub, b"r + n", sig)
-        assert not ecdsa_verify(pub, b"r + n!", sig)
+        assert ecdsa_verify(pub, sha256(b"r + n"), sig) and ecdsa_verify_openssl(pub, sha256(b"r + n"), sig)
+        assert not ecdsa_verify(pub, sha256(b"r + n!"), sig)
 
     def test_random_verifies_match_oracle(self):
         rng = Random(63)
         for _ in range(6):
             pair = KeyPair.generate(rng)
             message = rng.randbytes(rng.randrange(0, 48))
-            sig = ecdsa_sign(pair.private, message)
+            sig = ecdsa_sign(pair.private, sha256(message))
             r, s = sig.r.value, sig.s.value
             cases = [(pair.public, message, r, s), (pair.public, message, r, ORDER - s),
                      (G ** random_scalar(rng), message, r, s), (pair.public, message + b"x", r, s),
                      (pair.public, message, random_scalar(rng).value, random_scalar(rng).value)]
             for pub, m, r_, s_ in cases:
                 expected = oracle.ecdsa_verify(oracle.as_tuple(pub), m, r_, s_)
-                assert ecdsa_verify(pub, m, Signature(Scalar(r_), Scalar(s_))) == expected
+                assert ecdsa_verify(pub, sha256(m), Signature(Scalar(r_), Scalar(s_))) == expected
             assert [oracle.ecdsa_verify(oracle.as_tuple(p), m, a, b) for p, m, a, b in cases[:2]] == [True, True]
 
 
@@ -638,21 +639,21 @@ class TestSignature:
                     Signature.from_bytes(data)
 
     def test_equality_and_hashing_go_by_value(self):
-        sig = ecdsa_sign(Scalar(7), b"x")
+        sig = ecdsa_sign(Scalar(7), sha256(b"x"))
         same = Signature.from_bytes(bytes(sig.to_bytes()))
-        other = ecdsa_sign(Scalar(7), b"y")
+        other = ecdsa_sign(Scalar(7), sha256(b"y"))
         assert sig == same and hash(sig) == hash(same) and len({sig, same, other}) == 2
         assert sig != other and sig != sig.to_bytes() and sig != (sig.r, sig.s)
         for copied in (copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
             assert copied == sig and type(copied) is Signature
 
     def test_immutable_without_a_dict(self):
-        sig = ecdsa_sign(Scalar(7), b"x")
+        sig = ecdsa_sign(Scalar(7), sha256(b"x"))
         for name in ("r", "s", "_bytes", "extra"):
             with pytest.raises(AttributeError):
                 setattr(sig, name, Scalar(1))
         assert not hasattr(sig, "__dict__")
-        assert sig.to_bytes() == ecdsa_sign(Scalar(7), b"x").to_bytes()
+        assert sig.to_bytes() == ecdsa_sign(Scalar(7), sha256(b"x")).to_bytes()
 
     def test_repr_names_both_scalars(self):
         assert repr(Signature(Scalar(1), Scalar(0xAB))) == "Signature(r=Scalar(0x1), s=Scalar(0xab))"
@@ -665,7 +666,8 @@ class TestEcdsaVerifyOpenssl:
     def _agree(pub, message, r, s):
         sig = Signature(Scalar(r), Scalar(s))
         expected = oracle.ecdsa_verify(oracle.as_tuple(pub), message, r, s)
-        assert ecdsa_verify_openssl(pub, message, sig) == ecdsa_verify(pub, message, sig) == expected
+        digest = sha256(message)
+        assert ecdsa_verify_openssl(pub, digest, sig) == ecdsa_verify(pub, digest, sig) == expected
         return expected
 
     def test_seeded_cases_match_pure_and_oracle(self):
@@ -673,7 +675,7 @@ class TestEcdsaVerifyOpenssl:
         for _ in range(8):
             pair, other = KeyPair.generate(rng), KeyPair.generate(rng)
             message = rng.randbytes(rng.randrange(0, 80))
-            sig = ecdsa_sign(pair.private, message)
+            sig = ecdsa_sign(pair.private, sha256(message))
             r, s = sig.r.value, sig.s.value
             assert self._agree(pair.public, message, r, s)
             # ECDSA without a low-s rule accepts both s and n - s
@@ -684,9 +686,9 @@ class TestEcdsaVerifyOpenssl:
 
     def test_degenerate_inputs_rejected(self):
         pair = KeyPair(Scalar(42))
-        sig = ecdsa_sign(pair.private, b"m")
-        assert not ecdsa_verify_openssl(Point.identity(), b"m", sig)
-        assert not ecdsa_verify_openssl(pair.public, b"m", sig.to_bytes())
+        sig = ecdsa_sign(pair.private, sha256(b"m"))
+        assert not ecdsa_verify_openssl(Point.identity(), sha256(b"m"), sig)
+        assert not ecdsa_verify_openssl(pair.public, sha256(b"m"), sig.to_bytes())
         for r, s in ((0, sig.s.value), (sig.r.value, 0), (0, 0)):
             assert not self._agree(pair.public, b"m", r, s)
 
@@ -695,6 +697,78 @@ class TestEcdsaVerifyOpenssl:
         d = 42
         z = int.from_bytes(hashlib.sha256(b"m").digest(), "big") % ORDER
         assert not self._agree(G ** Scalar(d), b"m", -z * pow(d, -1, ORDER) % ORDER, 1)
+
+
+def _textbook(pub, z, r, s) -> bool:
+    """``oracle.ecdsa_verify``'s rule on z itself, for digests that no known message hashes to."""
+    if not (0 < r < ORDER and 0 < s < ORDER):
+        return False
+    w = pow(s, -1, ORDER)
+    candidate = oracle.point_add(oracle.point_mul(z * w % ORDER, oracle.G),
+                                 oracle.point_mul(r * w % ORDER, oracle.as_tuple(pub)))
+    return candidate is not None and candidate[0] % ORDER == r
+
+
+class TestEcdsaDigest:
+    """Signing and both verifies take the 32-byte digest a signature covers."""
+
+    @pytest.mark.parametrize("length", [0, 20, 31, 33, 64, 200])
+    def test_every_ecdsa_function_refuses_a_digest_that_is_not_32_bytes(self, length):
+        pair = KeyPair(Scalar(42))
+        sig = ecdsa_sign(pair.private, sha256(b"m"))
+        digest = bytes(range(length))
+        # the length is checked before anything else, the early rejects included
+        for call in (lambda: ecdsa_sign(pair.private, digest),
+                     lambda: ecdsa_verify(pair.public, digest, sig),
+                     lambda: ecdsa_verify(Point.identity(), digest, sig),
+                     lambda: ecdsa_verify_openssl(pair.public, digest, sig),
+                     lambda: ecdsa_verify_openssl(pair.public, digest, sig.to_bytes())):
+            with pytest.raises(ValueError, match="32-byte digest"):
+                call()
+
+    def test_a_signature_is_the_one_the_message_api_gave(self):
+        # ``ecdsa_sign(Scalar(7), b"x")`` when sign took the message and hashed it
+        expected = ("3bcc0b428860a9ab25e96ea0fd6f51a3b39b33a5e977e81a60aab57f55daa714"
+                    "3b866b3b2bafe813f60457851393ca1838dc360b394e9dff83e38726ee246f5f")
+        assert ecdsa_sign(Scalar(7), sha256(b"x")).hex() == expected
+
+    @pytest.mark.parametrize("digest", [b"\x00" * 32, b"\xff" * 32, ORDER.to_bytes(32, "big"),
+                                        (ORDER + 1).to_bytes(32, "big"), sha256(b"random")],
+                             ids=["zero", "all-ones", "order", "order-plus-one", "random"])
+    def test_pure_openssl_and_textbook_agree_on_any_digest(self, digest):
+        rng = Random(digest)
+        pair = KeyPair.generate(rng)
+        sig = ecdsa_sign(pair.private, digest)
+        z, r, s = int.from_bytes(digest, "big") % ORDER, sig.r.value, sig.s.value
+        cases = [(pair.public, r, s, True), (pair.public, r, ORDER - s, True),
+                 (G ** random_scalar(rng), r, s, False), (pair.public, s, r, False)]
+        for pub, r_, s_, valid in cases:
+            candidate = Signature(Scalar(r_), Scalar(s_))
+            assert ecdsa_verify(pub, digest, candidate) == ecdsa_verify_openssl(pub, digest, candidate) \
+                == _textbook(pub, z, r_, s_) == valid
+        # both verifies read a digest mod the order, as the textbook does
+        reduced = z.to_bytes(32, "big")
+        assert ecdsa_verify(pair.public, reduced, sig) and ecdsa_verify_openssl(pair.public, reduced, sig)
+
+    def test_pure_openssl_and_oracle_agree_on_random_digests_with_r_plus_order(self):
+        # as ``test_candidate_x_past_the_order_accepted_as_r_plus_order``, on
+        # random digests: R.x is past the order, so r = R.x - ORDER
+        x = ORDER + 1
+        while pow((x ** 3 + 7) % oracle.P, (oracle.P - 1) // 2, oracle.P) != 1:
+            x += 1
+        candidate = Point(x, pow((x ** 3 + 7) % oracle.P, (oracle.P + 1) // 4, oracle.P))
+        rng = Random(67)
+        for _ in range(3):
+            message = rng.randbytes(rng.randrange(0, 64))
+            digest, r, s = sha256(message), x - ORDER, rng.randrange(1, ORDER)
+            z, w = int.from_bytes(digest, "big") % ORDER, pow(s, -1, ORDER)
+            pub = (candidate * (G ** (z * w)).inverse()) ** pow(r * w, -1, ORDER)
+            sig = Signature(Scalar(r), Scalar(s))
+            assert oracle.ecdsa_verify(oracle.as_tuple(pub), message, r, s)
+            assert ecdsa_verify(pub, digest, sig) and ecdsa_verify_openssl(pub, digest, sig)
+            other = sha256(message + b"!")
+            assert not oracle.ecdsa_verify(oracle.as_tuple(pub), message + b"!", r, s)
+            assert not ecdsa_verify(pub, other, sig) and not ecdsa_verify_openssl(pub, other, sig)
 
 
 class TestKeyPair:

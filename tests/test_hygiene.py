@@ -251,3 +251,43 @@ def test_retired_name_check_catches_a_planted_alias():
     assert _retired_names("class K:\n    @classmethod\n    def from_private(cls, k):\n        pass\n") == [3]
     assert _retired_names("make = getattr(KeyPair, 'from_private')\n") == [1]
     assert _retired_names("pair = KeyPair(k)\nfrom_private_key = 1\n") == []
+
+
+# A spend signs its txid, which ``Transaction`` derives from its preimage, so
+# nothing else serializes one: the builders and the validator read the txid.
+PREIMAGE_CALLERS = {"chain.py:Transaction.__post_init__"}
+
+
+def _preimage_callers(name: str, source: str):
+    """``module:Class.function`` of each function in ``source`` that calls ``tx_preimage``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "tx_preimage":
+                        found.add(f"{name}:{'.'.join(scope)}")
+                visit(child, scope)
+
+    visit(ast.parse(source, filename=name), ())
+    return found
+
+
+def test_only_a_transaction_serializes_its_preimage():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _preimage_callers(path.name, path.read_text())
+    assert found == PREIMAGE_CALLERS
+
+
+def test_preimage_check_catches_a_planted_call():
+    source = (PACKAGE / "chain.py").read_text()
+    planted = source.replace("    def _validate(self, tx: Transaction, verify: Verify):\n",
+                             "    def _validate(self, tx: Transaction, verify: Verify):\n"
+                             "        preimage = chain.tx_preimage(tx.inputs, tx.outputs)\n")
+    assert _preimage_callers("chain.py", planted) == PREIMAGE_CALLERS | {"chain.py:Ledger._validate"}
+    assert _preimage_callers("cli.py", "def f():\n    return [tx_preimage(i, o) for i, o in x]\n") == {"cli.py:f"}

@@ -209,7 +209,7 @@ class TestDetectionByConstruction:
         for key in wrong:
             # signed without the builder's lock check, so the ledger alone refuses it
             unsigned = chain.TxInput(txid, 0, pubkey=G ** key)
-            sig = curve.ecdsa_sign(key, chain.tx_preimage((unsigned,), payout))
+            sig = curve.ecdsa_sign(key, curve.sha256(chain.tx_preimage((unsigned,), payout)))
             forged = chain.Transaction((dataclasses.replace(unsigned, signature=sig),), payout)
             with pytest.raises(ProtocolError) as exc:
                 ledger.broadcast(forged)
@@ -225,7 +225,7 @@ class TestDetectionByConstruction:
         assert merchant_detect_payment(identity, c, ledger) == paid
         assert calls == []
         # where nothing derived the address yet, that derivation is the one multiply
-        monkeypatch.setattr(contract, "_addresses", {})
+        contract._address.cache_clear()
         assert merchant_detect_payment(identity, c, ledger) == paid
         assert calls == ["__pow__", "mul"]
 
@@ -237,7 +237,7 @@ class TestVerifyCountsPerOrder:
     @pytest.fixture
     def verifies(self, monkeypatch):
         """Each pure verify ``chain`` and ``contract`` make, as (module, inside a broadcast)."""
-        monkeypatch.setattr(contract, "_verified", {})
+        contract._verified.cache_clear()
         calls, broadcasting = [], []
         for module in (chain, contract):
             def counting(*args, _name=module.__name__.rpartition(".")[2], _verify=module.ecdsa_verify):
@@ -285,6 +285,9 @@ class TestVerifyCountsPerOrder:
             per_order.append(list(verifies))
         assert per_order[0] == [("contract", False)] * 3 + [("chain", True)] * 2
         assert per_order[1:] == [[("chain", True)] * 2] * 4
+        # the customer's check and the receipt's, three static signatures each, in each of five orders
+        info = contract._verified.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 5 * 2 * 3 - 3, 3)
 
 class TestTamper:
     def test_tampered_copy_never_pays_and_true_copy_recovers(self):
@@ -784,7 +787,7 @@ class TestRedemption:
                                               payment_amount=90000, signal_amount=10000)
         redeem_post(c, value, fs, rng)
         record = merchant_scan_signals(identity, ledger)[0]
-        monkeypatch.setattr(contract, "_keys", {})
+        contract._decode_key.cache_clear()
         decodes, decode = [], Point.decode
         monkeypatch.setattr(Point, "decode", lambda data: decodes.append(data) or decode(data))
         calls = _multiplies(monkeypatch)
