@@ -6,7 +6,8 @@ a public record.  ``FileStore`` is a write-once filesystem keyed by 32-byte
 digest filenames.
 
 Both serialize as JSON Lines bytes, one canonical record per ``\n``, with
-integers as big-endian hex, which keeps txids bit-stable across save/load.
+integers as lowercase hex in the one spelling ``format(v, "x")`` that a load
+accepts, which keeps txids and bytes stable across save/load.
 A ``ledger_checkpoint`` binds the length and hash of ledger bytes that were
 validated, so that a reload commits that prefix without verifying it again.
 """
@@ -19,7 +20,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
                     hash160, sha256)
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _load_json
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _int_from_hex, _load_json
 from .wallet import Address, Script, p2pkh_address
 
 # an output pays either an address or an explicit pubkey (pay-to-pubkey)
@@ -81,10 +82,6 @@ class Transaction:
         object.__setattr__(self, "txid", sha256(tx_preimage(self.inputs, self.outputs, self.coinbase_tag)))
 
 
-def _hex_int(value: int) -> str:
-    return format(value, "x")
-
-
 def _payto_to_json(payto: PayTarget) -> dict:
     if isinstance(payto, Address):
         return {"digest": payto.digest.hex(), "kind": payto.kind}
@@ -98,7 +95,7 @@ def _payto_from_json(obj: dict) -> PayTarget:
 
 
 def _input_to_json(inp: TxInput, with_sigs: bool) -> dict:
-    obj = {"index": _hex_int(inp.index), "prev_txid": inp.prev_txid.hex()}
+    obj = {"index": format(inp.index, "x"), "prev_txid": inp.prev_txid.hex()}
     if inp.redeem_script is not None:
         obj["script"] = inp.redeem_script.serialize().hex()
         if with_sigs:
@@ -112,7 +109,7 @@ def _input_to_json(inp: TxInput, with_sigs: bool) -> dict:
 
 def _input_from_json(obj: dict) -> TxInput:
     prev_txid = bytes.fromhex(obj["prev_txid"])
-    index = int(obj["index"], 16)
+    index = _int_from_hex(obj["index"])
     if "script" in obj:
         script = Script.deserialize(bytes.fromhex(obj["script"]))
         sigs = tuple(Signature.from_bytes(bytes.fromhex(s)) for s in obj.get("signatures", []))
@@ -131,10 +128,10 @@ def _tx_json(inputs: Sequence[TxInput], outputs: Sequence[TxOutput], coinbase_ta
     """The one serializer of a transaction: its record, or without signatures its preimage."""
     obj = {
         "inputs": [_input_to_json(i, with_sigs) for i in inputs],
-        "outputs": [{"amount": _hex_int(o.amount), "payto": _payto_to_json(o.payto)} for o in outputs],
+        "outputs": [{"amount": format(o.amount, "x"), "payto": _payto_to_json(o.payto)} for o in outputs],
     }
     if coinbase_tag is not None:
-        obj["coinbase"] = _hex_int(coinbase_tag)
+        obj["coinbase"] = format(coinbase_tag, "x")
     return obj
 
 
@@ -144,11 +141,9 @@ def tx_to_json(tx: Transaction) -> dict:
 
 def tx_from_json(obj: dict) -> Transaction:
     inputs = tuple(_input_from_json(i) for i in obj["inputs"])
-    outputs = tuple(
-        TxOutput(_payto_from_json(o["payto"]), int(o["amount"], 16)) for o in obj["outputs"]
-    )
+    outputs = tuple(TxOutput(_payto_from_json(o["payto"]), _int_from_hex(o["amount"])) for o in obj["outputs"])
     tag = obj.get("coinbase")
-    return Transaction(inputs, outputs, int(tag, 16) if tag is not None else None)
+    return Transaction(inputs, outputs, _int_from_hex(tag) if tag is not None else None)
 
 
 def _read_lines(data: bytes, apply: Callable[[dict], object], first: int = 1):

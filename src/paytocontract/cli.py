@@ -29,7 +29,7 @@ import paytocontract as pc
 
 from . import SCENARIOS
 from .curve import KeyPair, Point, Scalar, random_scalar
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _load_json
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _load_json, _scalar_from_hex
 from .wallet import (
     Address,
     DerivationScheme,
@@ -93,7 +93,7 @@ def _proof(data: bytes) -> Tuple[pc.DlegProof, Point]:
     obj = _load_json(data)
     shared, commit_g, commit_p, signal = (Point.decode(bytes.fromhex(obj[k])) for k in
                                           ("shared", "commit_g", "commit_p", "signal_pubkey"))
-    return pc.DlegProof(shared, commit_g, commit_p, Scalar(int(obj["response"], 16))), signal
+    return pc.DlegProof(shared, commit_g, commit_p, Scalar(_scalar_from_hex(obj["response"]))), signal
 
 
 def _keypair(data: bytes) -> KeyPair:
@@ -101,7 +101,7 @@ def _keypair(data: bytes) -> KeyPair:
     private one; a stored ``public`` other than that key's encoding makes the
     file invalid, as it then names two keys."""
     obj = _load_json(data)
-    pair = KeyPair(Scalar(int(obj["private"], 16)))
+    pair = KeyPair(Scalar(_scalar_from_hex(obj["private"])))
     if "public" in obj and bytes.fromhex(obj["public"]) != pair.public.encode():
         raise ValueError("public does not match private")
     return pair

@@ -147,7 +147,10 @@ def node_from_json(obj: dict) -> ContractNode:
         raise ProtocolError("invalid contract", "node must be an object")
     kind = obj.get("kind")
     if kind == "leaf":
-        return Leaf(bytes.fromhex(obj["salt"]), bytes.fromhex(obj["value"]), bool(obj["encrypted"]))
+        encrypted = obj["encrypted"]
+        if type(encrypted) is not bool:  # bool() would read "false" as true
+            raise ValueError(f"encrypted must be a JSON boolean, not {encrypted!r}")
+        return Leaf(bytes.fromhex(obj["salt"]), bytes.fromhex(obj["value"]), encrypted)
     if kind == "branch":
         children = {name: node_from_json(child) for name, child in obj["children"].items()}
         return Branch(bytes.fromhex(obj["salt"]), children)

@@ -71,15 +71,15 @@ def rand_bytes(n: int, rng: Optional[Random] = None) -> bytes:
     return rng.randbytes(n)
 
 
+@dataclass(frozen=True, slots=True)
 class Scalar:
     """Element of the exponent group, an integer modulo the curve order."""
 
-    __slots__ = ("value",)
+    value: int
 
-    def __init__(self, value: int):
-        if not 0 <= value < ORDER:
+    def __post_init__(self):
+        if not 0 <= self.value < ORDER:
             raise ValueError("scalar out of range")
-        object.__setattr__(self, "value", value)
 
     @classmethod
     def reduce(cls, value: int) -> Scalar:
@@ -108,21 +108,8 @@ class Scalar:
             raise ZeroDivisionError("cannot invert zero scalar")
         return Scalar(pow(self.value, -1, ORDER))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Scalar) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
     def __bool__(self) -> bool:
         return self.value != 0
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        # the default would restore ``value`` through ``__setattr__``, which refuses
-        return Scalar, (self.value,)
 
     def __repr__(self) -> str:
         return f"Scalar(0x{self.value:x})"
@@ -456,12 +443,15 @@ def _var_mul(k, x, y):
     return acc
 
 
+@dataclass(frozen=True, slots=True)
 class Point:
     """secp256k1 group element: an affine curve point or the identity."""
 
-    __slots__ = ("x", "y")
+    x: Optional[int]
+    y: Optional[int]
 
-    def __init__(self, x: Optional[int], y: Optional[int]):
+    def __post_init__(self):
+        x, y = self.x, self.y
         if (x is None) != (y is None):
             raise ValueError("both coordinates or neither")
         if x is not None:
@@ -469,8 +459,6 @@ class Point:
                 raise ValueError("coordinate out of range")
             if (y * y - x * x * x - 7) % FIELD_PRIME != 0:
                 raise ValueError("point not on curve")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     @classmethod
     def identity(cls) -> Point:
@@ -523,19 +511,6 @@ class Point:
         if self.is_identity():
             return self
         return Point(self.x, FIELD_PRIME - self.y)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
-
-    def __reduce__(self):
-        # the default would restore the slots through ``__setattr__``, which refuses
-        return Point, (self.x, self.y)
 
     def __repr__(self) -> str:
         if self.is_identity():

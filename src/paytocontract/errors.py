@@ -1,5 +1,6 @@
 """Rules every stored format shares: the error type for protocol-level failures,
-what malformed input raises, the amount bound and the one JSON form, as bytes."""
+what malformed input raises, the amount bound, the one JSON form, as bytes, and
+the one spelling of each stored integer."""
 
 import json
 
@@ -22,6 +23,24 @@ def _load_json(data: bytes):
     """The one JSON reader of stored bytes: strict UTF-8, where ``json.loads(bytes)``
     would also sniff UTF-16, UTF-32 and a BOM."""
     return json.loads(data.decode())
+
+
+def _int_from_hex(text: str) -> int:
+    """A ledger's ``index``, ``amount`` or ``coinbase`` in its one spelling, ``format(value, "x")``.
+    ``int(text, 16)`` alone also takes a sign, ``0x``, ``_``, spaces, capitals, leading
+    zeros and non-ASCII digits, which a save would then respell."""
+    value = int(text, 16)
+    if value < 0 or format(value, "x") != text:
+        raise ValueError(f"not a canonical hex integer: {text!r}")
+    return value
+
+
+def _scalar_from_hex(text: str) -> int:
+    """A keyfile's ``private`` or a proof's ``response`` in its one spelling, 64 lowercase hex digits."""
+    value = int(text, 16)
+    if value < 0 or len(text) != 64 or format(value, "064x") != text:
+        raise ValueError(f"not 64 lowercase hex digits: {text!r}")
+    return value
 
 
 class ProtocolError(Exception):

@@ -247,7 +247,9 @@ def script_from_json(items: list) -> Script:
         elif "digest" in item:
             ops.append(bytes.fromhex(item["digest"]))
         elif "push" in item:
-            ops.append(int(item["push"]))
+            if type(item["push"]) is not int:  # int() would also take "1", 1.9 and true
+                raise ValueError(f"push must be a JSON integer, not {item['push']!r}")
+            ops.append(item["push"])
         else:
             raise ValueError(f"bad script element {item!r}")
     return Script(tuple(ops))

@@ -6,7 +6,7 @@ from contextlib import suppress
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paytocontract.chain import (
@@ -20,6 +20,7 @@ from paytocontract.chain import (
     build_transaction,
     ledger_checkpoint,
     transaction_pubkeys,
+    tx_from_json,
     tx_preimage,
     tx_to_json,
 )
@@ -27,7 +28,7 @@ from paytocontract.contract import (
     build_contract, build_template, contract_hash, contract_to_json, decode_contract, encrypt_leaf,
     order_price, payment_address, redact, sign_fields, verify_contract)
 from paytocontract.curve import KeyPair, Point, ecdsa_sign, hash160, sha256
-from paytocontract.errors import ProtocolError, _dump_line
+from paytocontract.errors import ProtocolError, _dump_line, _int_from_hex, _scalar_from_hex
 from paytocontract.wallet import Address, Opcode, Script, derive_script, multisig_script, p2sh_address
 
 
@@ -1411,3 +1412,127 @@ class TestContractDecoderFuzz:
             for read in (verify_contract, payment_address, contract_hash, order_price):
                 with suppress(ProtocolError):
                     read(c)
+
+
+@st.composite
+def _ledgers(draw) -> Ledger:
+    """A faucet paying p2pkh, p2pk and 2-of-2 p2sh, a spend of each of its outputs, then
+    drawn steps: faucets of one to three outputs, and spends of an unspent output.  A
+    spend pays one or two outputs that split its amount."""
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    owner, cosigner = KeyPair.generate(rng), KeyPair.generate(rng)
+    script = multisig_script(2, (owner.public, cosigner.public))
+    kinds = [_addr(owner), owner.public, p2sh_address(script)]
+    targets, amounts = st.sampled_from(kinds), st.integers(0, MAX_AMOUNT)
+    ledger = Ledger()
+
+    def spend(txid, index):
+        prev = ledger.utxo[(txid, index)]
+        first = draw(st.integers(0, prev.amount))
+        outputs = [TxOutput(draw(targets), first)]
+        if draw(st.booleans()):
+            outputs.append(TxOutput(draw(targets), prev.amount - first))
+        if prev.payto == kinds[2]:
+            tx = build_script_spend(ledger, [(txid, index, [owner.private, cosigner.private], script)], outputs)
+        else:
+            tx = build_transaction(ledger, [(txid, index, owner.private)], outputs)
+        ledger.broadcast(tx)
+
+    funding = ledger.faucet([TxOutput(kind, draw(amounts)) for kind in kinds])
+    for index in range(3):
+        spend(funding.txid, index)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            ledger.faucet([TxOutput(draw(targets), draw(amounts)) for _ in range(draw(st.integers(1, 3)))])
+        else:
+            spend(*draw(st.sampled_from(list(ledger.utxo))))
+    return ledger
+
+
+@st.composite
+def _respelled(draw, text: str) -> str:
+    """A spelling of ``int(text, 16)`` other than ``text`` that ``int(..., 16)``
+    still reads: leading zeros dropped or added, capitals, non-ASCII decimal
+    digits, an underscore, a ``0x``, a sign, and surrounding whitespace."""
+    value = int(text, 16)
+    spelled = (text.lstrip("0") or "0") if draw(st.booleans()) else text
+    spelled = "0" * draw(st.integers(0, 2)) + spelled
+    if draw(st.booleans()):
+        spelled = spelled.upper()
+    zero = draw(st.sampled_from([None, 0xFF10, 0x0660, 0x0966]))  # fullwidth, Arabic-Indic, Devanagari
+    if zero is not None:
+        spelled = spelled.translate({ord(d): zero + int(d) for d in "0123456789"})
+    if len(spelled) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(spelled) - 1))
+        spelled = spelled[:at] + "_" + spelled[at:]
+    spelled = draw(st.sampled_from(["", "+", "-"] if value == 0 else ["", "+"])) + \
+        draw(st.sampled_from(["", "0x", "0X"])) + spelled
+    space = st.sampled_from(["", " ", "\t", "\n", "\u00a0", "\u3000"])
+    spelled = draw(space) + spelled + draw(space)
+    assume(spelled != text)
+    assert int(spelled, 16) == value
+    return spelled
+
+
+def _integer_fields(data: bytes):
+    """``(line, path)`` of each stored integer of each ledger record in ``data``."""
+    fields = []
+    for line, text in enumerate(data.splitlines(), 1):
+        record = json.loads(text)
+        if "coinbase" in record:
+            fields.append((line, ("coinbase",)))
+        fields += [(line, ("inputs", i, "index")) for i in range(len(record["inputs"]))]
+        fields += [(line, ("outputs", i, "amount")) for i in range(len(record["outputs"]))]
+    return fields
+
+
+ROUND_TRIPS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+
+class TestRoundTrips:
+    """Each stored record decodes to the transaction that wrote it and encodes
+    back to the same bytes, and a record whose integer is spelled any other way
+    is corrupt, with or without a checkpoint over it."""
+
+    @ROUND_TRIPS
+    @given(_ledgers())
+    def test_each_record_decodes_to_its_transaction_and_encodes_to_its_line(self, ledger):
+        data = ledger.to_jsonl()
+        lines = data.split(b"\n")
+        assert lines.pop() == b""
+        for tx, line in zip(ledger.transactions, lines, strict=True):
+            back = tx_from_json(json.loads(line))
+            assert back == tx and back.txid == tx.txid
+            assert _dump_line(tx_to_json(back)) == line
+        assert Ledger.from_jsonl(data).to_jsonl() == data
+
+    @settings(ROUND_TRIPS, max_examples=200)
+    @given(st.integers(0, 2 ** 256 - 1), st.data())
+    def test_each_reader_takes_its_one_spelling_only(self, value, data):
+        for read, spec in ((_int_from_hex, "x"), (_scalar_from_hex, "064x")):
+            text = format(value, spec)
+            assert read(text) == value
+            respelled = data.draw(_respelled(text))
+            with pytest.raises(ValueError):
+                read(respelled)
+            for other in (value, None, True, float(value % 10), [text]):
+                with pytest.raises(TypeError):
+                    read(other)
+
+    @ROUND_TRIPS
+    @given(st.sampled_from(_integer_fields(RULES_LEDGER)), st.data())
+    def test_a_respelled_integer_is_a_corrupt_record(self, field, data):
+        line, path = field
+        lines = RULES_LEDGER.splitlines(keepends=True)
+        record = json.loads(lines[line - 1])
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = data.draw(_respelled(parent[path[-1]]))
+        edited = b"".join(lines[:line - 1] + [_dump_line(record) + b"\n"] + lines[line:])
+        # the record past a checkpointed prefix, with no checkpoint, and inside the prefix
+        for checkpoint in (None, ledger_checkpoint(_prefix(edited, line - 1)),
+                           ledger_checkpoint(_prefix(edited, line))):
+            with pytest.raises(ProtocolError) as exc:
+                Ledger.from_jsonl(edited, checkpoint)
+            assert exc.value.code == "corrupt-record" and f"line {line}: ValueError(" in str(exc.value)

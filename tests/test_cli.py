@@ -505,6 +505,15 @@ class TestInputFaults:
         assert not (tmp_path / "out.json").exists()
 
 
+def _respellings(text: str) -> dict:
+    """Spellings other than ``text`` that ``int(..., 16)`` reads as the same integer, by name."""
+    spellings = {"prefix": "0x" + text, "spaces": f" {text} ", "sign": "+" + text, "leading-zero": "0" + text,
+                 "capitals": text.upper(), "underscore": text[0] + "_" + text[1:] if len(text) > 1 else text,
+                 "fullwidth": text.translate({ord(d): ord(d) + 0xFEE0 for d in "0123456789"})}
+    assert all(int(spelling, 16) == int(text, 16) for spelling in spellings.values())
+    return {name: spelling for name, spelling in spellings.items() if spelling != text}
+
+
 def _domain_error(capsys, argv) -> str:
     """Run ``p2c``; it must exit 1 with a JSON error on stdout.  Returns the code."""
     code, out, _ = _run_main(capsys, argv)
@@ -644,7 +653,8 @@ class TestCorruptFiles:
         assert _domain_error(capsys, argv) == code
 
     @pytest.mark.parametrize("text", ['[{"push": 1}, "zz"]', '[{"pubkey": "zz"}]', "[]", "{}",
-                                      '[{"push": 17}]', '[{"push": 1e999}]'])
+                                      '[{"push": 17}]', '[{"push": 1e999}]', '[{"push": true}]',
+                                      '[{"push": "1"}]', '[{"push": 1.0}]', '[{"push": 1.9}]'])
     def test_malformed_script_element(self, capsys, tmp_path, text):
         path, argv, _ = self._file_and_argv(tmp_path, "script")
         path.write_text(text)
@@ -769,6 +779,76 @@ class TestCorruptFiles:
         assert _domain_error(capsys, [
             "--state-dir", str(tmp_path / "state"), "dh", "verify", "--proof", str(proof),
             "--merchant", self.MERCHANT]) == "invalid-point"
+
+    # a private key with both hex letters and decimal digits, as ``keygen`` spells it
+    PRIVATE = format(ORDER - 2, "064x")
+
+    @pytest.mark.parametrize("private", ["0x1", " 1 ", "1_0", "+1", "AB", "1", *_respellings(PRIVATE).values()],
+                             ids=["0x1", "spaced-1", "1_0", "+1", "AB", "1", *_respellings(PRIVATE)])
+    def test_a_keyfile_private_key_has_one_spelling(self, capsys, tmp_path, private):
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps({"private": self.PRIVATE}))
+        assert _read(key, KEYFILE) == KeyPair(Scalar(ORDER - 2))
+        key.write_text(json.dumps({"private": private}))
+        assert _domain_error(capsys, [
+            "--state-dir", str(tmp_path / "state"), "dh", "prove", "--key", str(key),
+            "--merchant", self.MERCHANT]) == "invalid-keyfile"
+
+    def test_a_proof_response_has_one_spelling(self, capsys, tmp_path):
+        key, proof = tmp_path / "key.json", tmp_path / "proof.json"
+        key.write_text(json.dumps(self.GOOD_KEY))
+        assert _run_main(capsys, ["--seed", "3", "dh", "prove", "--key", str(key), "--merchant", self.MERCHANT,
+                                  "--out", str(proof)])[0] == 0
+        good = json.loads(proof.read_text())
+        verify = ["dh", "verify", "--proof", str(proof), "--merchant", self.MERCHANT]
+        assert _run_main(capsys, verify)[0] == 0
+        respellings = _respellings(good["response"])
+        assert len(respellings) == 7  # the response has letters and digits
+        for response in respellings.values():
+            proof.write_text(json.dumps(dict(good, response=response)))
+            assert _domain_error(capsys, verify) == "invalid-proof", response
+
+    @staticmethod
+    def _three_records() -> list:
+        """A faucet paying 16 (amount "10"), a second faucet (coinbase "1") and a
+        spend of its output 0 (index "0"), each a record line."""
+        payer = KeyPair.generate(Random(41))
+        ledger = Ledger()
+        ledger.faucet([TxOutput(p2pkh_address(payer.public), 16)])
+        funded = ledger.faucet([TxOutput(p2pkh_address(payer.public), 7)])
+        ledger.broadcast(build_transaction(ledger, [(funded.txid, 0, payer.private)],
+                                           [TxOutput(p2pkh_address(payer.public), 7)]))
+        return ledger.to_jsonl().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("line, field, canonical", [
+        (1, ("outputs", 0, "amount"), "10"), (2, ("coinbase",), "1"), (3, ("inputs", 0, "index"), "0")],
+        ids=["amount", "coinbase", "index"])
+    def test_a_ledger_integer_has_one_spelling(self, capsys, tmp_path, line, field, canonical):
+        # ``to_jsonl`` writes ``format(v, "x")``; any other spelling would load as the
+        # same transaction and be written back respelled
+        state = tmp_path / "state"
+        state.mkdir()
+        records = self._three_records()
+        show = ["--state-dir", str(state), "chain", "show"]
+        (state / "ledger.jsonl").write_bytes(b"".join(records))
+        assert _run_main(capsys, show)[0] == 0
+        for spelling in _respellings(canonical).values():
+            record = json.loads(records[line - 1])
+            parent = record
+            for step in field[:-1]:
+                parent = parent[step]
+            assert parent[field[-1]] == canonical
+            parent[field[-1]] = spelling
+            edited = records[:line - 1] + [json.dumps(record).encode() + b"\n"] + records[line:]
+            (state / "ledger.jsonl").write_bytes(b"".join(edited))
+            (state / "ledger.ckpt").unlink(missing_ok=True)
+            for checkpoint in (None, ledger_checkpoint(b"".join(records[:line - 1]))):
+                if checkpoint is not None:  # the record lies past the checkpointed prefix
+                    (state / "ledger.ckpt").write_bytes(checkpoint)
+                code, out, _ = _run_main(capsys, show)
+                payload = json.loads(out)
+                assert (code, payload["error"]) == (1, "corrupt-record"), spelling
+                assert payload["message"].startswith(f"corrupt record: line {line}: ValueError(")
 
     def test_a_decoders_own_error_keeps_its_code_and_names_the_file(self, capsys, tmp_path):
         off_curve = "02" + "00" * 31 + "05"

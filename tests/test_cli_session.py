@@ -14,6 +14,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -224,6 +226,29 @@ def test_session_matches_its_golden(tmp_path, monkeypatch):
     for line in golden[:9]:
         seeded.update({Path(name).name: digest for name, digest in line["files"].items()})
     assert seeded == SEEDED_P2C_FILES
+
+
+def _cold(state: Path, *args) -> subprocess.CompletedProcess:
+    """One ``p2c`` command in a fresh interpreter, started as a user starts it."""
+    return subprocess.run([sys.executable, "-m", "paytocontract.cli", "--state-dir", str(state), *args],
+                          capture_output=True, text=True)
+
+
+def test_cold_commands_exit_with_the_code_of_their_outcome(tmp_path):
+    # the session runs in-process; three children check the process boundary itself:
+    # a success, a library error and a usage error, none with a traceback
+    state = tmp_path / "state"
+    keygen = _cold(state, "keygen")
+    assert (keygen.returncode, keygen.stderr) == (0, "")
+    assert set(json.loads(keygen.stdout)) == {"private", "public"}
+    missing = _cold(state, "chain", "show", "ffff")
+    assert (missing.returncode, missing.stderr) == (1, "")
+    assert json.loads(missing.stdout) == {"error": "no-such-transaction", "message": "no such transaction: ffff"}
+    usage = _cold(state, "chain", "show", "zz")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert usage.stderr.startswith("Usage: p2c chain show [OPTIONS] [TXID]\n")
+    assert "Error: Invalid value for '[TXID]': bad txid 'zz'" in usage.stderr
+    assert not any("Traceback" in child.stderr for child in (keygen, missing, usage))
 
 
 if __name__ == "__main__":

@@ -532,6 +532,21 @@ class TestContractCodec:
             decode_contract(json.dumps(obj).encode())
         assert exc.value.code == "invalid-contract" and repr(path) in str(exc.value)
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}])
+    def test_the_encrypted_flag_is_a_json_boolean(self, flag):
+        # ``bool("false")`` is true, which would read a plain price as encrypted
+        rng = Random(59)
+        obj = contract_to_json(_sample_contract(rng, KeyPair.generate(rng)))
+        price = obj["root"]["children"]["order"]["children"]["price"]
+        for genuine in (False, True):
+            price["encrypted"] = genuine
+            report = verify_contract(decode_contract(json.dumps(obj).encode()))
+            assert report.ok and report.encrypted_paths == (("order/price",) if genuine else ())
+        price["encrypted"] = flag
+        with pytest.raises(ProtocolError) as exc:
+            decode_contract(json.dumps(obj).encode())
+        assert exc.value.code == "invalid-contract" and "JSON boolean" in str(exc.value)
+
 
 class TestProperties:
     def test_redaction_invariance_over_random_subsets(self):

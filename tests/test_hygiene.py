@@ -291,3 +291,67 @@ def test_preimage_check_catches_a_planted_call():
                              "        preimage = chain.tx_preimage(tx.inputs, tx.outputs)\n")
     assert _preimage_callers("chain.py", planted) == PREIMAGE_CALLERS | {"chain.py:Ledger._validate"}
     assert _preimage_callers("cli.py", "def f():\n    return [tx_preimage(i, o) for i, o in x]\n") == {"cli.py:f"}
+
+
+# Value types are frozen dataclasses, which generate the equality, hashing and
+# refused assignment that a hand-rolled immutable class writes itself, and which
+# copy and pickle without help.  So no class defines ``__setattr__``, and only
+# ``Signature`` defines ``__reduce__``: a ``bytes`` whose constructor takes (r, s).
+SETATTR_OWNERS = set()
+REDUCE_OWNERS = {"curve.py:Signature"}
+
+
+def _defining_classes(name: str, source: str, method: str):
+    """``module:Class`` of each class in ``source`` whose body defines or assigns ``method``."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if method in names:
+                found.add(f"{name}:{node.name}")
+    return found
+
+
+def _package_classes_defining(method: str):
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _defining_classes(path.name, path.read_text(), method)
+    return found
+
+
+def test_no_class_defines_setattr():
+    assert _package_classes_defining("__setattr__") == SETATTR_OWNERS
+
+
+def test_setattr_check_catches_a_planted_method():
+    source = (PACKAGE / "curve.py").read_text()
+    planted = source.replace("    def __post_init__(self):\n        x, y = self.x, self.y\n",
+                             "    def __setattr__(self, name, value):\n"
+                             "        raise AttributeError(name)\n\n"
+                             "    def __post_init__(self):\n        x, y = self.x, self.y\n")
+    assert _defining_classes("curve.py", planted, "__setattr__") == {"curve.py:Point"}
+    assert _defining_classes("chain.py", "class A:\n    __setattr__ = f\n", "__setattr__") == {"chain.py:A"}
+    assert _defining_classes("chain.py", "class A:\n    class B:\n        def __setattr__(s, n, v):\n"
+                             "            pass\n", "__setattr__") == {"chain.py:B"}
+    assert _defining_classes("chain.py", "def __setattr__(s, n, v):\n    pass\n", "__setattr__") == set()
+
+
+def test_only_signature_defines_reduce():
+    assert _package_classes_defining("__reduce__") == REDUCE_OWNERS
+
+
+def test_reduce_check_catches_a_planted_method():
+    source = (PACKAGE / "curve.py").read_text()
+    planted = source.replace("    value: int\n",
+                             "    value: int\n\n"
+                             "    def __reduce__(self):\n        return Scalar, (self.value,)\n", 1)
+    assert _defining_classes("curve.py", planted, "__reduce__") == REDUCE_OWNERS | {"curve.py:Scalar"}
+    assert _defining_classes("wallet.py", "class A:\n    __reduce__: object = f\n", "__reduce__") == {"wallet.py:A"}

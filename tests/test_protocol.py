@@ -942,3 +942,43 @@ class TestTrustStore:
         trust.add("acme", KeyPair.generate(rng).public)
         with pytest.raises(ProtocolError, match="alias exists"):
             trust.add("acme", KeyPair.generate(rng).public)
+
+
+class TestUntrustedMerchant:
+    """"Secure even if the merchant's online infrastructure is compromised": a
+    served template may name any key, the customer pays only a key it already
+    trusts, and the address it pays is fixed by that key and the contract hash."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(st.integers(1, ORDER - 1), st.lists(st.integers(1, ORDER - 1), max_size=3), st.integers(0, 2 ** 32))
+    def test_a_template_for_a_key_the_customer_does_not_trust_is_refused(self, merchant, trusted, seed):
+        rng = Random(seed)
+        pair = KeyPair(Scalar(merchant))
+        template = sign_fields(build_template(pair.public, {"terms": "t"}, rng), pair.private, ["merchant"])
+        c = build_contract(template, {"item": "widget", "price": rng.randrange(1, 10 ** 5)}, rng)
+        trust = CustomerTrustStore()
+        for i, k in enumerate(k for k in trusted if k != merchant):
+            trust.add(f"merchant-{i}", G ** Scalar(k))
+        ledger = Ledger()
+        customer = KeyPair.generate(rng)
+        funding = ledger.faucet([TxOutput(_addr(customer), 10 ** 5)])
+        before, asked = ledger.to_jsonl(), []
+        with pytest.raises(ProtocolError) as exc:
+            customer_approve_and_pay(c, trust, [(funding.txid, 0, customer.private)], ledger,
+                                     lambda contract, alias: asked.append(alias) or True)
+        assert exc.value.code == "untrusted-merchant"
+        assert (len(ledger), ledger.to_jsonl(), asked) == (1, before, [])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(st.integers(1, ORDER - 1), st.integers(0, 2 ** 32))
+    def test_the_payment_address_depends_only_on_the_merchant_key_and_the_contract_hash(self, merchant, seed):
+        rng = Random(seed)
+        pair = KeyPair(Scalar(merchant))
+        c = build_contract(build_template(pair.public, {"terms": "t"}, rng),
+                           {"item": "widget", "price": 4200, "delivery_address": "1 Pier Rd"}, rng)
+        tweak = int.from_bytes(sha256(contract_hash(c)), "big") % oracle.N
+        x, y = oracle.point_add(oracle.as_tuple(pair.public), oracle.point_mul(tweak, oracle.G))
+        expected = Address("p2pkh", hash160(bytes([2 + (y & 1)]) + x.to_bytes(32, "big")))
+        assert payment_address(c) == expected
+        # a receipt with its order details redacted keeps the hash, and so the address
+        assert payment_address(redact(redact(c, "order/delivery_address"), "order/item")) == expected

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from random import Random
 
 import pytest
@@ -261,3 +262,14 @@ class TestScripts:
         p1, _ = self._two_keys()
         script = Script((Opcode.HASH160, b"\x22" * 20, Opcode.EQUAL, 3, p1))
         assert script_from_json(script_to_json(script)) == script
+
+    # any sequence of the four element kinds, keys of either parity among them
+    SCRIPT_ELEMENTS = st.one_of(st.integers(1, 16), st.sampled_from(list(Opcode)),
+                                st.binary(min_size=20, max_size=20),
+                                st.integers(1, ORDER - 1).map(lambda k: G ** Scalar(k)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.lists(SCRIPT_ELEMENTS, min_size=1, max_size=8).map(lambda ops: Script(tuple(ops))))
+    def test_every_script_round_trips_through_bytes_and_json(self, script):
+        assert Script.deserialize(script.serialize()) == script
+        assert script_from_json(json.loads(json.dumps(script_to_json(script)))) == script
