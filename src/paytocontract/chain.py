@@ -5,9 +5,9 @@ spends -- no blocks, mining, or consensus, because the protocol only needs
 a public record.  ``FileStore`` is a write-once filesystem keyed by 32-byte
 digest filenames.
 
-Both serialize as JSON Lines bytes, one canonical record per ``\n``, with
-integers as lowercase hex in the one spelling ``format(v, "x")`` that a load
-accepts, which keeps txids and bytes stable across save/load.
+Both serialize as JSON Lines bytes, one canonical record per ``\n``, every field
+in the one spelling a load accepts, ``format(v, "x")`` for an integer and
+``bytes.hex()`` for bytes, which keeps txids and bytes stable across save/load.
 A ``ledger_checkpoint`` binds the length and hash of ledger bytes that were
 validated, so that a reload commits that prefix without verifying it again.
 """
@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .curve import (G, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, ecdsa_verify_openssl,
                     hash160, sha256)
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _int_from_hex, _load_json
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _bytes_from_hex, _dump_line, _int_from_hex, _load_json
 from .wallet import Address, Script, p2pkh_address
 
 # an output pays either an address or an explicit pubkey (pay-to-pubkey)
@@ -90,8 +90,8 @@ def _payto_to_json(payto: PayTarget) -> dict:
 
 def _payto_from_json(obj: dict) -> PayTarget:
     if obj["kind"] == "p2pk":
-        return Point.decode(bytes.fromhex(obj["pubkey"]))
-    return Address(obj["kind"], bytes.fromhex(obj["digest"]))
+        return Point.decode(_bytes_from_hex(obj["pubkey"]))
+    return Address(obj["kind"], _bytes_from_hex(obj["digest"]))
 
 
 def _input_to_json(inp: TxInput, with_sigs: bool) -> dict:
@@ -108,18 +108,18 @@ def _input_to_json(inp: TxInput, with_sigs: bool) -> dict:
 
 
 def _input_from_json(obj: dict) -> TxInput:
-    prev_txid = bytes.fromhex(obj["prev_txid"])
+    prev_txid = _bytes_from_hex(obj["prev_txid"])
     index = _int_from_hex(obj["index"])
     if "script" in obj:
-        script = Script.deserialize(bytes.fromhex(obj["script"]))
-        sigs = tuple(Signature.from_bytes(bytes.fromhex(s)) for s in obj.get("signatures", []))
+        script = Script.deserialize(_bytes_from_hex(obj["script"]))
+        sigs = tuple(Signature.from_bytes(_bytes_from_hex(s)) for s in obj.get("signatures", []))
         return TxInput(prev_txid, index, redeem_script=script, signatures=sigs)
     sig = obj.get("signature")
     return TxInput(
         prev_txid,
         index,
-        pubkey=Point.decode(bytes.fromhex(obj["pubkey"])),
-        signature=Signature.from_bytes(bytes.fromhex(sig)) if sig else None,
+        pubkey=Point.decode(_bytes_from_hex(obj["pubkey"])),
+        signature=Signature.from_bytes(_bytes_from_hex(sig)) if sig else None,
     )
 
 
@@ -511,6 +511,6 @@ class FileStore:
     @classmethod
     def from_jsonl(cls, data: bytes) -> FileStore:
         store = cls()
-        _read_lines(data, lambda obj: store.put(bytes.fromhex(obj["name"]),
-                                                bytes.fromhex(obj["data"])))
+        _read_lines(data, lambda obj: store.put(_bytes_from_hex(obj["name"]),
+                                                _bytes_from_hex(obj["data"])))
         return store

@@ -28,8 +28,8 @@ import click
 import paytocontract as pc
 
 from . import SCENARIOS
-from .curve import KeyPair, Point, Scalar, random_scalar
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _load_json, _scalar_from_hex
+from .curve import KeyPair, Point, Scalar
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _bytes_from_hex, _load_json
 from .wallet import (
     Address,
     DerivationScheme,
@@ -91,9 +91,9 @@ def _write(path: Path, data: bytes, private: bool = False):
 def _proof(data: bytes) -> Tuple[pc.DlegProof, Point]:
     """A ``dh prove --out`` record: the proof and its signal pubkey."""
     obj = _load_json(data)
-    shared, commit_g, commit_p, signal = (Point.decode(bytes.fromhex(obj[k])) for k in
+    shared, commit_g, commit_p, signal = (Point.decode(_bytes_from_hex(obj[k])) for k in
                                           ("shared", "commit_g", "commit_p", "signal_pubkey"))
-    return pc.DlegProof(shared, commit_g, commit_p, Scalar(_scalar_from_hex(obj["response"]))), signal
+    return pc.DlegProof(shared, commit_g, commit_p, Scalar.from_bytes(_bytes_from_hex(obj["response"]))), signal
 
 
 def _keypair(data: bytes) -> KeyPair:
@@ -101,8 +101,8 @@ def _keypair(data: bytes) -> KeyPair:
     private one; a stored ``public`` other than that key's encoding makes the
     file invalid, as it then names two keys."""
     obj = _load_json(data)
-    pair = KeyPair(Scalar(_scalar_from_hex(obj["private"])))
-    if "public" in obj and bytes.fromhex(obj["public"]) != pair.public.encode():
+    pair = KeyPair(Scalar.from_bytes(_bytes_from_hex(obj["private"])))
+    if "public" in obj and obj["public"] != pair.public.encode().hex():
         raise ValueError("public does not match private")
     return pair
 
@@ -258,8 +258,8 @@ def _save_record(cfg: CliConfig, record: dict, out: Optional[Path], summary: str
 @pass_config
 def keygen(cfg: CliConfig, out: Optional[Path]):
     """Generate a keypair (reproducible with --seed)."""
-    pair = KeyPair(random_scalar(cfg.rng()))
-    record = {"private": format(pair.private.value, "064x"),
+    pair = KeyPair.generate(cfg.rng())
+    record = {"private": pair.private.to_bytes().hex(),
               "public": pair.public.encode().hex()}
     _save_record(cfg, record, out, "public", private=True)
 
@@ -506,7 +506,7 @@ def signal_attach(cfg: CliConfig, key_path: str, merchant_pub: Point, outpoints,
         outputs, value = pc.attach_signal([], pair, merchant_pub, amount, pc.SignalVariant(variant))
         txid = ledger.broadcast(pc.build_transaction(ledger, spends, outputs, change)).txid
     cfg.save_ledger(ledger)
-    cfg.emit({"txid": txid.hex(), "value": format(value.value, "064x")})
+    cfg.emit({"txid": txid.hex(), "value": value.to_bytes().hex()})
 
 
 @signal.command("scan")
@@ -522,7 +522,7 @@ def signal_scan(cfg: CliConfig, key_path: str, watermark: int, include_customer_
     records = pc.merchant_scan_signals(identity, ledger, watermark, include_customer_controlled)
     cfg.emit({"signals": [
         {"signal_pubkey": r.signal_pubkey.encode().hex(),
-         "value": format(r.value.value, "064x"),
+         "value": r.value.to_bytes().hex(),
          "txid": r.txid.hex()} for r in records
     ]})
 
@@ -545,7 +545,7 @@ def dh_prove(cfg: CliConfig, key_path: str, merchant: Point, out: Optional[Path]
         "shared": proof.shared.encode().hex(),
         "commit_g": proof.commit_g.encode().hex(),
         "commit_p": proof.commit_p.encode().hex(),
-        "response": format(proof.response.value, "064x"),
+        "response": proof.response.to_bytes().hex(),
         "signal_pubkey": pair.public.encode().hex(),
     }
     _save_record(cfg, record, out, "shared")

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .curve import G, KeyPair, Point, Scalar, Signature, ecdsa_sign, ecdsa_verify, rand_bytes, sha256
-from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _dump_line, _load_json
+from .errors import MALFORMED, MAX_AMOUNT, ProtocolError, _bytes_from_hex, _dump_line, _load_json
 from .sealing import open_sealed, seal
 from .wallet import Address, derive_address, derive_private
 
@@ -57,7 +57,8 @@ def check_name(name: str):
 @dataclass(frozen=True)
 class Leaf:
     """A field value.  ``digest`` is its salted Merkle digest, hashed once at
-    construction."""
+    construction behind a domain byte that commits to ``encrypted``: 0x00 for a
+    plain leaf, 0x02 for an encrypted one (0x01 is a branch's)."""
 
     salt: bytes
     value: bytes
@@ -66,7 +67,7 @@ class Leaf:
 
     def __post_init__(self):
         _check_salt(self.salt)
-        object.__setattr__(self, "digest", sha256(b"\x00" + self.salt + self.value))
+        object.__setattr__(self, "digest", sha256((b"\x02" if self.encrypted else b"\x00") + self.salt + self.value))
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,12 @@ def node_from_json(obj: dict) -> ContractNode:
         encrypted = obj["encrypted"]
         if type(encrypted) is not bool:  # bool() would read "false" as true
             raise ValueError(f"encrypted must be a JSON boolean, not {encrypted!r}")
-        return Leaf(bytes.fromhex(obj["salt"]), bytes.fromhex(obj["value"]), encrypted)
+        return Leaf(_bytes_from_hex(obj["salt"]), _bytes_from_hex(obj["value"]), encrypted)
     if kind == "branch":
         children = {name: node_from_json(child) for name, child in obj["children"].items()}
-        return Branch(bytes.fromhex(obj["salt"]), children)
+        return Branch(_bytes_from_hex(obj["salt"]), children)
     if kind == "redacted":
-        return Redacted(bytes.fromhex(obj["digest"]))
+        return Redacted(_bytes_from_hex(obj["digest"]))
     raise ValueError(f"unknown node kind {kind!r}")
 
 
@@ -492,7 +493,7 @@ def _signatures_from_json(obj: dict) -> Dict[str, Signature]:
     sigs = {}
     for path, sig in obj.items():
         parse_path(path)
-        sigs[path] = Signature.from_bytes(bytes.fromhex(sig))
+        sigs[path] = Signature.from_bytes(_bytes_from_hex(sig))
     return sigs
 
 
@@ -501,7 +502,7 @@ def _signatures_from_json(obj: dict) -> Dict[str, Signature]:
 @functools.lru_cache(maxsize=16)
 def _decode_key(text: str) -> Point:
     """``Point.decode`` of a contract key's hex."""
-    return Point.decode(bytes.fromhex(text))
+    return Point.decode(_bytes_from_hex(text))
 
 
 def contract_from_json(obj: dict) -> Contract:

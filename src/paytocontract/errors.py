@@ -1,6 +1,6 @@
 """Rules every stored format shares: the error type for protocol-level failures,
 what malformed input raises, the amount bound, the one JSON form, as bytes, and
-the one spelling of each stored integer."""
+the one spelling of each stored integer and byte string."""
 
 import json
 
@@ -35,12 +35,13 @@ def _int_from_hex(text: str) -> int:
     return value
 
 
-def _scalar_from_hex(text: str) -> int:
-    """A keyfile's ``private`` or a proof's ``response`` in its one spelling, 64 lowercase hex digits."""
-    value = int(text, 16)
-    if value < 0 or len(text) != 64 or format(value, "064x") != text:
-        raise ValueError(f"not 64 lowercase hex digits: {text!r}")
-    return value
+def _bytes_from_hex(text: str) -> bytes:
+    """Any other stored byte string in its one spelling, ``bytes.hex()``'s.  ``bytes.fromhex``
+    alone also takes capitals and ASCII whitespace, which a save would then respell."""
+    data = bytes.fromhex(text)
+    if data.hex() != text:
+        raise ValueError("hex not lowercase or not without whitespace")
+    return data
 
 
 class ProtocolError(Exception):

@@ -255,8 +255,9 @@ def merchant_scan_signals(
     variants = list(SignalVariant) if include_customer_controlled else [SignalVariant.MERCHANT_CONTROLLED]
     txs = ledger.transactions[watermark:]
     tx_points = [dict.fromkeys(transaction_pubkeys(tx)) for tx in txs]
+    # a txid encodes every pubkey of its transaction, so none is the identity and each has a value
     distinct = list(dict.fromkeys(point for points in tx_points for point in points))
-    values = {point: Scalar.reduce(x) for point, x in zip(distinct, shared_xs(priv, distinct)) if x is not None}
+    values = {point: Scalar.reduce(x) for point, x in zip(distinct, shared_xs(priv, distinct))}
     addresses = derive_addresses([(_signal_base(v, pub, point), value.to_bytes())
                                   for point, value in values.items() for v in variants])
     n = len(variants)
@@ -267,8 +268,6 @@ def merchant_scan_signals(
     for tx, points in zip(txs, tx_points):
         out_addresses = {o.payto for o in tx.outputs if isinstance(o.payto, Address)}
         for point in points:
-            if point not in candidates:
-                continue
             value, addresses = candidates[point]
             if any(a in out_addresses for a in addresses) and value.value not in seen_values:
                 seen_values.add(value.value)
@@ -299,16 +298,13 @@ def prove_dh(s: Scalar, merchant_pub: Point, rng: Optional[Random] = None) -> Dl
 
 
 def verify_dh(proof: DlegProof, signal_pub: Point, merchant_pub: Point) -> bool:
-    """Check the two exponent equations under the recomputed challenge."""
-    try:
-        if any(p.is_identity() for p in (proof.shared, proof.commit_g, proof.commit_p)):
-            return False
-        v = _dleq_challenge(merchant_pub, proof.shared, proof.commit_g, proof.commit_p)
-        if G ** proof.response != proof.commit_g * signal_pub ** v:
-            return False
-        return fixed_base(merchant_pub) ** proof.response == proof.commit_p * proof.shared ** v
-    except (ProtocolError, ValueError, AttributeError):
+    """Check the two exponent equations under the recomputed challenge; an identity point reads invalid."""
+    if any(p.is_identity() for p in (merchant_pub, proof.shared, proof.commit_g, proof.commit_p)):
         return False
+    v = _dleq_challenge(merchant_pub, proof.shared, proof.commit_g, proof.commit_p)
+    if G ** proof.response != proof.commit_g * signal_pub ** v:
+        return False
+    return fixed_base(merchant_pub) ** proof.response == proof.commit_p * proof.shared ** v
 
 
 # ---------------------------------------------------------------------------

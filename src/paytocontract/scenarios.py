@@ -51,6 +51,8 @@ STATIC_FIELDS = {
     "pricelist": "widget=90000 gadget=120000 ebook=70000",
 }
 
+STATIC_PATHS = ("merchant/pubkey", "merchant/terms", "merchant/pricelist")
+
 ORDER_FIELDS = {
     "item": "widget",
     "quantity": "1",
@@ -84,12 +86,12 @@ def _sweep(ledger: Ledger, identity: MerchantIdentity, contract: Contract, payin
                                               [TxOutput(treasury, amount)])), treasury
 
 
-def _merchant_setup(t: _Transcript, rng: Random, static_paths=("merchant/pubkey", "merchant/terms", "merchant/pricelist")):
+def _merchant_setup(t: _Transcript, rng: Random):
     identity = MerchantIdentity(KeyPair.generate(rng))
     t.emit("merchant-setup", "merchant", pubkey=identity.reputation.public.encode().hex())
     template = build_template(identity.reputation.public, STATIC_FIELDS, rng)
-    template = sign_fields(template, identity.reputation.private, list(static_paths))
-    t.emit("template-signed", "merchant", signed_paths=list(static_paths))
+    template = sign_fields(template, identity.reputation.private, STATIC_PATHS)
+    t.emit("template-signed", "merchant", signed_paths=list(STATIC_PATHS))
     return identity, template
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .curve import G, Point, Scalar, hash160, hash_to_scalar, tweak_points
-from .errors import ProtocolError
+from .errors import ProtocolError, _bytes_from_hex
 
 Label = Union[bytes, str]
 
@@ -243,9 +243,9 @@ def script_from_json(items: list) -> Script:
         if "op" in item:
             ops.append(Opcode(item["op"]))
         elif "pubkey" in item:
-            ops.append(Point.decode(bytes.fromhex(item["pubkey"])))
+            ops.append(Point.decode(_bytes_from_hex(item["pubkey"])))
         elif "digest" in item:
-            ops.append(bytes.fromhex(item["digest"]))
+            ops.append(_bytes_from_hex(item["digest"]))
         elif "push" in item:
             if type(item["push"]) is not int:  # int() would also take "1", 1.9 and true
                 raise ValueError(f"push must be a JSON integer, not {item['push']!r}")

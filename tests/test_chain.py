@@ -25,10 +25,10 @@ from paytocontract.chain import (
     tx_to_json,
 )
 from paytocontract.contract import (
-    build_contract, build_template, contract_hash, contract_to_json, decode_contract, encrypt_leaf,
-    order_price, payment_address, redact, sign_fields, verify_contract)
+    build_contract, build_template, contract_hash, contract_to_json, decode_contract, encode_contract,
+    encrypt_leaf, order_price, payment_address, redact, sign_fields, verify_contract)
 from paytocontract.curve import KeyPair, Point, ecdsa_sign, hash160, sha256
-from paytocontract.errors import ProtocolError, _dump_line, _int_from_hex, _scalar_from_hex
+from paytocontract.errors import ProtocolError, _bytes_from_hex, _dump_line, _int_from_hex
 from paytocontract.wallet import Address, Opcode, Script, derive_script, multisig_script, p2sh_address
 
 
@@ -1474,6 +1474,50 @@ def _respelled(draw, text: str) -> str:
     return spelled
 
 
+# what ``bytes.fromhex`` skips between two bytes
+ASCII_SPACE = " \t\n\r\x0b\x0c"
+
+
+@st.composite
+def _respelled_hex(draw, text: str) -> str:
+    """A spelling of ``bytes.fromhex(text)`` other than ``text`` that ``bytes.fromhex``
+    still reads: some hex letters capitalised, and ASCII whitespace between bytes."""
+    chars, letters = list(text), [at for at, c in enumerate(text) if c in "abcdef"]
+    for at in draw(st.sets(st.sampled_from(letters))) if letters else ():
+        chars[at] = chars[at].upper()
+    pairs = ["".join(chars[at:at + 2]) for at in range(0, len(chars), 2)]
+    gaps = draw(st.lists(st.text(ASCII_SPACE, max_size=2), min_size=len(pairs) + 1, max_size=len(pairs) + 1))
+    if chars == list(text) and not any(gaps):
+        gaps[draw(st.integers(0, len(pairs)))] = draw(st.sampled_from(ASCII_SPACE))
+    spelled = gaps[0] + "".join(pair + gap for pair, gap in zip(pairs, gaps[1:]))
+    assert spelled != text and bytes.fromhex(spelled) == bytes.fromhex(text)
+    return spelled
+
+
+def _byte_fields(obj, path=()):
+    """The path of each stored byte string in ``obj``, a record's or a file's JSON:
+    every string but a ``kind``, an ``op`` and a ledger integer."""
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [field for key, value in items for field in _byte_fields(value, path + (key,))]
+    return [path] if isinstance(obj, str) and path[-1] not in ("kind", "op", "index", "amount", "coinbase") else []
+
+
+def _record_byte_fields(data: bytes):
+    """``(line, path)`` of each stored byte string of each record in ``data``."""
+    return [(line, path) for line, text in enumerate(data.splitlines(), 1) for path in _byte_fields(json.loads(text))]
+
+
+def _respelled_at(obj, path, respell):
+    """A deep copy of ``obj`` with the string at ``path`` replaced by ``respell(it)``."""
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = respell(parent[path[-1]])
+    return obj
+
+
 def _integer_fields(data: bytes):
     """``(line, path)`` of each stored integer of each ledger record in ``data``."""
     fields = []
@@ -1489,10 +1533,51 @@ def _integer_fields(data: bytes):
 ROUND_TRIPS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 
+def _refused_at_every_checkpoint(data: bytes, line: int, record: dict):
+    """``data`` with line ``line`` replaced by ``record`` is a corrupt record at that
+    line past a checkpointed prefix, with no checkpoint, and inside the prefix."""
+    lines = data.splitlines(keepends=True)
+    edited = b"".join(lines[:line - 1] + [_dump_line(record) + b"\n"] + lines[line:])
+    for checkpoint in (None, ledger_checkpoint(_prefix(edited, line - 1)), ledger_checkpoint(_prefix(edited, line))):
+        with pytest.raises(ProtocolError) as exc:
+            Ledger.from_jsonl(edited, checkpoint)
+        assert exc.value.code == "corrupt-record" and f"line {line}: ValueError(" in str(exc.value)
+
+
+@st.composite
+def _contracts(draw):
+    """A contract file as ``encode_contract`` writes it: drawn static and order
+    fields, optionally a tracking key, static and dynamic signatures, an encrypted
+    leaf and a redacted one."""
+    rng = Random(draw(st.integers(0, 2 ** 32)))
+    merchant, tracker, reader = (KeyPair.generate(rng) for _ in range(3))
+    names = st.text("abcxyz", min_size=1, max_size=4)
+    values = st.binary(max_size=8) | st.text(max_size=8) | st.integers(0, MAX_AMOUNT)
+    static = draw(st.dictionaries(names.filter(lambda name: name != "pubkey"), values, max_size=2))
+    tracking = draw(st.booleans())
+    c = build_template(merchant.public, static, rng, tracker.public if tracking else None)
+    c = build_contract(c, draw(st.dictionaries(names, values, min_size=1, max_size=3)), rng)
+    order = sorted(c.root.children["order"].children)
+    if draw(st.booleans()):
+        c = sign_fields(c, merchant.private, ["merchant"])
+    if tracking and draw(st.booleans()):
+        c = sign_fields(c, tracker.private, ["order"])
+    if draw(st.booleans()):
+        c = encrypt_leaf(c, "order/" + draw(st.sampled_from(order)), reader.public, rng)
+    if draw(st.booleans()):
+        c = redact(c, "order/" + draw(st.sampled_from(order)))
+    return c
+
+
+SEED_STORE = b"".join(_dump_line({"data": data.hex(), "name": sha256(data).hex()}) + b"\n"
+                      for data in (b"", b"\x00\xab", bytes(range(40))))
+
+
 class TestRoundTrips:
-    """Each stored record decodes to the transaction that wrote it and encodes
-    back to the same bytes, and a record whose integer is spelled any other way
-    is corrupt, with or without a checkpoint over it."""
+    """Each stored record and contract file decodes to the value that wrote it
+    and encodes back to the same bytes, and a record or file whose integer or
+    byte string is spelled any other way is refused, a ledger record with or
+    without a checkpoint over it."""
 
     @ROUND_TRIPS
     @given(_ledgers())
@@ -1506,15 +1591,32 @@ class TestRoundTrips:
             assert _dump_line(tx_to_json(back)) == line
         assert Ledger.from_jsonl(data).to_jsonl() == data
 
+    @ROUND_TRIPS
+    @given(_contracts())
+    def test_each_contract_file_decodes_to_its_contract_and_encodes_to_its_bytes(self, c):
+        data = encode_contract(c)
+        back = decode_contract(data)
+        assert back == c and contract_hash(back) == contract_hash(c)
+        assert encode_contract(back) == data
+
+    @ROUND_TRIPS
+    @given(st.dictionaries(st.binary(min_size=32, max_size=32), st.binary(max_size=64), max_size=4))
+    def test_each_filestore_record_decodes_to_its_file_and_encodes_to_its_line(self, files):
+        store = FileStore()
+        for name, data in files.items():
+            store.put(name, data)
+        data = store.to_jsonl()
+        back = FileStore.from_jsonl(data)
+        assert back.files == files and back.to_jsonl() == data
+
     @settings(ROUND_TRIPS, max_examples=200)
-    @given(st.integers(0, 2 ** 256 - 1), st.data())
-    def test_each_reader_takes_its_one_spelling_only(self, value, data):
-        for read, spec in ((_int_from_hex, "x"), (_scalar_from_hex, "064x")):
-            text = format(value, spec)
-            assert read(text) == value
-            respelled = data.draw(_respelled(text))
+    @given(st.integers(0, 2 ** 256 - 1), st.binary(max_size=40), st.data())
+    def test_each_reader_takes_its_one_spelling_only(self, value, blob, data):
+        for read, stored, text, respelled in ((_int_from_hex, value, format(value, "x"), _respelled),
+                                              (_bytes_from_hex, blob, blob.hex(), _respelled_hex)):
+            assert read(text) == stored
             with pytest.raises(ValueError):
-                read(respelled)
+                read(data.draw(respelled(text)))
             for other in (value, None, True, float(value % 10), [text]):
                 with pytest.raises(TypeError):
                     read(other)
@@ -1523,16 +1625,34 @@ class TestRoundTrips:
     @given(st.sampled_from(_integer_fields(RULES_LEDGER)), st.data())
     def test_a_respelled_integer_is_a_corrupt_record(self, field, data):
         line, path = field
-        lines = RULES_LEDGER.splitlines(keepends=True)
-        record = json.loads(lines[line - 1])
-        parent = record
-        for step in path[:-1]:
-            parent = parent[step]
-        parent[path[-1]] = data.draw(_respelled(parent[path[-1]]))
-        edited = b"".join(lines[:line - 1] + [_dump_line(record) + b"\n"] + lines[line:])
-        # the record past a checkpointed prefix, with no checkpoint, and inside the prefix
-        for checkpoint in (None, ledger_checkpoint(_prefix(edited, line - 1)),
-                           ledger_checkpoint(_prefix(edited, line))):
-            with pytest.raises(ProtocolError) as exc:
-                Ledger.from_jsonl(edited, checkpoint)
-            assert exc.value.code == "corrupt-record" and f"line {line}: ValueError(" in str(exc.value)
+        record = _respelled_at(json.loads(RULES_LEDGER.splitlines()[line - 1]), path,
+                               lambda text: data.draw(_respelled(text)))
+        _refused_at_every_checkpoint(RULES_LEDGER, line, record)
+
+    @ROUND_TRIPS
+    @given(st.sampled_from(_record_byte_fields(RULES_LEDGER)), st.data())
+    def test_a_respelled_byte_string_is_a_corrupt_record(self, field, data):
+        line, path = field
+        record = _respelled_at(json.loads(RULES_LEDGER.splitlines()[line - 1]), path,
+                               lambda text: data.draw(_respelled_hex(text)))
+        _refused_at_every_checkpoint(RULES_LEDGER, line, record)
+
+    @ROUND_TRIPS
+    @given(st.sampled_from(_record_byte_fields(SEED_STORE)), st.data())
+    def test_a_respelled_filestore_record_is_corrupt(self, field, data):
+        line, path = field
+        lines = SEED_STORE.splitlines(keepends=True)
+        record = _respelled_at(json.loads(lines[line - 1]), path, lambda text: data.draw(_respelled_hex(text)))
+        lines[line - 1] = _dump_line(record) + b"\n"
+        with pytest.raises(ProtocolError) as exc:
+            FileStore.from_jsonl(b"".join(lines))
+        assert exc.value.code == "corrupt-record" and f"line {line}: ValueError(" in str(exc.value)
+
+    @ROUND_TRIPS
+    @given(st.sampled_from(_byte_fields(SEED_CONTRACT)), st.data())
+    def test_a_respelled_contract_file_is_invalid(self, path, data):
+        decode_contract(_dump_line(SEED_CONTRACT))  # the file as written loads
+        edited = _respelled_at(SEED_CONTRACT, path, lambda text: data.draw(_respelled_hex(text)))
+        with pytest.raises(ProtocolError) as exc:
+            decode_contract(_dump_line(edited))
+        assert exc.value.code == "invalid-contract"

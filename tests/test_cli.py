@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from paytocontract.contract import (
 from paytocontract.curve import G, ORDER, KeyPair, Point, Scalar, hash160
 from paytocontract.errors import ProtocolError
 from paytocontract.wallet import Opcode, derive_public, p2pkh_address
+from test_chain import _byte_fields, _respelled_at, _respelled_hex
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +64,15 @@ class TestKeyAndAddressCommands:
         assert os.stat(tmp_path / "new.json").st_mode & 0o777 == 0o600
         assert os.stat(record).st_mode & 0o777 == 0o644
         assert json.loads(key.read_text())["private"]
+
+    @pytest.mark.filterwarnings("ignore:'paytocontract.cli' found in sys.modules:RuntimeWarning")
+    def test_running_the_module_runs_main_on_the_process_arguments(self, capsys, monkeypatch):
+        # what ``python -m paytocontract.cli`` does, in this process
+        monkeypatch.setattr(sys, "argv", ["p2c", "--format", "json", "--seed", "5", "keygen"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("paytocontract.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["public"] == KeyPair.generate(Random(5)).public.encode().hex()
 
     def test_keygen_deterministic_under_seed(self, runner, tmp_path):
         a = _last_json(_invoke(runner, tmp_path, ["keygen"], seed=5))
@@ -596,7 +607,8 @@ class TestCorruptFiles:
         "", "{}", "[]", '{"private": "zz"}', '{"private": 1}', json.dumps({"private": "00" * 32}),
         # a stored public key that is not the private key's own
         *(json.dumps({"private": "01".rjust(64, "0"), "public": public}) for public in
-          [(G ** Scalar(2)).encode().hex(), "03" + G.encode().hex()[2:], "zz", 7, None]),
+          [(G ** Scalar(2)).encode().hex(), "03" + G.encode().hex()[2:], "zz", 7, None,
+           G.encode().hex().upper()]),
     ])
     def test_malformed_keyfile(self, capsys, tmp_path, text):
         key = tmp_path / "key.json"
@@ -610,7 +622,7 @@ class TestCorruptFiles:
         key, expected = tmp_path / "key.json", KeyPair(Scalar(1))
         powers, power = [], Point.__pow__
         monkeypatch.setattr(Point, "__pow__", lambda base, k: powers.append(base) or power(base, k))
-        for public in (None, G.encode().hex(), G.encode().hex().upper()):
+        for public in (None, G.encode().hex()):
             record = self.GOOD_KEY if public is None else dict(self.GOOD_KEY, public=public)
             key.write_text(json.dumps(record))
             powers.clear()
@@ -1249,5 +1261,53 @@ class TestTrustBoundaryFuzz:
             st.lists(st.text("ab/", max_size=3), max_size=4).map("/".join)))
         def check(text):
             self._holds(lambda: arg.convert(text, None, None))
+
+        check()
+
+
+class TestStoredByteSpelling:
+    """A keyfile, proof file or script file as p2c writes or prints it loads, and
+    the same file with any hex field respelled, some letters capitalised or ASCII
+    whitespace put between two bytes, is refused with its format's code."""
+
+    @staticmethod
+    def _written(capsys, tmp_path, kind) -> dict:
+        key, proof = tmp_path / "key.json", tmp_path / "proof.json"
+        assert _run_main(capsys, ["--seed", "3", "keygen", "--out", str(key)])[0] == 0
+        if kind == "keyfile":
+            return json.loads(key.read_text())
+        if kind == "proof":
+            assert _run_main(capsys, ["--seed", "4", "dh", "prove", "--key", str(key),
+                                      "--merchant", TestInputFaults.MERCHANT, "--out", str(proof)])[0] == 0
+            return json.loads(proof.read_text())
+        # a 1-of-1 multisig and a digest literal, so both hex element kinds occur
+        (tmp_path / "base.json").write_text(json.dumps(
+            [{"push": 1}, {"pubkey": json.loads(key.read_text())["public"]}, {"push": 1},
+             {"op": "OP_CHECKMULTISIG"}, {"op": "OP_HASH160"}, {"digest": "ab" * 20}, {"op": "OP_EQUAL"}]))
+        code, out, _ = _run_main(capsys, ["address", "derive-script", "--script", str(tmp_path / "base.json"),
+                                          "--label", "x"])
+        assert code == 0
+        return json.loads(out)["script"]
+
+    # each format, its code and how many hex fields the file holds
+    FORMATS = {"keyfile": (KEYFILE, "invalid-keyfile", 2), "proof": (PROOF, "invalid-proof", 5),
+               "script": (SCRIPT, "invalid-script", 2)}
+
+    @pytest.mark.parametrize("kind", list(FORMATS))
+    def test_a_respelled_byte_string_is_refused(self, capsys, tmp_path, fuzz_file, kind):
+        fmt, code, count = self.FORMATS[kind]
+        written = self._written(capsys, tmp_path, kind)
+        fuzz_file.write_text(json.dumps(written))
+        _read(fuzz_file, fmt)
+        fields = _byte_fields(written)
+        assert len(fields) == count
+
+        @settings(FUZZ, max_examples=30)
+        @given(st.sampled_from(fields), st.data())
+        def check(path, data):
+            fuzz_file.write_text(json.dumps(_respelled_at(written, path, lambda text: data.draw(_respelled_hex(text)))))
+            with pytest.raises(ProtocolError) as exc:
+                _read(fuzz_file, fmt)
+            assert exc.value.code == code
 
         check()

@@ -79,13 +79,14 @@ def _sample_contract(rng: Random, merchant: KeyPair):
 
 
 def _reference_digest(node) -> bytes:
-    """The salted Merkle digest from scratch: SHA-256 of a domain byte and the
-    salt, then the value (leaf) or each child's 2-byte name length, name and
-    digest in name order (branch)."""
+    """The salted Merkle digest from scratch: SHA-256 of a domain byte (0x00 a
+    plain leaf, 0x01 a branch, 0x02 an encrypted leaf) and the salt, then the
+    value (leaf) or each child's 2-byte name length, name and digest in name
+    order (branch)."""
     if isinstance(node, Redacted):
         return node.digest
     if isinstance(node, Leaf):
-        return hashlib.sha256(b"\x00" + node.salt + node.value).digest()
+        return hashlib.sha256((b"\x02" if node.encrypted else b"\x00") + node.salt + node.value).digest()
     h = hashlib.sha256(b"\x01" + node.salt)
     for name in sorted(node.children):
         encoded = name.encode()
@@ -296,7 +297,7 @@ class TestLeafEncryption:
         sealed = encrypt_leaf(c, "order/delivery_address", auditor.public, rng)
         node = resolve(sealed.root, "order/delivery_address")
         assert node.encrypted
-        expected = hashlib.sha256(b"\x00" + node.salt + node.value).digest()
+        expected = hashlib.sha256(b"\x02" + node.salt + node.value).digest()
         assert node.digest == expected
         # encryption changed the root hash: it must precede signing/payment
         assert contract_hash(sealed) != contract_hash(c)
@@ -436,6 +437,14 @@ class TestPaymentBinding:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("value", [1.5, None, ["a"]])
+    def test_a_field_value_is_bytes_text_or_an_integer(self, value):
+        template = build_template(G ** Scalar(1), {}, Random(1))
+        c = build_contract(template, {"a": b"\x00", "b": "\u00e9", "c": 12}, Random(2))
+        assert [resolve(c.root, f"order/{name}").value for name in "abc"] == [b"\x00", "\u00e9".encode(), b"12"]
+        with pytest.raises(ValueError, match="unsupported field value"):
+            build_contract(template, {"a": value}, Random(2))
+
     def test_fresh_salts_unlink_identical_orders(self):
         rng = Random(53)
         merchant = KeyPair.generate(rng)

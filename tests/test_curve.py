@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import hashlib
+import hmac
+import itertools
 import os
 import pickle
 import subprocess
@@ -115,6 +117,21 @@ class TestHashing:
 class TestPoint:
     def test_zero_exponent_gives_identity(self):
         assert (G ** Scalar(0)).is_identity()
+
+    def test_only_a_point_multiplies_a_point(self):
+        with pytest.raises(TypeError):
+            G * 3
+        with pytest.raises(TypeError):
+            G * Scalar(3)
+
+    def test_the_identity_is_its_own_inverse(self):
+        assert Point.identity().inverse() == Point.identity()
+        assert G * G.inverse() == Point.identity()
+
+    def test_repr_names_the_identity_or_x_and_parity(self):
+        assert repr(Point.identity()) == "Point(identity)"
+        assert repr(G) == f"Point(0x{oracle.GX:064x}, parity=0)"
+        assert repr(G.inverse()) == f"Point(0x{oracle.GX:064x}, parity=1)"
 
     def test_generator_standard_coordinates(self):
         p = G ** Scalar(1)
@@ -500,6 +517,15 @@ class TestScalar:
         assert Scalar.from_bytes(s.to_bytes()) == s
         assert len(s.to_bytes()) == 32
 
+    @pytest.mark.parametrize("length", [0, 1, 31, 33])
+    def test_from_bytes_takes_32_bytes_only(self, length):
+        with pytest.raises(ValueError, match=f"need 32 bytes, got {length}"):
+            Scalar.from_bytes(b"\x01" * length)
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError):
+            Scalar(0).inverse()
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Scalar(1).value = 2
@@ -554,6 +580,35 @@ class TestEcdsa:
             assert oracle.ecdsa_verify(
                 oracle.as_tuple(pair.public), message, sig.r.value, sig.s.value
             )
+
+    def test_a_zero_key_does_not_sign(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            ecdsa_sign(Scalar(0), sha256(b"m"))
+
+    def test_each_retry_draws_the_next_nonce(self):
+        priv, digest = Scalar(42), sha256(b"m")
+        first, second = itertools.islice(curve._nonces(priv, digest), 2)
+        mac = hmac.new(priv.to_bytes(), digest + (1).to_bytes(4, "big"), hashlib.sha256)
+        assert second == int.from_bytes(mac.digest(), "big") % ORDER != first
+
+    def test_a_zero_nonce_or_a_zero_s_is_retried(self, monkeypatch):
+        # r = 0 needs a nonce whose G ** k has x = 0 mod n, which no one can find; its
+        # retry stays, as ECDSA requires it.  The other two are made to happen.
+        digest = sha256(b"m")
+        z, k, retry = int.from_bytes(digest, "big") % ORDER, 7, 11
+        r = (G ** k).x % ORDER
+        priv = Scalar(-z * pow(r, -1, ORDER) % ORDER)  # so that s = (z + r * priv) / k = 0
+        drawn = []
+
+        def nonces(key, d):
+            for nonce in (0, k, retry):
+                drawn.append(nonce)
+                yield nonce
+
+        monkeypatch.setattr(curve, "_nonces", nonces)
+        sig = ecdsa_sign(priv, digest)
+        assert drawn == [0, k, retry]
+        assert sig.r.value == (G ** retry).x % ORDER and ecdsa_verify(G ** priv, digest, sig)
 
     def test_zero_component_rejected(self):
         pair = KeyPair(Scalar(42))

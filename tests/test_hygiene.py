@@ -355,3 +355,51 @@ def test_reduce_check_catches_a_planted_method():
                              "    def __reduce__(self):\n        return Scalar, (self.value,)\n", 1)
     assert _defining_classes("curve.py", planted, "__reduce__") == REDUCE_OWNERS | {"curve.py:Scalar"}
     assert _defining_classes("wallet.py", "class A:\n    __reduce__: object = f\n", "__reduce__") == {"wallet.py:A"}
+
+
+# Every stored byte string is read in its one spelling by ``errors._bytes_from_hex``;
+# ``bytes.fromhex`` itself, which also takes capitals and whitespace, reads only
+# what a person types: the CLI's hex argument kinds and an address argument.
+FROMHEX_OWNERS = {"errors.py:_bytes_from_hex", "cli.py:_outpoint", "cli.py:TXID", "cli.py:LABEL_HEX",
+                  "cli.py:POINT", "wallet.py:Address.parse"}
+
+
+def _fromhex_readers(name: str, source: str):
+    """``module:scope`` of each mention of ``fromhex`` in ``source``: the dotted
+    function or class it lies in, or the name a module-level statement assigns."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            inner = scope
+            if not scope and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                inner = tuple(t.id for t in targets if isinstance(t, ast.Name)) or ("<module>",)
+            if isinstance(child, ast.Attribute) and child.attr == "fromhex":
+                found.add(f"{name}:{'.'.join(scope) or '<module>'}")
+            visit(child, inner)
+
+    visit(ast.parse(source, filename=name), ())
+    return found
+
+
+def test_stored_hex_is_read_only_through_bytes_from_hex():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _fromhex_readers(path.name, path.read_text())
+    assert found == FROMHEX_OWNERS
+
+
+def test_fromhex_check_catches_a_planted_reader():
+    source = (PACKAGE / "chain.py").read_text()
+    planted = source.replace('prev_txid = _bytes_from_hex(obj["prev_txid"])', 'prev_txid = bytes.fromhex(obj["prev_txid"])')
+    assert _fromhex_readers("chain.py", planted) == {"chain.py:_input_from_json"}
+    assert _fromhex_readers("cli.py", "NAME = Arg('name', bytes.fromhex)\n") == {"cli.py:NAME"}
+    assert _fromhex_readers("cli.py", "read = bytes.fromhex\n") == {"cli.py:read"}
+    assert _fromhex_readers("wallet.py", "class A:\n    def f(self, t):\n        return Signature.fromhex(t)\n") == \
+        {"wallet.py:A.f"}
+    assert _fromhex_readers("chain.py", "bytes.fromhex(x)\n") == {"chain.py:<module>"}
+    assert _fromhex_readers("chain.py", "x = _bytes_from_hex(t)\n") == set()

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import json
 from random import Random
 
 import pytest
@@ -20,6 +21,8 @@ from paytocontract.contract import (
     build_contract,
     build_template,
     contract_hash,
+    contract_to_json,
+    decode_contract,
     encode_contract,
     payment_address,
     payment_private_key,
@@ -167,6 +170,22 @@ class TestBasicFlow:
             verify_payment(malformed, ledger)
         assert exc.value.code == "invalid-price"
 
+    def test_a_plain_price_flipped_to_encrypted_names_an_unpaid_contract(self):
+        # a leaf's digest commits to its encrypted flag, so a receipt file whose plain
+        # price is relabelled encrypted, which would hide the price, hashes elsewhere
+        rng = Random(100)
+        _, contract, trust, ledger, _, funds = _setup(rng)
+        txid = customer_approve_and_pay(contract, trust, funds, ledger, YES)
+        obj = contract_to_json(contract)
+        price = obj["root"]["children"]["order"]["children"]["price"]
+        assert price["encrypted"] is False
+        price["encrypted"] = True
+        flipped = decode_contract(json.dumps(obj).encode())
+        assert verify_contract(flipped).encrypted_paths == ("order/price",)
+        assert contract_hash(flipped) != contract_hash(contract)
+        assert verify_payment(contract, ledger) == (True, txid)
+        assert verify_payment(flipped, ledger) == (False, None)
+
 
 
 def _multiplies(monkeypatch) -> list:
@@ -310,6 +329,11 @@ class TestTamper:
 
 
 class TestSignaling:
+    def test_a_zero_signal_key_has_no_signal_value(self):
+        # its shared point would be the identity, which has no x-coordinate
+        with pytest.raises(ValueError, match="degenerate shared point"):
+            signal_value(Scalar(0), G ** Scalar(3))
+
     def test_dh_symmetry(self):
         rng = Random(100)
         merchant = KeyPair.generate(rng)
@@ -608,6 +632,13 @@ class TestDlegProof:
         ]
         for mutated in mutations:
             assert not verify_dh(mutated, signer.public, merchant.public)
+
+    def test_an_identity_merchant_key_reads_invalid(self):
+        rng = Random(114)
+        merchant, signer = KeyPair.generate(rng), KeyPair.generate(rng)
+        proof = prove_dh(signer.private, merchant.public, rng)
+        assert verify_dh(proof, signer.public, merchant.public)
+        assert not verify_dh(proof, signer.public, Point.identity())
 
     def test_swapped_commitments_fail(self):
         rng = Random(111)

@@ -191,6 +191,11 @@ class TestScripts:
     def _two_keys(self):
         return G ** Scalar(101), G ** Scalar(202)
 
+    @pytest.mark.parametrize("element", ["OP_EQUAL", 1.0, True, None, bytearray(20)], ids=repr)
+    def test_an_element_of_another_type_is_refused(self, element):
+        with pytest.raises(ValueError, match="bad script element"):
+            Script((1, element))
+
     def test_derive_two_of_two_multisig(self):
         p1, p2 = self._two_keys()
         base = multisig_script(2, (p1, p2))
