@@ -439,22 +439,22 @@ def _resolve_spend(ledger: Ledger, txid: bytes, index: int) -> TxOutput:
     return ledger._by_txid[txid].outputs[index]
 
 
-def _sign_and_build(ledger: Ledger, drafts: Sequence[Tuple[TxInput, Sequence[Scalar]]],
-                       outputs: Sequence[TxOutput], change: Optional[PayTarget] = None) -> Transaction:
+def _sign_and_build(drafts: Sequence[Tuple[TxInput, Sequence[Scalar], int]],
+                    outputs: Sequence[TxOutput], change: Optional[PayTarget] = None) -> Transaction:
     """The builders' shared tail: check funds, pay any remainder to ``change``, and sign
     the txid with each input's keys; signatures are not in the preimage, so the txid
-    of the unsigned transaction is the signed one's."""
-    total = sum(ledger._by_txid[inp.prev_txid].outputs[inp.index].amount for inp, _ in drafts)
-    remainder = total - sum(o.amount for o in outputs)
+    of the unsigned transaction is the signed one's.  Each draft is an input, its keys
+    and the amount of the output it spends, which the builder has already resolved."""
+    remainder = sum(amount for _, _, amount in drafts) - sum(o.amount for o in outputs)
     if remainder < 0:
         raise ProtocolError("insufficient funds")
     if change is not None and remainder:
         outputs = [*outputs, TxOutput(change, remainder)]
-    txid = Transaction(tuple(inp for inp, _ in drafts), tuple(outputs)).txid
+    txid = Transaction(tuple(inp for inp, _, _ in drafts), tuple(outputs)).txid
     signed = [
         replace(inp, signature=ecdsa_sign(keys[0], txid)) if inp.redeem_script is None
         else replace(inp, signatures=tuple(ecdsa_sign(k, txid) for k in keys))
-        for inp, keys in drafts
+        for inp, keys, _ in drafts
     ]
     return Transaction(tuple(signed), tuple(outputs))
 
@@ -471,8 +471,8 @@ def build_transaction(
         prev = _resolve_spend(ledger, txid, index)
         pub = G ** key
         _check_key_lock(pub, prev.payto)
-        drafts.append((TxInput(txid, index, pubkey=pub), (key,)))
-    return _sign_and_build(ledger, drafts, outputs, change)
+        drafts.append((TxInput(txid, index, pubkey=pub), (key,), prev.amount))
+    return _sign_and_build(drafts, outputs, change)
 
 
 def build_script_spend(
@@ -483,9 +483,10 @@ def build_script_spend(
     """Spend p2sh outputs by revealing each script and signing with enough keys."""
     drafts = []
     for txid, index, keys, script in spends:
-        _check_script_lock(script, _resolve_spend(ledger, txid, index).payto)
-        drafts.append((TxInput(txid, index, redeem_script=script), tuple(keys)))
-    return _sign_and_build(ledger, drafts, outputs)
+        prev = _resolve_spend(ledger, txid, index)
+        _check_script_lock(script, prev.payto)
+        drafts.append((TxInput(txid, index, redeem_script=script), tuple(keys), prev.amount))
+    return _sign_and_build(drafts, outputs)
 
 
 class FileStore:

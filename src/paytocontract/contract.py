@@ -144,8 +144,6 @@ def node_to_json(node: ContractNode) -> dict:
 
 
 def node_from_json(obj: dict) -> ContractNode:
-    if not isinstance(obj, dict):
-        raise ProtocolError("invalid contract", "node must be an object")
     kind = obj.get("kind")
     if kind == "leaf":
         encrypted = obj["encrypted"]
@@ -401,7 +399,7 @@ def _to_value_bytes(value) -> bytes:
         return value
     if isinstance(value, str):
         return value.encode("utf-8")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return str(value).encode()
     raise ValueError(f"unsupported field value {value!r}")
 

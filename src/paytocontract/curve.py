@@ -168,38 +168,6 @@ def _madd(p, q):
     return (X3, (r * (V - X3) - 2 * Y1 * J) % FIELD_PRIME, 2 * Z1 * H % FIELD_PRIME)
 
 
-def _add(p, q):
-    # add-2007-bl: Jacobian ``p`` plus Jacobian ``q``, with Z3 = 2*Z1*Z2*H.
-    X1, Y1, Z1 = p
-    X2, Y2, Z2 = q
-    if Z1 == 0:
-        return q
-    if Z2 == 0:
-        return p
-    Z1Z1 = Z1 * Z1 % FIELD_PRIME
-    Z2Z2 = Z2 * Z2 % FIELD_PRIME
-    U1 = X1 * Z2Z2 % FIELD_PRIME
-    S1 = Y1 * Z2 * Z2Z2 % FIELD_PRIME
-    H = (X2 * Z1Z1 - U1) % FIELD_PRIME
-    r = 2 * (Y2 * Z1 * Z1Z1 - S1) % FIELD_PRIME
-    if H == 0:
-        return _dbl(p) if r == 0 else _JID
-    I = 4 * H * H % FIELD_PRIME
-    J = H * I % FIELD_PRIME
-    V = U1 * I % FIELD_PRIME
-    X3 = (r * r - J - 2 * V) % FIELD_PRIME
-    return (X3, (r * (V - X3) - 2 * S1 * J) % FIELD_PRIME, 2 * Z1 * Z2 * H % FIELD_PRIME)
-
-
-def _to_affine(p):
-    X, Y, Z = p
-    if Z == 0:
-        return None
-    zi = pow(Z, -1, FIELD_PRIME)
-    zi2 = zi * zi % FIELD_PRIME
-    return (X * zi2 % FIELD_PRIME, Y * zi2 * zi % FIELD_PRIME)
-
-
 def _batch_inverse(values):
     # Montgomery's simultaneous inversion: one field inversion for the whole
     # list.  No value may be zero.
@@ -223,6 +191,11 @@ def _batch_to_affine(points):
         zi2 = zi * zi % FIELD_PRIME
         out.append((X * zi2 % FIELD_PRIME, Y * zi2 * zi % FIELD_PRIME))
     return out
+
+
+def _to_affine(p):
+    """The affine form of one Jacobian point, None for the identity."""
+    return None if p[2] == 0 else _batch_to_affine([p])[0]
 
 
 # Fixed base: k is recoded into signed digits d_i in (-2^(W-1), 2^(W-1)], so
@@ -705,9 +678,10 @@ def ecdsa_verify(pub: Point, digest: bytes, sig: Signature) -> bool:
         return False
     r, s = sig.r.value, sig.s.value
     w = pow(s, -1, ORDER)
-    # R = G ** u1 * pub ** u2, added in Jacobian form: R.x mod ORDER == r
-    # holds iff X == x * Z^2 for x = r, or x = r + ORDER below the field prime
-    X, _, Z = _add(_fixed_bases[G].mul(z * w % ORDER), _var_mul(r * w % ORDER, pub.x, pub.y))
+    # R = G ** u1 * pub ** u2, pub ** u2 made affine (u2 != 0, so never the
+    # identity): R.x mod ORDER == r holds iff X == x * Z^2 for x = r, or
+    # x = r + ORDER below the field prime, so R itself is never inverted
+    X, _, Z = _madd(_fixed_bases[G].mul(z * w % ORDER), _to_affine(_var_mul(r * w % ORDER, pub.x, pub.y)))
     if Z == 0:
         return False
     zz = Z * Z % FIELD_PRIME

@@ -437,7 +437,7 @@ class TestPaymentBinding:
 
 
 class TestBuild:
-    @pytest.mark.parametrize("value", [1.5, None, ["a"]])
+    @pytest.mark.parametrize("value", [1.5, None, ["a"], True, False])
     def test_a_field_value_is_bytes_text_or_an_integer(self, value):
         template = build_template(G ** Scalar(1), {}, Random(1))
         c = build_contract(template, {"a": b"\x00", "b": "\u00e9", "c": 12}, Random(2))
@@ -525,6 +525,8 @@ class TestContractCodec:
         [],
         {"kind": "branch", "salt": "00" * SALT_BYTES, "children": {"item": []}},
         {"kind": "branch", "salt": "00" * SALT_BYTES, "children": []},
+        "branch",
+        None,
     ])
     def test_non_object_node_rejected(self, root):
         with pytest.raises(ProtocolError) as exc:

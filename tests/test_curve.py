@@ -285,22 +285,6 @@ class TestMultiplyEngine:
             assert doubled == oracle.point_double((x, y))
             assert curve._to_affine(curve._madd(jacobian, (x, p - y))) is None
 
-    def test_jacobian_add_branches_match_oracle(self):
-        # the verify's one full addition: a chord, a doubling, a cancelling
-        # pair and the identity on either side, both sides with Z != 1
-        p, q = oracle.as_tuple(G ** 11), oracle.as_tuple(G ** 12)
-        minus_p = (p[0], oracle.P - p[1])
-
-        def jacobian(point, z):
-            if point is None:
-                return curve._JID
-            x, y = point
-            return (x * z * z % oracle.P, y * z * z * z % oracle.P, z)
-
-        for a, b in [(p, q), (q, p), (p, p), (p, minus_p), (None, q), (p, None), (None, None)]:
-            assert curve._to_affine(curve._add(jacobian(a, 0x1234567), jacobian(b, 0x89ABCDEF))) == \
-                oracle.point_add(a, b)
-
     def test_group_operation_on_equal_and_opposite_points(self):
         point = G ** Scalar(0xABCDEF)
         assert oracle.as_tuple(point * point) == oracle.point_double(oracle.as_tuple(point))
